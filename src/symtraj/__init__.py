@@ -64,10 +64,8 @@ from .problems import (
 from .rules import (
     Rule,
     RuleApplication,
-    SchemaMismatch,
     StepVerdict,
     VerdictStatus,
-    apply_rule,
     hint_from_text,
     verify_step,
     verify_trajectory,

@@ -11,6 +11,7 @@ import hashlib
 import logging
 import os
 import random
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -85,9 +86,10 @@ def _prompt_chars(messages) -> int:
 
 def _truncate(text: str, max_tokens: int) -> tuple[str, str]:
     # Words stand in for tokens; good enough to exercise length handling.
-    words = text.split()
+    # The text is cut after the last kept word, so line breaks survive.
+    words = list(re.finditer(r"\S+", text))
     if len(words) > max_tokens:
-        return " ".join(words[:max_tokens]), "length"
+        return text[: words[max_tokens - 1].end()], "length"
     return text, "stop"
 
 
@@ -96,7 +98,8 @@ class HttpBackend:
 
     Retries 429/5xx/network failures with exponential backoff (base 1s,
     factor 2, up to 5 attempts, jittered). The API key is read from the
-    environment variable named by api_key_env and is never logged.
+    environment variable named by api_key_env at request time and is never
+    logged.
     """
 
     def __init__(
@@ -116,7 +119,7 @@ class HttpBackend:
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.max_prompt_chars = max_prompt_chars
-        self._api_key = os.environ.get(api_key_env) if api_key_env else None
+        self.api_key_env = api_key_env
         self._session = session if session is not None else requests.Session()
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
@@ -134,8 +137,9 @@ class HttpBackend:
             "seed": req.seed,
         }
         headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
+        api_key = os.environ.get(self.api_key_env) if self.api_key_env else None
+        if api_key:
+            headers["Authorization"] = f"Bearer {api_key}"
         start = time.perf_counter()
         last_failure = "no attempt made"
         for attempt in range(self.max_retries):

@@ -1,18 +1,18 @@
 """Inference rule catalog, single-step checking, and whole-trajectory verification.
 
-Each rule is a syntactic schema over at most two premise formulas. verify_step
-first tries to justify a claimed formula by one rule application over small
-subsets of the context and only then falls back to the finite-model oracle, so
-a verdict says how a step was justified, not merely whether it holds.
+Each rule is a syntactic schema over at most two premise formulas, defined
+once as a lookup from the claimed formula to the context entries that justify
+it. verify_step first tries to justify a claimed formula by one rule
+application and only then falls back to the finite-model oracle, so a verdict
+says how a step was justified, not merely whether it holds.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import logging
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import fol
 from .fol import (
@@ -27,12 +27,9 @@ from .fol import (
     Or,
     Pred,
     Term,
-    Variable,
     substitute,
 )
 from .semantics import BudgetExceeded, Label, entails
-
-logger = logging.getLogger(__name__)
 
 
 class Rule(enum.Enum):
@@ -47,10 +44,6 @@ class Rule(enum.Enum):
     CONJUNCTION_ELIM = "ConjunctionElim"
     CONJUNCTION_INTRO = "ConjunctionIntro"
     CASE_ANALYSIS = "CaseAnalysis"
-
-
-class SchemaMismatch(ValueError):
-    """The inputs (or bindings) do not fit the rule's schema."""
 
 
 @dataclass(frozen=True)
@@ -88,49 +81,50 @@ class StepVerdict:
 
 
 # ---------------------------------------------------------------------------
-# apply_rule: schema-determined conclusions
+# The rule catalog: one definition per rule
 # ---------------------------------------------------------------------------
+#
+# _RULES maps each rule to a function of the context and the claimed formula.
+# It looks up the context entries that justify the claim by one application of
+# the rule and returns that application, or None. The context maps each
+# distinct formula to its position; where several entries would do, the
+# earliest wins.
 
 
-def _one(inputs) -> Formula:
-    if len(inputs) != 1:
-        raise SchemaMismatch(f"expected 1 input, got {len(inputs)}")
-    return inputs[0]
+def _earliest(context: dict[Formula, int], candidates) -> Formula | None:
+    return min((f for f in candidates if f in context), key=context.__getitem__, default=None)
 
 
-def _two(inputs) -> tuple[Formula, Formula]:
-    if len(inputs) != 2:
-        raise SchemaMismatch(f"expected 2 inputs, got {len(inputs)}")
-    return inputs[0], inputs[1]
+def _instantiation(rule: Rule, quantifier, context, claimed) -> RuleApplication | None:
+    """From ∀x.B, or from ∃x.B, infer B[x:=c]; an existential's witness c
+    must not occur in ∃x.B."""
+    names = sorted(fol.constants(claimed))
+    for f in context:
+        if not isinstance(f, quantifier):
+            continue
+        if f.var not in fol.free_vars(f.body):
+            if f.body == claimed:
+                return RuleApplication(rule, (f,), claimed)
+            continue
+        used = fol.constants(f) if quantifier is Exists else ()
+        for name in names:
+            if name not in used and substitute(f.body, f.var, Constant(name)) == claimed:
+                return RuleApplication(rule, (f,), claimed, {f.var: Constant(name)})
+    return None
 
 
-def _binding_term(bindings: dict | None, var: str) -> Term:
-    if not bindings or var not in bindings:
-        raise SchemaMismatch(f"instantiation needs a binding for {var!r}")
-    term = bindings[var]
-    if not isinstance(term, Constant):
-        raise SchemaMismatch("instantiation target must be a Constant")
-    return term
+def _by_rewrite(rule: Rule, rewrites, context, claimed) -> RuleApplication | None:
+    """From f infer any formula in rewrites(f).
 
-
-def _apply_universal(inputs, bindings):
-    f = _one(inputs)
-    if not isinstance(f, ForAll):
-        raise SchemaMismatch("input must be a universally quantified formula")
-    return substitute(f.body, f.var, _binding_term(bindings, f.var))
-
-
-def _apply_existential(inputs, bindings):
-    f = _one(inputs)
-    if not isinstance(f, Exists):
-        raise SchemaMismatch("input must be an existentially quantified formula")
-    witness = _binding_term(bindings, f.var)
-    if witness.name in fol.constants(f):
-        raise SchemaMismatch(f"witness {witness.name!r} already occurs in the input")
-    return substitute(f.body, f.var, witness)
+    Every rewrite here has an inverse among the rewrites of its result, so the
+    input is found by rewriting the claim and checking the way back.
+    """
+    f = _earliest(context, [g for g in rewrites(claimed) if claimed in rewrites(g)])
+    return RuleApplication(rule, (f,), claimed) if f is not None else None
 
 
 def _quantifier_negation_rewrites(f: Formula) -> list[Formula]:
+    """¬∀x.B and ∃x.¬B, and ¬∃x.B and ∀x.¬B, each from the other."""
     out = []
     if isinstance(f, Not) and isinstance(f.body, ForAll):
         out.append(Exists(f.body.var, Not(f.body.body)))
@@ -143,14 +137,8 @@ def _quantifier_negation_rewrites(f: Formula) -> list[Formula]:
     return out
 
 
-def _apply_quantifier_negation(inputs, bindings):
-    rewrites = _quantifier_negation_rewrites(_one(inputs))
-    if not rewrites:
-        raise SchemaMismatch("input is not a negated quantifier or quantified negation")
-    return rewrites[0]
-
-
 def _de_morgan_rewrites(f: Formula) -> list[Formula]:
+    """¬(A ∧ B) and ¬A ∨ ¬B, and ¬(A ∨ B) and ¬A ∧ ¬B, each from the other."""
     out = []
     if isinstance(f, Not) and isinstance(f.body, And):
         out.append(Or(Not(f.body.left), Not(f.body.right)))
@@ -163,23 +151,9 @@ def _de_morgan_rewrites(f: Formula) -> list[Formula]:
     return out
 
 
-def _apply_de_morgan(inputs, bindings):
-    rewrites = _de_morgan_rewrites(_one(inputs))
-    if not rewrites:
-        raise SchemaMismatch("input does not fit a De Morgan shape")
-    return rewrites[0]
-
-
-def _apply_double_negation(inputs, bindings):
-    f = _one(inputs)
-    if isinstance(f, Not) and isinstance(f.body, Not):
-        return f.body.body
-    raise SchemaMismatch("input is not doubly negated")
-
-
 def _implication_disjunction_rewrites(f: Formula) -> list[Formula]:
-    # The equivalence A -> B == !A | B, applied at the top or one level under
-    # a negation (the form worked derivations actually use).
+    """A → B and ¬A ∨ B each from the other, at the top or under one negation
+    (the form worked derivations actually use)."""
     out = []
     if isinstance(f, Implies):
         out.append(Or(Not(f.left), f.right))
@@ -194,200 +168,75 @@ def _implication_disjunction_rewrites(f: Formula) -> list[Formula]:
     return out
 
 
-def _apply_implication_to_disjunction(inputs, bindings):
-    rewrites = _implication_disjunction_rewrites(_one(inputs))
-    if not rewrites:
-        raise SchemaMismatch("input has no implication/disjunction form to rewrite")
-    return rewrites[0]
+def _double_negation(context, claimed):
+    """From ¬¬A infer A, and from A infer ¬¬A."""
+    candidates = [Not(Not(claimed))]
+    if isinstance(claimed, Not) and isinstance(claimed.body, Not):
+        candidates.append(claimed.body.body)
+    f = _earliest(context, candidates)
+    return RuleApplication(Rule.DOUBLE_NEGATION, (f,), claimed) if f is not None else None
 
 
-def _apply_disjunction_introduction(inputs, bindings):
-    established, introduced = _two(inputs)
-    return Or(established, introduced)
-
-
-def _apply_modus_ponens(inputs, bindings):
-    a, b = _two(inputs)
-    if isinstance(a, Implies) and a.left == b:
-        return a.right
-    if isinstance(b, Implies) and b.left == a:
-        return b.right
-    raise SchemaMismatch("inputs are not an implication and its antecedent")
-
-
-def _apply_conjunction_elim(inputs, bindings):
-    f = _one(inputs)
-    if not isinstance(f, And):
-        raise SchemaMismatch("input is not a conjunction")
-    return f.left
-
-
-def _apply_conjunction_intro(inputs, bindings):
-    a, b = _two(inputs)
-    return And(a, b)
-
-
-def _case_analysis_conclusion(disj: Formula, branches: Formula) -> Formula | None:
-    if not (isinstance(disj, Or) and isinstance(branches, And)):
+def _disjunction_introduction(context, claimed):
+    """From A infer A ∨ B or B ∨ A."""
+    if not isinstance(claimed, Or):
         return None
-    left, right = branches.left, branches.right
-    for first, second in ((left, right), (right, left)):
-        if (
-            isinstance(first, Implies)
-            and isinstance(second, Implies)
-            and first.left == disj.left
-            and second.left == disj.right
-            and first.right == second.right
-        ):
-            return first.right
-    return None
+    f = _earliest(context, (claimed.left, claimed.right))
+    return RuleApplication(Rule.DISJUNCTION_INTRODUCTION, (f,), claimed) if f is not None else None
 
 
-def _apply_case_analysis(inputs, bindings):
-    a, b = _two(inputs)
-    for disj, branches in ((a, b), (b, a)):
-        conclusion = _case_analysis_conclusion(disj, branches)
-        if conclusion is not None:
-            return conclusion
-    raise SchemaMismatch("inputs are not a disjunction plus both case implications")
-
-
-_APPLIERS = {
-    Rule.UNIVERSAL_INSTANTIATION: _apply_universal,
-    Rule.EXISTENTIAL_INSTANTIATION: _apply_existential,
-    Rule.QUANTIFIER_NEGATION: _apply_quantifier_negation,
-    Rule.DE_MORGAN: _apply_de_morgan,
-    Rule.DOUBLE_NEGATION: _apply_double_negation,
-    Rule.IMPLICATION_TO_DISJUNCTION: _apply_implication_to_disjunction,
-    Rule.DISJUNCTION_INTRODUCTION: _apply_disjunction_introduction,
-    Rule.MODUS_PONENS: _apply_modus_ponens,
-    Rule.CONJUNCTION_ELIM: _apply_conjunction_elim,
-    Rule.CONJUNCTION_INTRO: _apply_conjunction_intro,
-    Rule.CASE_ANALYSIS: _apply_case_analysis,
-}
-
-
-def apply_rule(rule: Rule, inputs, bindings: dict[str, Term] | None = None) -> Formula:
-    """Conclusion the rule's schema determines for these inputs.
-
-    Raises SchemaMismatch when the inputs (or required bindings) do not fit.
-    """
-    return _APPLIERS[rule](tuple(inputs), bindings)
-
-
-# ---------------------------------------------------------------------------
-# Claimed-formula matching (the verify direction)
-# ---------------------------------------------------------------------------
-
-
-def _match_instantiation(rule: Rule, inputs, claimed) -> RuleApplication | None:
-    f = inputs[0]
-    wanted = ForAll if rule is Rule.UNIVERSAL_INSTANTIATION else Exists
-    if len(inputs) != 1 or not isinstance(f, wanted):
-        return None
-    candidates = sorted(fol.constants(claimed))
-    if rule is Rule.EXISTENTIAL_INSTANTIATION:
-        used = fol.constants(f)
-        candidates = [c for c in candidates if c not in used]
-    if f.var not in fol.free_vars(f.body):
-        if claimed == f.body:
-            return RuleApplication(rule, inputs, claimed, {})
-        return None
-    for name in candidates:
-        if substitute(f.body, f.var, Constant(name)) == claimed:
-            return RuleApplication(rule, inputs, claimed, {f.var: Constant(name)})
-    return None
-
-
-def _match_rewrites(rule: Rule, rewrites_fn, inputs, claimed) -> RuleApplication | None:
-    if len(inputs) != 1:
-        return None
-    if claimed in rewrites_fn(inputs[0]):
-        return RuleApplication(rule, inputs, claimed)
-    return None
-
-
-def _match_double_negation(inputs, claimed) -> RuleApplication | None:
-    if len(inputs) != 1:
-        return None
-    f = inputs[0]
-    if isinstance(f, Not) and isinstance(f.body, Not) and f.body.body == claimed:
-        return RuleApplication(Rule.DOUBLE_NEGATION, inputs, claimed)
-    if claimed == Not(Not(f)):
-        return RuleApplication(Rule.DOUBLE_NEGATION, inputs, claimed)
-    return None
-
-
-def _match_disjunction_introduction(inputs, claimed) -> RuleApplication | None:
-    if len(inputs) != 1 or not isinstance(claimed, Or):
-        return None
-    if inputs[0] in (claimed.left, claimed.right):
-        return RuleApplication(Rule.DISJUNCTION_INTRODUCTION, inputs, claimed)
-    return None
-
-
-def _match_modus_ponens(inputs, claimed) -> RuleApplication | None:
-    if len(inputs) != 2:
-        return None
-    a, b = inputs
-    if isinstance(a, Implies) and a.left == b and a.right == claimed:
-        return RuleApplication(Rule.MODUS_PONENS, inputs, claimed)
-    return None
-
-
-def _match_conjunction_elim(inputs, claimed) -> RuleApplication | None:
-    if len(inputs) != 1 or not isinstance(inputs[0], And):
-        return None
-    if claimed in (inputs[0].left, inputs[0].right):
-        return RuleApplication(Rule.CONJUNCTION_ELIM, inputs, claimed)
-    return None
-
-
-def _match_conjunction_intro(inputs, claimed) -> RuleApplication | None:
-    if len(inputs) != 2:
-        return None
-    if claimed == And(inputs[0], inputs[1]):
-        return RuleApplication(Rule.CONJUNCTION_INTRO, inputs, claimed)
-    return None
-
-
-def _match_case_analysis(inputs, claimed) -> RuleApplication | None:
-    if len(inputs) != 2:
-        return None
-    if _case_analysis_conclusion(inputs[0], inputs[1]) == claimed:
-        return RuleApplication(Rule.CASE_ANALYSIS, inputs, claimed)
-    return None
-
-
-def _match(rule: Rule, inputs: tuple[Formula, ...], claimed: Formula) -> RuleApplication | None:
-    if rule in (Rule.UNIVERSAL_INSTANTIATION, Rule.EXISTENTIAL_INSTANTIATION):
-        return _match_instantiation(rule, inputs, claimed)
-    if rule is Rule.QUANTIFIER_NEGATION:
-        return _match_rewrites(rule, _quantifier_negation_rewrites, inputs, claimed)
-    if rule is Rule.DE_MORGAN:
-        return _match_rewrites(rule, _de_morgan_rewrites, inputs, claimed)
-    if rule is Rule.DOUBLE_NEGATION:
-        return _match_double_negation(inputs, claimed)
-    if rule is Rule.IMPLICATION_TO_DISJUNCTION:
-        return _match_rewrites(rule, _implication_disjunction_rewrites, inputs, claimed)
-    if rule is Rule.DISJUNCTION_INTRODUCTION:
-        return _match_disjunction_introduction(inputs, claimed)
-    if rule is Rule.MODUS_PONENS:
-        return _match_modus_ponens(inputs, claimed)
-    if rule is Rule.CONJUNCTION_ELIM:
-        return _match_conjunction_elim(inputs, claimed)
-    if rule is Rule.CONJUNCTION_INTRO:
-        return _match_conjunction_intro(inputs, claimed)
-    if rule is Rule.CASE_ANALYSIS:
-        return _match_case_analysis(inputs, claimed)
-    raise AssertionError(rule)
-
-
-def _subsets(context: list[Formula]):
+def _modus_ponens(context, claimed):
+    """From A → B and A infer B."""
     for f in context:
-        yield (f,)
-    for a, b in itertools.permutations(context, 2):
-        yield (a, b)
+        if isinstance(f, Implies) and f.right == claimed and f.left in context:
+            return RuleApplication(Rule.MODUS_PONENS, (f, f.left), claimed)
+    return None
+
+
+def _conjunction_elim(context, claimed):
+    """From A ∧ B infer A, or B."""
+    for f in context:
+        if isinstance(f, And) and claimed in (f.left, f.right):
+            return RuleApplication(Rule.CONJUNCTION_ELIM, (f,), claimed)
+    return None
+
+
+def _conjunction_intro(context, claimed):
+    """From A and B, two different formulas, infer A ∧ B."""
+    if isinstance(claimed, And) and claimed.left != claimed.right:
+        if claimed.left in context and claimed.right in context:
+            return RuleApplication(Rule.CONJUNCTION_INTRO, (claimed.left, claimed.right), claimed)
+    return None
+
+
+def _case_analysis(context, claimed):
+    """From A ∨ B and (A → C) ∧ (B → C), the conjuncts in either order, infer C."""
+    for f in context:
+        if isinstance(f, Or):
+            a, b = Implies(f.left, claimed), Implies(f.right, claimed)
+            branches = _earliest(context, (And(a, b), And(b, a)))
+            if branches is not None:
+                return RuleApplication(Rule.CASE_ANALYSIS, (f, branches), claimed)
+    return None
+
+
+_RULES = {
+    Rule.UNIVERSAL_INSTANTIATION: partial(_instantiation, Rule.UNIVERSAL_INSTANTIATION, ForAll),
+    Rule.EXISTENTIAL_INSTANTIATION: partial(_instantiation, Rule.EXISTENTIAL_INSTANTIATION, Exists),
+    Rule.QUANTIFIER_NEGATION: partial(
+        _by_rewrite, Rule.QUANTIFIER_NEGATION, _quantifier_negation_rewrites
+    ),
+    Rule.DE_MORGAN: partial(_by_rewrite, Rule.DE_MORGAN, _de_morgan_rewrites),
+    Rule.DOUBLE_NEGATION: _double_negation,
+    Rule.IMPLICATION_TO_DISJUNCTION: partial(
+        _by_rewrite, Rule.IMPLICATION_TO_DISJUNCTION, _implication_disjunction_rewrites
+    ),
+    Rule.DISJUNCTION_INTRODUCTION: _disjunction_introduction,
+    Rule.MODUS_PONENS: _modus_ponens,
+    Rule.CONJUNCTION_ELIM: _conjunction_elim,
+    Rule.CONJUNCTION_INTRO: _conjunction_intro,
+    Rule.CASE_ANALYSIS: _case_analysis,
+}
 
 
 def verify_step(
@@ -398,31 +247,20 @@ def verify_step(
 ) -> StepVerdict:
     """Justify one claimed formula against the context.
 
-    Tries rule schemas over context subsets of size <= 2 (the hinted rule
-    first when given, then every rule), then the finite-model oracle.
+    Tries one application of each rule (the hinted rule first when given,
+    then the others in catalog order), then the finite-model oracle.
     """
-    deduped: list[Formula] = []
+    known: dict[Formula, int] = {}
     for f in context:
-        if f not in deduped:
-            deduped.append(f)
-    if claimed in deduped:
+        known.setdefault(f, len(known))
+    if claimed in known:
         return StepVerdict(VerdictStatus.VERIFIED_SEMANTICALLY, note="restates an earlier formula")
-    rules_to_try = [hint] if hint is not None else list(Rule)
-    for rule in rules_to_try:
-        for inputs in _subsets(deduped):
-            app = _match(rule, inputs, claimed)
-            if app is not None:
-                return StepVerdict(VerdictStatus.VERIFIED_BY_RULE, rule=app, note=rule.value)
-    if hint is not None:
-        for rule in Rule:
-            if rule is hint:
-                continue
-            for inputs in _subsets(deduped):
-                app = _match(rule, inputs, claimed)
-                if app is not None:
-                    return StepVerdict(VerdictStatus.VERIFIED_BY_RULE, rule=app, note=rule.value)
+    for rule in ([hint] if hint is not None else []) + [r for r in Rule if r is not hint]:
+        app = _RULES[rule](known, claimed)
+        if app is not None:
+            return StepVerdict(VerdictStatus.VERIFIED_BY_RULE, rule=app, note=rule.value)
     try:
-        verdict = entails(deduped, claimed, max_domain)
+        verdict = entails(list(known), claimed, max_domain)
     except (BudgetExceeded, ArityConflict, ValueError) as exc:
         return StepVerdict(VerdictStatus.INVALID, note=f"semantic check failed: {exc}")
     if verdict.result is Label.TRUE:
@@ -548,7 +386,7 @@ def verify_trajectory(problem, traj, max_domain: int = 3) -> list[StepVerdict]:
                         context.append(f)
             continue
         hint = hint_from_text(last_action.text) if last_action is not None else None
-        worst = StepVerdict(VerdictStatus.VERIFIED_BY_RULE, note="")
+        status = VerdictStatus.VERIFIED_BY_RULE
         parts: list[str] = []
         first_app: RuleApplication | None = None
         for f in step.formulas:
@@ -556,15 +394,13 @@ def verify_trajectory(problem, traj, max_domain: int = 3) -> list[StepVerdict]:
             if first_app is None and v.rule is not None:
                 first_app = v.rule
             parts.append(v.note)
-            if _SEVERITY.index(v.status) > _SEVERITY.index(worst.status):
-                worst = StepVerdict(v.status, note=v.note)
+            status = max(status, v.status, key=_SEVERITY.index)
             try:
                 sig.add_formula(f)
             except ArityConflict:
                 pass
             if f not in context:
                 context.append(f)
-        status = worst.status
         note = "; ".join(parts)
         rule_app = first_app if status is VerdictStatus.VERIFIED_BY_RULE else None
         verdicts.append(StepVerdict(status, rule=rule_app, note=note))

@@ -298,8 +298,9 @@ def select_trajectories(
         tid = trajectory_id_of(traj)
         ok = True
         if label_map is not None:
-            traj_labels = sorted(label_map.get(tid, []), key=lambda l: l.step_index)
-            ok &= len(traj_labels) == len(traj.steps)
+            # Identical samples share an id, so their labels may repeat.
+            traj_labels = label_map.get(tid, [])
+            ok &= {l.step_index for l in traj_labels} == set(range(len(traj.steps)))
             ok &= all(l.hard_label > 0 for l in traj_labels)
         if ok and score_map is not None:
             score = score_map.get(tid)

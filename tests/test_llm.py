@@ -104,6 +104,14 @@ def test_http_backend_success_and_headers(monkeypatch):
     assert call["json"]["seed"] == 7
 
 
+def test_http_backend_reads_key_at_request_time(monkeypatch):
+    monkeypatch.delenv("UNIT_KEY", raising=False)
+    backend, session = _backend([FakeResponse(payload=_ok_payload())], api_key_env="UNIT_KEY")
+    monkeypatch.setenv("UNIT_KEY", "late")
+    backend.generate(GenerationRequest(messages=MESSAGES))
+    assert session.calls[0]["headers"]["Authorization"] == "Bearer late"
+
+
 def test_http_backend_no_key_no_header():
     backend, session = _backend([FakeResponse(payload=_ok_payload())])
     backend.generate(GenerationRequest(messages=MESSAGES))

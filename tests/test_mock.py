@@ -106,3 +106,14 @@ def test_mock_truncation(problems):
     resp = backend.generate(req)
     assert resp.finish_reason == "length"
     assert len(resp.text.split()) == 3
+
+
+def test_mock_truncation_keeps_line_breaks():
+    problem = generate_logicasker(1, [5], seed=3)[0]
+    backend = OracleMockBackend([problem], seed=0)
+    req = GenerationRequest(
+        messages=tuple(build_sampling_prompt(problem).to_messages()), max_tokens=60
+    )
+    resp = backend.generate(req)
+    assert resp.finish_reason == "length"
+    assert len(parse_trajectory(resp.text).steps) > 1

@@ -249,3 +249,13 @@ def test_write_jsonl_is_stable(tmp_path):
     write_jsonl(path, [{"b": 1, "a": 2}])
     assert path.read_text(encoding="utf-8") == '{"a": 2, "b": 1}\n'
     assert json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_write_jsonl_failure_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [{"a": 1}, {"b": 2}])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_jsonl(path, [{"a": 3}, {"b": object()}])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]

@@ -1,9 +1,10 @@
-"""Inference-rule application, matching, and whole-trajectory verification."""
+"""Inference rules, single-step verification, and whole-trajectory verification."""
 
 import random
 
 import pytest
 
+from symtraj import rules
 from symtraj.fol import (
     And,
     Constant,
@@ -16,14 +17,16 @@ from symtraj.fol import (
     Pred,
     Variable,
     Xor,
+    is_closed,
     parse_formula,
+    subformulas,
+    substitute,
 )
 from symtraj.problems import Problem, Statement
 from symtraj.rules import (
     Rule,
-    SchemaMismatch,
+    RuleApplication,
     VerdictStatus,
-    apply_rule,
     hint_from_text,
     is_definition_action,
     is_formalization_action,
@@ -71,29 +74,59 @@ def _existential_closure(f, witness: str):
     return Exists(fresh, walk(f))
 
 
+def _rule_of(context, claim):
+    """The rule verify_step reports for the claim, or None."""
+    verdict = verify_step(context, claim)
+    return verdict.rule.rule if verdict.rule is not None else None
+
+
+def _check_rule_step(inputs, claim, rule):
+    """verify_step justifies the claim by the hinted rule, from inputs that entail it."""
+    verdict = verify_step(list(inputs), claim, hint=rule)
+    assert verdict.status is VerdictStatus.VERIFIED_BY_RULE, (inputs, claim, verdict)
+    assert verdict.rule.rule is rule and verdict.rule.output == claim, (inputs, claim, verdict.rule)
+    _assert_application_sound(inputs, verdict.rule)
+    return verdict.rule
+
+
+def _assert_application_sound(context, app):
+    """The application draws its inputs from the context, and they entail its output."""
+    assert set(app.inputs) <= set(context), (context, app)
+    if app.rule is Rule.EXISTENTIAL_INSTANTIATION and app.bindings:
+        # The witness is fresh, so soundness means the inputs entail the
+        # existential closure of the claim.
+        (witness,) = app.bindings.values()
+        _assert_entailed(app.inputs, _existential_closure(app.output, witness.name))
+    else:
+        _assert_entailed(app.inputs, app.output)
+
+
 # ---------------------------------------------------------------------------
-# apply_rule schemas
+# Rule schemas, through verify_step
 # ---------------------------------------------------------------------------
+
+
+def test_rule_table_covers_every_rule():
+    assert set(rules._RULES) == set(Rule)
 
 
 def test_apply_universal_instantiation():
     f = parse_formula("forall x (P(x) -> Q(x))")
-    out = apply_rule(Rule.UNIVERSAL_INSTANTIATION, (f,), {"x": Constant("a")})
-    assert out == parse_formula("P(a) -> Q(a)")
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.UNIVERSAL_INSTANTIATION, (f,), {})
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.UNIVERSAL_INSTANTIATION, (P_a,), {"x": Constant("a")})
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.UNIVERSAL_INSTANTIATION, (f,), {"x": Variable("y")})
+    claim = parse_formula("P(a) -> Q(a)")
+    app = _check_rule_step((f,), claim, Rule.UNIVERSAL_INSTANTIATION)
+    assert app == RuleApplication(Rule.UNIVERSAL_INSTANTIATION, (f,), claim, {"x": Constant("a")})
+    assert _rule_of([f], parse_formula("P(a) -> Q(b)")) is None
+    assert _rule_of([P_a], claim) is None
+    # A variable is not an instantiation target.
+    open_claim = Implies(Pred("P", (Variable("y"),)), Pred("Q", (Variable("y"),)))
+    assert _rule_of([f], open_claim) is None
 
 
 def test_apply_existential_instantiation_requires_fresh_witness():
     f = parse_formula("exists x Likes(x, a)")
-    out = apply_rule(Rule.EXISTENTIAL_INSTANTIATION, (f,), {"x": Constant("w")})
-    assert out == parse_formula("Likes(w, a)")
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.EXISTENTIAL_INSTANTIATION, (f,), {"x": Constant("a")})
+    app = _check_rule_step((f,), parse_formula("Likes(w, a)"), Rule.EXISTENTIAL_INSTANTIATION)
+    assert app.bindings == {"x": Constant("w")}
+    assert _rule_of([f], parse_formula("Likes(a, a)")) is None
 
 
 def test_apply_quantifier_negation_all_four_shapes():
@@ -104,10 +137,9 @@ def test_apply_quantifier_negation_all_four_shapes():
         ("exists x ~P(x)", "~(forall x P(x))"),
     ]
     for source, expected in cases:
-        out = apply_rule(Rule.QUANTIFIER_NEGATION, (parse_formula(source),))
-        assert out == parse_formula(expected)
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.QUANTIFIER_NEGATION, (P_a,))
+        app = _check_rule_step((parse_formula(source),), parse_formula(expected), Rule.QUANTIFIER_NEGATION)
+        assert app.inputs == (parse_formula(source),)
+    assert _rule_of([P_a], parse_formula("exists x ~P(x)")) is None
 
 
 def test_apply_de_morgan_shapes():
@@ -118,107 +150,143 @@ def test_apply_de_morgan_shapes():
         ("~P(a) | ~Q(a)", "~(P(a) & Q(a))"),
     ]
     for source, expected in cases:
-        out = apply_rule(Rule.DE_MORGAN, (parse_formula(source),))
-        assert out == parse_formula(expected)
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.DE_MORGAN, (parse_formula("P(a) & Q(a)"),))
+        app = _check_rule_step((parse_formula(source),), parse_formula(expected), Rule.DE_MORGAN)
+        assert app.inputs == (parse_formula(source),)
+    assert _rule_of([parse_formula("P(a) & Q(a)")], parse_formula("~(~P(a) | ~Q(a))")) is None
 
 
 def test_apply_double_negation():
-    assert apply_rule(Rule.DOUBLE_NEGATION, (parse_formula("~~P(a)"),)) == P_a
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.DOUBLE_NEGATION, (parse_formula("~P(a)"),))
+    _check_rule_step((parse_formula("~~P(a)"),), P_a, Rule.DOUBLE_NEGATION)
+    # Introducing a double negation is the same rule, read the other way.
+    _check_rule_step((P_a,), parse_formula("~~P(a)"), Rule.DOUBLE_NEGATION)
+    assert _rule_of([parse_formula("~P(a)")], P_a) is None
 
 
 def test_apply_implication_to_disjunction():
-    assert apply_rule(
-        Rule.IMPLICATION_TO_DISJUNCTION, (parse_formula("P(a) -> Q(a)"),)
-    ) == parse_formula("~P(a) | Q(a)")
-    assert apply_rule(
-        Rule.IMPLICATION_TO_DISJUNCTION, (parse_formula("~P(a) | Q(a)"),)
-    ) == parse_formula("P(a) -> Q(a)")
-    assert apply_rule(
-        Rule.IMPLICATION_TO_DISJUNCTION, (parse_formula("~(P(a) -> Q(a))"),)
-    ) == parse_formula("~(~P(a) | Q(a))")
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.IMPLICATION_TO_DISJUNCTION, (parse_formula("P(a) & Q(a)"),))
+    cases = [
+        ("P(a) -> Q(a)", "~P(a) | Q(a)"),
+        ("~P(a) | Q(a)", "P(a) -> Q(a)"),
+        ("~(P(a) -> Q(a))", "~(~P(a) | Q(a))"),
+        ("~(~P(a) | Q(a))", "~(P(a) -> Q(a))"),
+    ]
+    for source, expected in cases:
+        app = _check_rule_step(
+            (parse_formula(source),), parse_formula(expected), Rule.IMPLICATION_TO_DISJUNCTION
+        )
+        assert app.inputs == (parse_formula(source),)
+    assert _rule_of([parse_formula("P(a) & Q(a)")], parse_formula("~P(a) | Q(a)")) is None
 
 
 def test_apply_disjunction_introduction():
-    assert apply_rule(Rule.DISJUNCTION_INTRODUCTION, (P_a, Q_a)) == Or(P_a, Q_a)
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.DISJUNCTION_INTRODUCTION, (P_a,))
+    # One input: the established disjunct; the other disjunct is arbitrary.
+    app = _check_rule_step((P_a,), Or(P_a, Q_a), Rule.DISJUNCTION_INTRODUCTION)
+    assert app.inputs == (P_a,)
+    app = _check_rule_step((P_a,), Or(Q_a, P_a), Rule.DISJUNCTION_INTRODUCTION)
+    assert app.inputs == (P_a,)
+    assert _rule_of([P_a], parse_formula("Q(a) | S(b)")) is None
 
 
 def test_apply_modus_ponens_either_order():
     imp = parse_formula("P(a) -> Q(a)")
-    assert apply_rule(Rule.MODUS_PONENS, (imp, P_a)) == Q_a
-    assert apply_rule(Rule.MODUS_PONENS, (P_a, imp)) == Q_a
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.MODUS_PONENS, (imp, Q_a))
+    assert _check_rule_step((imp, P_a), Q_a, Rule.MODUS_PONENS).inputs == (imp, P_a)
+    assert _check_rule_step((P_a, imp), Q_a, Rule.MODUS_PONENS).inputs == (imp, P_a)
+    assert _rule_of([imp, Q_a], P_a) is None
 
 
 def test_apply_conjunction_rules():
     conj = parse_formula("P(a) & Q(a)")
-    assert apply_rule(Rule.CONJUNCTION_ELIM, (conj,)) == P_a
-    assert apply_rule(Rule.CONJUNCTION_INTRO, (P_a, Q_a)) == conj
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.CONJUNCTION_ELIM, (P_a,))
+    _check_rule_step((conj,), P_a, Rule.CONJUNCTION_ELIM)
+    _check_rule_step((conj,), Q_a, Rule.CONJUNCTION_ELIM)
+    assert _check_rule_step((Q_a, P_a), conj, Rule.CONJUNCTION_INTRO).inputs == (P_a, Q_a)
+    # Introduction joins two different formulas; A & A is left to the oracle.
+    assert _rule_of([P_a], And(P_a, P_a)) is None
+    assert _rule_of([P_a], Q_a) is None
 
 
 def test_apply_case_analysis():
     disj = parse_formula("P(a) | Q(a)")
     branches = parse_formula("(P(a) -> R(a, b)) & (Q(a) -> R(a, b))")
-    assert apply_rule(Rule.CASE_ANALYSIS, (disj, branches)) == R_ab
-    assert apply_rule(Rule.CASE_ANALYSIS, (branches, disj)) == R_ab
+    assert _check_rule_step((disj, branches), R_ab, Rule.CASE_ANALYSIS).inputs == (disj, branches)
+    assert _check_rule_step((branches, disj), R_ab, Rule.CASE_ANALYSIS).inputs == (disj, branches)
     swapped = parse_formula("(Q(a) -> R(a, b)) & (P(a) -> R(a, b))")
-    assert apply_rule(Rule.CASE_ANALYSIS, (disj, swapped)) == R_ab
-    with pytest.raises(SchemaMismatch):
-        apply_rule(Rule.CASE_ANALYSIS, (disj, parse_formula("P(a) -> R(a, b)")))
+    _check_rule_step((disj, swapped), R_ab, Rule.CASE_ANALYSIS)
+    assert _rule_of([disj, parse_formula("P(a) -> R(a, b)")], R_ab) is None
+
+
+def test_earliest_justification_wins():
+    first, second = parse_formula("P(a) & Q(a)"), parse_formula("S(b) & P(a)")
+    assert _check_rule_step((first, second), P_a, Rule.CONJUNCTION_ELIM).inputs == (first,)
+    assert _check_rule_step((second, first), P_a, Rule.CONJUNCTION_ELIM).inputs == (second,)
 
 
 # ---------------------------------------------------------------------------
-# Soundness: outputs are entailed by inputs under the finite-model oracle
+# Soundness: what verify_step justifies by a rule is entailed by its inputs
 # ---------------------------------------------------------------------------
 
 
 def _random_instance(rule: Rule, rng: random.Random):
-    """(inputs, bindings) drawn from the rule's schema."""
+    """(inputs, claim) drawn from the rule's schema, the claim not among the inputs.
+
+    A claim that restates an input is a restatement, not a rule step.
+    """
+    while True:
+        inputs, claim = _schema_instance(rule, rng)
+        if claim not in inputs:
+            return inputs, claim
+
+
+def _schema_instance(rule: Rule, rng: random.Random):
     if rule is Rule.UNIVERSAL_INSTANTIATION:
-        return (ForAll("x", random_formula(rng, 2, bound=("x",))),), {"x": Constant("c")}
+        body = random_formula(rng, 2, bound=("x",))
+        return (ForAll("x", body),), substitute(body, "x", Constant("c"))
     if rule is Rule.EXISTENTIAL_INSTANTIATION:
-        return (Exists("x", random_formula(rng, 2, bound=("x",))),), {"x": Constant("w9")}
+        body = random_formula(rng, 2, bound=("x",))
+        return (Exists("x", body),), substitute(body, "x", Constant("w9"))
     if rule is Rule.QUANTIFIER_NEGATION:
         body = random_formula(rng, 2, bound=("x",))
-        shape = rng.randrange(4)
-        if shape == 0:
-            return (Not(ForAll("x", body)),), None
-        if shape == 1:
-            return (Not(Exists("x", body)),), None
-        if shape == 2:
-            return (ForAll("x", Not(body)),), None
-        return (Exists("x", Not(body)),), None
+        shapes = (
+            (Not(ForAll("x", body)), Exists("x", Not(body))),
+            (Not(Exists("x", body)), ForAll("x", Not(body))),
+            (ForAll("x", Not(body)), Not(Exists("x", body))),
+            (Exists("x", Not(body)), Not(ForAll("x", body))),
+        )
+        source, claim = rng.choice(shapes)
+        return (source,), claim
     a = random_closed_formula(rng, 2)
     b = random_closed_formula(rng, 2)
     if rule is Rule.DE_MORGAN:
-        shapes = (Not(And(a, b)), Not(Or(a, b)), And(Not(a), Not(b)), Or(Not(a), Not(b)))
-        return (rng.choice(shapes),), None
+        shapes = (
+            (Not(And(a, b)), Or(Not(a), Not(b))),
+            (Not(Or(a, b)), And(Not(a), Not(b))),
+            (And(Not(a), Not(b)), Not(Or(a, b))),
+            (Or(Not(a), Not(b)), Not(And(a, b))),
+        )
+        source, claim = rng.choice(shapes)
+        return (source,), claim
     if rule is Rule.DOUBLE_NEGATION:
-        return (Not(Not(a)),), None
+        return rng.choice((((Not(Not(a)),), a), ((a,), Not(Not(a)))))
     if rule is Rule.IMPLICATION_TO_DISJUNCTION:
-        shapes = (Implies(a, b), Or(Not(a), b), Not(Implies(a, b)), Not(Or(Not(a), b)))
-        return (rng.choice(shapes),), None
+        shapes = (
+            (Implies(a, b), Or(Not(a), b)),
+            (Or(Not(a), b), Implies(a, b)),
+            (Not(Implies(a, b)), Not(Or(Not(a), b))),
+            (Not(Or(Not(a), b)), Not(Implies(a, b))),
+        )
+        source, claim = rng.choice(shapes)
+        return (source,), claim
     if rule is Rule.DISJUNCTION_INTRODUCTION:
-        return (a, b), None
+        return (a,), rng.choice((Or(a, b), Or(b, a)))
     if rule is Rule.MODUS_PONENS:
-        return (Implies(a, b), a), None
+        return (Implies(a, b), a), b
     if rule is Rule.CONJUNCTION_ELIM:
-        return (And(a, b),), None
+        return (And(a, b),), rng.choice((a, b))
     if rule is Rule.CONJUNCTION_INTRO:
-        return (a, b), None
+        while b == a:
+            b = random_closed_formula(rng, 2)
+        return (a, b), And(a, b)
     if rule is Rule.CASE_ANALYSIS:
         c = random_closed_formula(rng, 1)
-        return (Or(a, b), And(Implies(a, c), Implies(b, c))), None
+        return (Or(a, b), And(Implies(a, c), Implies(b, c))), c
     raise AssertionError(rule)
 
 
@@ -226,21 +294,47 @@ def _random_instance(rule: Rule, rng: random.Random):
 def test_rule_soundness_random(rule):
     rng = random.Random(f"soundness|{rule.value}")
     for _ in range(60):
-        inputs, bindings = _random_instance(rule, rng)
-        output = apply_rule(rule, inputs, bindings)
-        if rule is Rule.EXISTENTIAL_INSTANTIATION:
-            _assert_entailed(inputs, _existential_closure(output, "w9"))
-        else:
-            _assert_entailed(inputs, output)
+        inputs, claim = _random_instance(rule, rng)
+        _check_rule_step(inputs, claim, rule)
+
+
+def test_verify_step_rules_sound_on_random_claims():
+    # Claims near the context (subformulas, rewrites, instances, and double
+    # negations, conjunctions and disjunctions of its members), some of which
+    # no rule justifies: every rule verify_step does report must be sound.
+    rng = random.Random("random-claims")
+    rewrites = (
+        rules._quantifier_negation_rewrites,
+        rules._de_morgan_rewrites,
+        rules._implication_disjunction_rewrites,
+    )
+    reported = set()
+    for _ in range(150):
+        a, b, c = (random_closed_formula(rng, 2) for _ in range(3))
+        context = [Implies(a, c), Or(a, b), And(Implies(a, c), Implies(b, c))]
+        context.append(rng.choice((ForAll, Exists))("x", random_formula(rng, 2, bound=("x",))))
+        context.extend(f for f in (a, b) if rng.random() < 0.6)
+        rng.shuffle(context)
+        claims = [And(a, b), And(c, a), Or(c, a), Not(Not(a)), c]
+        for f in context:
+            claims.extend(g for g in subformulas(f) if is_closed(g))
+            claims.extend(g for rewrite in rewrites for g in rewrite(f))
+            if isinstance(f, (ForAll, Exists)):
+                claims.extend(substitute(f.body, f.var, Constant(n)) for n in ("a", "w9"))
+        for claim in rng.sample(claims, 6):
+            verdict = verify_step(context, claim, hint=rng.choice([None, *Rule]))
+            if verdict.rule is not None:
+                reported.add(verdict.rule.rule)
+                _assert_application_sound(context, verdict.rule)
+    assert len(reported) >= 8, reported
 
 
 def test_quantifier_negation_outputs_are_equivalent_not_just_entailed():
     rng = random.Random(33)
     for _ in range(20):
-        inputs, _ = _random_instance(Rule.QUANTIFIER_NEGATION, rng)
-        output = apply_rule(Rule.QUANTIFIER_NEGATION, inputs)
-        _assert_entailed(inputs, output)
-        _assert_entailed((output,), inputs[0])
+        inputs, claim = _random_instance(Rule.QUANTIFIER_NEGATION, rng)
+        _check_rule_step(inputs, claim, Rule.QUANTIFIER_NEGATION)
+        _assert_entailed((claim,), inputs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,22 @@ def test_select_is_monotone_in_judgments():
         assert before <= after
 
 
+def test_select_keeps_identical_samples():
+    # Identical samples share a trajectory id, so their labels land under one
+    # id twice; both copies are still fully and positively judged.
+    problem, traj = _mc_fixture()
+    twin = parse_trajectory(MC_TRACE, problem_id=problem.id)
+    assert trajectory_id_of(twin) == trajectory_id_of(traj)
+    backend = CountingBackend(succeed_first=10)
+    labels = mc_label(problem, traj, backend) + mc_label(problem, twin, backend)
+    assert select_trajectories([traj, twin], [problem], labels=labels) == [traj, twin]
+    last = labels[-1]
+    spoiled = labels[:-1] + [
+        StepLabel(last.trajectory_id, last.step_index, n_samples=10, n_success=0, hard_label=-1)
+    ]
+    assert select_trajectories([traj, twin], [problem], labels=spoiled) == []
+
+
 def test_select_drops_unknown_problems():
     problem, traj = _mc_fixture()
     stray = parse_trajectory(MC_TRACE, problem_id="elsewhere")
