@@ -93,6 +93,7 @@ from .supervision import (
     export_sft_dataset,
     make_trajectory_id,
     mc_label,
+    mc_label_all,
     prm_loss,
     score_trajectory,
     select_trajectories,

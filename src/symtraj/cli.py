@@ -48,7 +48,8 @@ from .supervision import (
     export_dpo_dataset,
     export_prm_dataset,
     export_sft_dataset,
-    mc_label,
+    mc_label,  # noqa: F401  (perfbench/layers.py wraps cli.mc_label)
+    mc_label_all,
     score_trajectory,
     select_trajectories,
     step_label_from_dict,
@@ -279,23 +280,25 @@ def cmd_label(args) -> int:
     by_id = _load_problem_map(args.problems)
     trajectories = _load_trajectories(args.traces)
     backend = build_backend(cfg, list(by_id.values()))
-    records = []
+    items = []
     for traj in trajectories:
         problem = by_id.get(traj.problem_id)
         if problem is None:
             logger.warning("no problem on record for %r, skipping", traj.problem_id)
             continue
-        labels = mc_label(
-            problem,
-            traj,
-            backend,
-            n_samples=cfg.n_samples,
-            k=cfg.k,
-            temperature=cfg.temperature,
-            max_tokens=cfg.max_tokens,
-            parallelism=cfg.parallelism,
-            n_shots=cfg.n_shots,
-        )
+        items.append((problem, traj))
+    all_labels = mc_label_all(
+        items,
+        backend,
+        n_samples=cfg.n_samples,
+        k=cfg.k,
+        temperature=cfg.temperature,
+        max_tokens=cfg.max_tokens,
+        parallelism=cfg.parallelism,
+        n_shots=cfg.n_shots,
+    )
+    records = []
+    for (problem, _), labels in zip(items, all_labels):
         for label in labels:
             record = step_label_to_dict(label)
             record["problem_id"] = problem.id

@@ -10,6 +10,7 @@ scorers something to reject.
 
 from __future__ import annotations
 
+import os
 import random
 
 from .fol import And, Constant, Exists, Formula, Implies, Not, Or, Pred, Variable, print_formula
@@ -56,13 +57,28 @@ class OracleMockBackend:
         self.accuracy = accuracy
         self.sloppiness = sloppiness
         self.max_prompt_chars = max_prompt_chars
-        self._tasks = [(build_sampling_prompt(p).task, p) for p in problems]
+        problems = list(problems)
+        tasks = [build_sampling_prompt(p).task for p in problems]
+        # A task can only occur where the tasks' common head does, and its
+        # first key_len characters there pick out the candidate problems.
+        self._head = os.path.commonprefix(tasks)
+        self._key_len = min(map(len, tasks), default=0)
+        self._by_key: dict[str, list[tuple[int, str, Problem]]] = {}
+        for order, (task, problem) in enumerate(zip(tasks, problems)):
+            self._by_key.setdefault(task[: self._key_len], []).append((order, task, problem))
 
     def _match_problem(self, user_text: str) -> Problem:
-        for task, problem in self._tasks:
-            if task in user_text:
-                return problem
-        raise BackendUnavailable("prompt does not mention a known problem")
+        """The first problem, in list order, whose task occurs in the prompt."""
+        best: tuple[int, Problem] | None = None
+        pos = user_text.find(self._head)
+        while pos >= 0:
+            for order, task, problem in self._by_key.get(user_text[pos : pos + self._key_len], ()):
+                if (best is None or order < best[0]) and user_text.startswith(task, pos):
+                    best = (order, problem)
+            pos = user_text.find(self._head, pos + 1)
+        if best is None:
+            raise BackendUnavailable("prompt does not mention a known problem")
+        return best[1]
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         chars = _prompt_chars(req.messages)

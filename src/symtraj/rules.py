@@ -97,8 +97,9 @@ def _earliest(context: dict[Formula, int], candidates) -> Formula | None:
 
 def _instantiation(rule: Rule, quantifier, context, claimed) -> RuleApplication | None:
     """From ∀x.B, or from ∃x.B, infer B[x:=c]; an existential's witness c
-    must not occur in ∃x.B."""
+    must not occur anywhere in the context."""
     names = sorted(fol.constants(claimed))
+    used: set[str] | None = None
     for f in context:
         if not isinstance(f, quantifier):
             continue
@@ -106,10 +107,15 @@ def _instantiation(rule: Rule, quantifier, context, claimed) -> RuleApplication 
             if f.body == claimed:
                 return RuleApplication(rule, (f,), claimed)
             continue
-        used = fol.constants(f) if quantifier is Exists else ()
         for name in names:
-            if name not in used and substitute(f.body, f.var, Constant(name)) == claimed:
-                return RuleApplication(rule, (f,), claimed, {f.var: Constant(name)})
+            if substitute(f.body, f.var, Constant(name)) != claimed:
+                continue
+            if quantifier is Exists:
+                if used is None:
+                    used = set().union(*map(fol.constants, context))
+                if name in used:
+                    continue
+            return RuleApplication(rule, (f,), claimed, {f.var: Constant(name)})
     return None
 
 

@@ -18,15 +18,16 @@ from dataclasses import dataclass
 import requests
 
 from .jsonl import write_jsonl
-from .llm import GenerationRequest, generate_batch
+from .llm import GenerationRequest, generate_batch, prompt_key
 from .problems import Problem
 from .rules import VerdictStatus, verify_trajectory
+from .semantics import Label
 from .trajectory import (
-    EmptyTrajectory,
     Trajectory,
+    _final_answer,
     build_completion_prompt,
     build_sampling_prompt,
-    parse_trajectory,
+    parse_trajectory,  # noqa: F401  (perfbench/layers.py wraps supervision.parse_trajectory)
     render_step,
 )
 
@@ -135,9 +136,13 @@ class PreferencePair:
 # ---------------------------------------------------------------------------
 
 
-def mc_label(
-    problem: Problem,
-    traj: Trajectory,
+def mc_label(problem: Problem, traj: Trajectory, backend, **options) -> list[StepLabel]:
+    """One StepLabel per prefix of the trajectory; options as for mc_label_all."""
+    return mc_label_all([(problem, traj)], backend, **options)[0]
+
+
+def mc_label_all(
+    items,
     backend,
     n_samples: int = DEFAULT_N_SAMPLES,
     k: int = DEFAULT_K,
@@ -145,57 +150,82 @@ def mc_label(
     max_tokens: int = 512,
     parallelism: int = 4,
     n_shots: int = 1,
-) -> list[StepLabel]:
-    """One StepLabel per prefix of the trajectory.
+) -> list[list[StepLabel]]:
+    """StepLabels for each (problem, trajectory) of items, one list per item.
 
     The label for step_index p-1 counts completions sampled after the first p
     steps that end on the gold answer; hard_label is +1 iff at least k do.
     Backend failures count as non-matching; a too-long prompt skips that
     prefix with a logged reason.
+
+    A trajectory's requests go out in one batch. Identical requests get
+    identical answers, so a request answered earlier in the run is not sent
+    again; a failed one is, when a later trajectory needs it.
     """
-    if not traj.steps:
-        raise ValueError("trajectory has no steps to label")
     if not 1 <= k <= n_samples:
         raise ValueError(f"need 1 <= k <= n_samples, got k={k} n_samples={n_samples}")
-    tid = trajectory_id_of(traj) if traj.problem_id else make_trajectory_id(problem.id, traj.raw_text)
-    labels: list[StepLabel] = []
-    for prefix_len in range(1, len(traj.steps) + 1):
-        messages = build_completion_prompt(problem, traj, prefix_len, n_shots).to_messages()
-        reqs = [
-            GenerationRequest(
-                messages=tuple(messages), temperature=temperature, max_tokens=max_tokens, seed=i
-            )
-            for i in range(n_samples)
-        ]
-        responses = generate_batch(backend, reqs, parallelism)
-        if any(r.error and r.error.startswith("PromptTooLong") for r in responses):
-            logger.warning("%s: prefix %d skipped: prompt too long", tid, prefix_len)
-            continue
-        completions: list[tuple[str | None, bool]] = []
-        n_success = 0
-        for r in responses:
-            if r.error:
-                logger.warning("%s: completion failed, counted as non-matching: %s", tid, r.error)
-                completions.append((None, False))
+    # Request content (prompt digest, seed, temperature, max_tokens, model)
+    # -> final answer of its successful completion.
+    answered: dict[tuple, Label | None] = {}
+    out = []
+    for problem, traj in items:
+        if not traj.steps:
+            raise ValueError("trajectory has no steps to label")
+        tid = make_trajectory_id(traj.problem_id or problem.id, traj.raw_text)
+        prefix_keys = []
+        pending: dict[tuple, GenerationRequest] = {}
+        for prefix_len in range(1, len(traj.steps) + 1):
+            prompt = build_completion_prompt(problem, traj, prefix_len, n_shots)
+            messages = tuple(prompt.to_messages())
+            digest = prompt_key(messages)
+            keys = []
+            for i in range(n_samples):
+                req = GenerationRequest(
+                    messages=messages, temperature=temperature, max_tokens=max_tokens, seed=i
+                )
+                key = (digest, req.seed, req.temperature, req.max_tokens, req.model)
+                if key not in answered:
+                    pending.setdefault(key, req)
+                keys.append(key)
+            prefix_keys.append(keys)
+        failed: dict[tuple, str] = {}
+        if pending:
+            responses = generate_batch(backend, list(pending.values()), parallelism)
+            for key, r in zip(pending, responses):
+                if r.error:
+                    failed[key] = r.error
+                else:
+                    answered[key] = _final_answer(r.text)
+        labels: list[StepLabel] = []
+        for prefix_len, keys in enumerate(prefix_keys, start=1):
+            if any(failed.get(key, "").startswith("PromptTooLong") for key in keys):
+                logger.warning("%s: prefix %d skipped: prompt too long", tid, prefix_len)
                 continue
-            try:
-                answer = parse_trajectory(r.text).final_answer
-            except EmptyTrajectory:
-                answer = None
-            matched = answer is problem.label
-            n_success += matched
-            completions.append((str(answer) if answer is not None else None, matched))
-        labels.append(
-            StepLabel(
-                trajectory_id=tid,
-                step_index=prefix_len - 1,
-                n_samples=n_samples,
-                n_success=n_success,
-                hard_label=1 if n_success >= k else -1,
-                completions=tuple(completions),
+            completions: list[tuple[str | None, bool]] = []
+            n_success = 0
+            for key in keys:
+                if key in failed:
+                    logger.warning(
+                        "%s: completion failed, counted as non-matching: %s", tid, failed[key]
+                    )
+                    completions.append((None, False))
+                    continue
+                answer = answered[key]
+                matched = answer is problem.label
+                n_success += matched
+                completions.append((str(answer) if answer is not None else None, matched))
+            labels.append(
+                StepLabel(
+                    trajectory_id=tid,
+                    step_index=prefix_len - 1,
+                    n_samples=n_samples,
+                    n_success=n_success,
+                    hard_label=1 if n_success >= k else -1,
+                    completions=tuple(completions),
+                )
             )
-        )
-    return labels
+        out.append(labels)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ from symtraj.cli import (
     main,
 )
 from symtraj.fol import parse_formula
-from symtraj.jsonl import read_jsonl
-from symtraj.problems import Problem, Statement
+from symtraj.jsonl import read_jsonl, write_jsonl
+from symtraj.problems import Problem, Statement, load_problems
 from symtraj.semantics import Label
-from symtraj.trajectory import parse_trajectory
+from symtraj.supervision import mc_label, step_label_to_dict
+from symtraj.trajectory import parse_trajectory, trajectory_from_dict
 
 
 def _write_json(path, payload):
@@ -268,6 +269,50 @@ def test_sample_is_deterministic(workspace):
         assert rc == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_label_matches_per_trajectory_mc_label_byte_for_byte(workspace):
+    d = workspace["dir"]
+    problems = str(workspace["problems"])
+    config = _write_json(
+        d / "noisy.json",
+        {"backend": {"kind": "oracle-mock", "accuracy": 0.6, "sloppiness": 0.5}, "seed": 0},
+    )
+    traces = d / "traces.jsonl"
+    assert main(["sample", "--problems", problems, "--backend", config, "--n", "4", "--out", str(traces)]) == 0
+    trajectories = [trajectory_from_dict(r) for r in read_jsonl(traces)]
+    raw_texts = [t.raw_text for t in trajectories]
+    assert len(set(raw_texts)) < len(raw_texts)  # identical samples share an id
+
+    labels = d / "labels.jsonl"
+    argv = ["label", "--traces", str(traces), "--problems", problems, "--backend", config]
+    assert main(argv + ["--n-samples", "3", "--k", "2", "--out", str(labels)]) == 0
+
+    # One mc_label call per trajectory, as the command used to label them.
+    cfg = load_config(config)
+    by_id = {p.id: p for p in load_problems(problems)}
+    backend = build_backend(cfg, list(by_id.values()))
+    records = []
+    for traj in trajectories:
+        problem = by_id[traj.problem_id]
+        for label in mc_label(
+            problem,
+            traj,
+            backend,
+            n_samples=3,
+            k=2,
+            temperature=cfg.temperature,
+            max_tokens=cfg.max_tokens,
+            parallelism=cfg.parallelism,
+            n_shots=cfg.n_shots,
+        ):
+            record = step_label_to_dict(label)
+            record["problem_id"] = problem.id
+            records.append(record)
+    expected = d / "expected.jsonl"
+    write_jsonl(expected, records)
+    assert {r["hard_label"] for r in records} == {1, -1}
+    assert labels.read_bytes() == expected.read_bytes()
 
 
 def test_label_export_requires_labels_file(workspace, tmp_path):

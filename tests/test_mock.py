@@ -1,5 +1,7 @@
 """Problem-aware mock backend: determinism, accuracy, sloppiness, completions."""
 
+import dataclasses
+
 import pytest
 
 from symtraj.llm import BackendUnavailable, GenerationRequest, PromptTooLong
@@ -117,3 +119,34 @@ def test_mock_truncation_keeps_line_breaks():
     resp = backend.generate(req)
     assert resp.finish_reason == "length"
     assert len(parse_trajectory(resp.text).steps) > 1
+
+
+def test_mock_problem_index_agrees_with_a_linear_scan():
+    problems = generate_logicasker(8, [3, 4], seed=7)
+    # A repeated task goes to its first problem, as a scan in list order finds it.
+    problems = problems + [dataclasses.replace(problems[2], id="repeat")]
+    backend = OracleMockBackend(problems, seed=0)
+    tasks = [(build_sampling_prompt(p).task, p) for p in problems]
+
+    def scan(text):
+        return next(p for task, p in tasks if task in text)
+
+    def user_text(messages):
+        return "\n".join(m["content"] for m in messages)
+
+    texts = []
+    for p in problems:
+        messages = tuple(build_sampling_prompt(p, n_shots=2).to_messages())
+        texts.append(user_text(messages))
+        traj = parse_trajectory(backend.generate(GenerationRequest(messages=messages)).text)
+        for prefix_len in (1, len(traj.steps)):
+            texts.append(user_text(build_completion_prompt(p, traj, prefix_len).to_messages()))
+    # Two tasks in one prompt: list order decides, not position in the text.
+    texts.append(tasks[5][0] + "\n" + tasks[1][0])
+    for text in texts:
+        assert backend._match_problem(text) is scan(text)
+    assert backend._match_problem(texts[-1]) is problems[1]
+    repeated = user_text(build_sampling_prompt(problems[2]).to_messages())
+    assert backend._match_problem(repeated) is problems[2]
+    with pytest.raises(BackendUnavailable):
+        backend._match_problem(tasks[0][0][:-1])

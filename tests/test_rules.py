@@ -386,6 +386,16 @@ def test_verify_step_existential_instantiation_needs_fresh_constant():
     assert stale.status is VerdictStatus.INVALID
 
 
+def test_verify_step_existential_witness_must_be_fresh_for_the_whole_context():
+    # a is fresh for ∃x P(x) but not for ¬P(a), which the context also holds.
+    context = [parse_formula("exists x P(x)"), parse_formula("~P(a)")]
+    for hint in (None, Rule.EXISTENTIAL_INSTANTIATION):
+        verdict = verify_step(context, parse_formula("P(a)"), hint=hint)
+        assert verdict.status is VerdictStatus.INVALID, hint
+    fresh = verify_step(context, parse_formula("P(w)"), hint=Rule.EXISTENTIAL_INSTANTIATION)
+    assert fresh.status is VerdictStatus.VERIFIED_BY_RULE
+
+
 # ---------------------------------------------------------------------------
 # Action-text heuristics
 # ---------------------------------------------------------------------------

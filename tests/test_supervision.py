@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from symtraj.supervision import (
     export_sft_dataset,
     make_trajectory_id,
     mc_label,
+    mc_label_all,
     prm_loss,
     score_trajectory,
     select_trajectories,
@@ -83,6 +85,29 @@ class CountingBackend:
         self.calls += 1
         answer = self.gold if req.seed < self.succeed_first else self.wrong
         return GenerationResponse(text=f"Action: Finish [{answer}]", finish_reason="stop")
+
+
+class RecordingBackend:
+    """Answers gold and records the content of every request it is sent.
+
+    Requests in fail_once fail the first time they are sent.
+    """
+
+    def __init__(self, fail_once=()):
+        self.sent: list[tuple] = []
+        self.fail_once = set(fail_once)
+
+    @staticmethod
+    def key(req) -> tuple:
+        return (prompt_key(req.messages), req.seed, req.temperature, req.max_tokens, req.model)
+
+    def generate(self, req) -> GenerationResponse:
+        key = self.key(req)
+        self.sent.append(key)
+        if key in self.fail_once:
+            self.fail_once.discard(key)
+            raise RuntimeError("transient backend failure")
+        return GenerationResponse(text="Action: Finish [True]", finish_reason="stop")
 
 
 class FlakyBackend:
@@ -246,6 +271,68 @@ def test_mc_label_rejects_bad_arguments():
     with pytest.raises(ValueError):
         mc_label(problem, stripped, backend)
     assert empty.steps  # sanity: the Finish line itself is a step
+
+
+MC_TRACE_BRANCH = MC_TRACE.replace(
+    "Action: Finish [True]", "Thought: Double-check.\nAction: Finish [True]"
+)
+
+
+def _dedup_fixture():
+    """A trace, its twin, a trace sharing its first five steps, and a short one."""
+    problem, traj = _mc_fixture()
+    twin = parse_trajectory(MC_TRACE, problem_id=problem.id)
+    branch = parse_trajectory(MC_TRACE_BRANCH, problem_id=problem.id)
+    short = parse_trajectory("Thought: immediate.\nAction: Finish [True]", problem_id=problem.id)
+    assert branch.steps[:5] == traj.steps[:5] and branch.steps[5] != traj.steps[5]
+    return problem, [traj, twin, branch, short]
+
+
+def test_mc_label_all_sends_each_distinct_request_once():
+    problem, trajs = _dedup_fixture()
+    backend = RecordingBackend()
+    mc_label_all([(problem, t) for t in trajs], backend, n_samples=3, parallelism=2)
+    counts = Counter(backend.sent)
+    assert set(counts.values()) == {1}
+    # 6 prefixes, then the twin's none, the branch's last two, and the short trace's two.
+    assert len(counts) == (6 + 0 + 2 + 2) * 3
+
+
+def test_mc_label_all_equals_per_trajectory_mc_label():
+    problem, trajs = _dedup_fixture()
+    for make_backend in (lambda: CountingBackend(2), lambda: FlakyBackend({1})):
+        together = mc_label_all([(problem, t) for t in trajs], make_backend(), n_samples=3)
+        one_by_one = [mc_label(problem, t, make_backend(), n_samples=3) for t in trajs]
+        assert together == one_by_one
+
+
+def test_mc_label_all_resends_a_failed_request_for_a_later_trajectory():
+    problem, trajs = _dedup_fixture()
+    traj, twin = trajs[:2]
+    messages = build_completion_prompt(problem, traj, 2).to_messages()
+    flaky = (prompt_key(messages), 1, 0.7, 512, "")
+    backend = RecordingBackend(fail_once={flaky})
+    first, second = mc_label_all([(problem, traj), (problem, twin)], backend, n_samples=3)
+    assert first[1].completions == (("True", True), (None, False), ("True", True))
+    assert all(l.n_success == 3 for l in second)
+    counts = Counter(backend.sent)
+    assert counts[flaky] == 2
+    assert sum(counts.values()) == len(counts) + 1
+
+
+def test_mc_label_all_skips_only_the_prefixes_with_too_long_prompts():
+    problem, trajs = _dedup_fixture()
+    traj, _, branch, short = trajs
+    sizes = [
+        sum(len(m["content"]) for m in build_completion_prompt(problem, traj, p).to_messages())
+        for p in range(1, len(traj.steps) + 1)
+    ]
+    cutoff = (sizes[2] + sizes[3]) // 2
+    got = mc_label_all(
+        [(problem, t) for t in (traj, branch, short)], SizeLimitedBackend(cutoff), n_samples=3
+    )
+    assert [[l.step_index for l in labels] for labels in got] == [[0, 1, 2], [0, 1, 2], [0, 1]]
+    assert all(l.hard_label == 1 for labels in got for l in labels)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import pytest
 
 from symtraj.demos import DEMOS, RINA_DEMO, SQUASH_DEMO, demos_for, rina_problem, squash_problem
 from symtraj.fol import Exists, Pred, Variable, parse_formula
+from symtraj.llm import GenerationRequest
+from symtraj.mock import OracleMockBackend
+from symtraj.problems import generate_logicasker
 from symtraj.rules import Rule
 from symtraj.semantics import Label
 from symtraj.trajectory import (
@@ -13,6 +16,7 @@ from symtraj.trajectory import (
     StepKind,
     Trajectory,
     build_completion_prompt,
+    _final_answer,
     build_sampling_prompt,
     deserialize_trajectory,
     extract_formulas,
@@ -111,6 +115,29 @@ def test_final_answer_variants():
     # the last finish marker wins
     two = "Action: Finish [True]\nAction: Finish [False]\n"
     assert parse_trajectory(two).final_answer is Label.FALSE
+
+
+def test_final_answer_alone_matches_the_full_parse():
+    # MC labelling reads only the answer of each completion.
+    problems = generate_logicasker(3, [3, 4], seed=5)
+    backend = OracleMockBackend(problems, seed=1, accuracy=0.5, sloppiness=0.5)
+    texts = []
+    for p in problems:
+        sample = GenerationRequest(messages=tuple(build_sampling_prompt(p).to_messages()), seed=0)
+        traj = parse_trajectory(backend.generate(sample).text, problem_id=p.id)
+        for prefix_len in range(1, len(traj.steps) + 1):
+            messages = tuple(build_completion_prompt(p, traj, prefix_len).to_messages())
+            for seed in range(4):
+                for max_tokens in (1, 3, 1024):
+                    req = GenerationRequest(messages=messages, seed=seed, max_tokens=max_tokens)
+                    texts.append(backend.generate(req).text)
+    assert {_final_answer(t) for t in texts} >= {Label.TRUE, Label.FALSE, None}
+    for text in texts:
+        assert _final_answer(text) == parse_trajectory(text).final_answer, text
+    for text in ("", "   \n", "no structure here at all", "The answer might be true"):
+        with pytest.raises(EmptyTrajectory):
+            parse_trajectory(text)
+        assert _final_answer(text) is None
 
 
 def test_extract_formulas_cuts_gloss_and_noise():
