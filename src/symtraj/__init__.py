@@ -108,11 +108,9 @@ from .trajectory import (
     Trajectory,
     build_completion_prompt,
     build_sampling_prompt,
-    deserialize_trajectory,
     extract_formulas,
     parse_trajectory,
     render_step,
-    serialize_trajectory,
     trajectory_from_dict,
     trajectory_to_dict,
 )

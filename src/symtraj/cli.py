@@ -11,7 +11,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .jsonl import FormatError, read_jsonl, write_jsonl
@@ -67,7 +67,13 @@ from .trajectory import (
 
 logger = logging.getLogger(__name__)
 
-BACKEND_KINDS = ("http", "oracle-mock", "scripted")
+# The options a config file may give each backend kind. Their defaults live in
+# the backend constructors; the constructors' test hooks are not listed.
+BACKEND_OPTIONS = {
+    "http": ("base_url", "model", "api_key_env", "timeout_s", "max_retries", "max_prompt_chars"),
+    "oracle-mock": ("problems", "seed", "accuracy", "sloppiness", "max_prompt_chars"),
+    "scripted": ("script", "default_text", "max_prompt_chars"),
+}
 
 
 class ConfigError(ValueError):
@@ -85,39 +91,32 @@ class PipelineConfig:
     seed: int = 0
     n_samples: int = DEFAULT_N_SAMPLES
     k: int = DEFAULT_K
-    step_threshold: float = DEFAULT_STEP_THRESHOLD
-    dpo_threshold: float = DEFAULT_DPO_THRESHOLD
 
     def __post_init__(self):
-        if self.backend_kind not in BACKEND_KINDS:
+        if self.backend_kind not in BACKEND_OPTIONS:
             raise ConfigError(f"unknown backend kind {self.backend_kind!r}")
+        unknown = sorted(set(self.backend_options) - set(BACKEND_OPTIONS[self.backend_kind]))
+        if unknown:
+            names = ", ".join(map(repr, unknown))
+            raise ConfigError(f"unknown {self.backend_kind} backend option(s) {names}")
         if not 1 <= self.k <= self.n_samples:
             raise ConfigError(f"need 1 <= k <= n_samples, got k={self.k} n_samples={self.n_samples}")
-        if not 0.0 <= self.step_threshold <= 1.0:
-            raise ConfigError(f"step_threshold {self.step_threshold} outside [0, 1]")
-        if self.dpo_threshold < 0.0:
-            raise ConfigError(f"dpo_threshold {self.dpo_threshold} must be nonnegative")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism {self.parallelism} must be at least 1")
         if self.max_tokens < 1 or self.temperature < 0.0:
             raise ConfigError("max_tokens must be >= 1 and temperature >= 0")
+        if self.n_shots < 1:
+            raise ConfigError(f"n_shots {self.n_shots} must be at least 1")
 
 
-_PIPELINE_KEYS = (
-    "parallelism",
-    "temperature",
-    "max_tokens",
-    "n_shots",
-    "seed",
-    "n_samples",
-    "k",
-    "step_threshold",
-    "dpo_threshold",
-)
+_PIPELINE_KEYS = tuple(f.name for f in fields(PipelineConfig) if not f.name.startswith("backend_"))
 
 
 def load_config(path: str | None) -> PipelineConfig:
-    """Config file -> PipelineConfig; flags overlay later via replace()."""
+    """Config file -> PipelineConfig; flags overlay later via replace().
+
+    The one file shape is {"backend": {"kind": ..., <options>}, <pipeline keys>}.
+    """
     if path is None:
         return PipelineConfig(backend_kind="scripted")
     try:
@@ -128,16 +127,16 @@ def load_config(path: str | None) -> PipelineConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    if "backend" in data:
-        backend = dict(data["backend"])
-        knobs = {key: data[key] for key in _PIPELINE_KEYS if key in data}
-    elif "kind" in data:
-        backend = dict(data)
-        knobs = {}
-    else:
-        raise ConfigError(f"{path}: needs a 'backend' object or a top-level 'kind'")
-    kind = backend.pop("kind", "http")
-    return PipelineConfig(backend_kind=kind, backend_options=backend, **knobs)
+    unknown = sorted(set(data) - {"backend", *_PIPELINE_KEYS})
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ConfigError(f"{path}: unknown key(s) {names}; backend options go in 'backend'")
+    if not isinstance(data.get("backend"), dict):
+        raise ConfigError(f"{path}: needs a 'backend' object")
+    options = dict(data["backend"])
+    kind = options.pop("kind", PipelineConfig.backend_kind)
+    knobs = {key: data[key] for key in _PIPELINE_KEYS if key in data}
+    return PipelineConfig(backend_kind=kind, backend_options=options, **knobs)
 
 
 def _overlay_flags(cfg: PipelineConfig, args) -> PipelineConfig:
@@ -150,38 +149,20 @@ def _overlay_flags(cfg: PipelineConfig, args) -> PipelineConfig:
 
 
 def build_backend(cfg: PipelineConfig, problems: list[Problem] | None = None):
-    opts = cfg.backend_options
+    opts = dict(cfg.backend_options)
     if cfg.backend_kind == "http":
         if not opts.get("base_url"):
             raise ConfigError("http backend needs a base_url")
-        return HttpBackend(
-            base_url=opts["base_url"],
-            model=opts.get("model", ""),
-            api_key_env=opts.get("api_key_env"),
-            timeout_s=opts.get("timeout_s", 60.0),
-            max_retries=opts.get("max_retries", 5),
-            max_prompt_chars=opts.get("max_prompt_chars"),
-        )
+        return HttpBackend(**opts)
     if cfg.backend_kind == "oracle-mock":
         if "problems" in opts:
-            problems = load_problems(opts["problems"])
+            problems = load_problems(opts.pop("problems"))
         if problems is None:
             raise ConfigError("oracle-mock backend needs problems")
-        return OracleMockBackend(
-            problems,
-            seed=opts.get("seed", 0),
-            accuracy=opts.get("accuracy", 1.0),
-            sloppiness=opts.get("sloppiness", 0.0),
-            max_prompt_chars=opts.get("max_prompt_chars"),
-        )
-    script = opts.get("script")
-    if not isinstance(script, dict):
+        return OracleMockBackend(problems, **opts)
+    if not isinstance(opts.get("script"), dict):
         raise ConfigError("scripted backend needs a 'script' object")
-    return ScriptedMockBackend(
-        script,
-        default_text=opts.get("default_text"),
-        max_prompt_chars=opts.get("max_prompt_chars"),
-    )
+    return ScriptedMockBackend(**opts)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +387,8 @@ def cmd_dpo_pairs(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.n_shots < 1:
+        raise ConfigError(f"n_shots {args.n_shots} must be at least 1")
     by_id = _load_problem_map(args.problems)
     trajectories = _load_trajectories(args.traces)
     problems = list(by_id.values())
@@ -497,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4, help="trajectories per problem")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("native-json", "folio-json"), default="native-json")
+    p.add_argument("--seed", type=int, default=None, help="completion seed of sample 0")
     _add_knob_flags(p)
     p.set_defaults(func=cmd_sample)
 
@@ -531,7 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True)
     p.add_argument("--scores", default=None)
     p.add_argument("--labels", default=None)
-    p.add_argument("--step-threshold", dest="step_threshold", type=float, default=0.5)
+    p.add_argument(
+        "--step-threshold", dest="step_threshold", type=float, default=DEFAULT_STEP_THRESHOLD
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)
 
@@ -563,7 +549,6 @@ def _add_knob_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-shots", dest="n_shots", type=int, default=None)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--max-tokens", dest="max_tokens", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--parallelism", type=int, default=None)
 
 

@@ -105,7 +105,7 @@ class HttpBackend:
     def __init__(
         self,
         base_url: str,
-        model: str,
+        model: str = "",
         api_key_env: str | None = None,
         timeout_s: float = 60.0,
         max_retries: int = MAX_ATTEMPTS,

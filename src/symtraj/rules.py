@@ -30,6 +30,7 @@ from .fol import (
     substitute,
 )
 from .semantics import BudgetExceeded, Label, entails
+from .trajectory import StepKind
 
 
 class Rule(enum.Enum):
@@ -364,8 +365,6 @@ def verify_trajectory(problem, traj, max_domain: int = 3) -> list[StepVerdict]:
     the same observation is visible to the next) and then join the context.
     Thought and Action steps get neutral verdicts.
     """
-    from .trajectory import StepKind  # local import to avoid a module cycle
-
     context: list[Formula] = [s.formula for s in problem.premises if s.formula is not None]
     sig = fol.Signature()
     for f in context:

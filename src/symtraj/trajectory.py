@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -26,7 +25,6 @@ from .fol import (
     subformulas,
 )
 from .problems import Problem
-from .rules import Rule, hint_from_text
 from .semantics import Label
 
 
@@ -45,7 +43,6 @@ class Step:
     kind: StepKind
     text: str
     formulas: tuple[Formula, ...] = ()
-    rule_hint: Rule | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "formulas", tuple(self.formulas))
@@ -164,8 +161,7 @@ def _marker_steps(text: str, matches, variables) -> list[Step]:
         body = text[m.end() : end].strip()
         kind = StepKind[m.group(1).upper()]
         formulas = extract_formulas(body, variables) if kind is StepKind.OBSERVATION else ()
-        hint = hint_from_text(body) if kind is StepKind.ACTION else None
-        steps.append(Step(kind, body, formulas, hint))
+        steps.append(Step(kind, body, formulas))
     return steps
 
 
@@ -239,7 +235,6 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
                 "kind": s.kind.value,
                 "text": s.text,
                 "formulas": [print_formula(f) for f in s.formulas],
-                "rule_hint": s.rule_hint.value if s.rule_hint is not None else None,
             }
             for s in traj.steps
         ],
@@ -256,7 +251,6 @@ def trajectory_from_dict(d: dict) -> Trajectory:
             kind=StepKind(s["kind"]),
             text=s["text"],
             formulas=tuple(parse_formula(t) for t in s.get("formulas", [])),
-            rule_hint=Rule(s["rule_hint"]) if s.get("rule_hint") else None,
         )
         for s in d.get("steps", [])
     )
@@ -269,14 +263,6 @@ def trajectory_from_dict(d: dict) -> Trajectory:
         generator=d.get("generator", ""),
         seed_meta=d.get("seed_meta", {}),
     )
-
-
-def serialize_trajectory(traj: Trajectory) -> str:
-    return json.dumps(trajectory_to_dict(traj), ensure_ascii=False, sort_keys=True)
-
-
-def deserialize_trajectory(line: str) -> Trajectory:
-    return trajectory_from_dict(json.loads(line))
 
 
 # ---------------------------------------------------------------------------

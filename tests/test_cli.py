@@ -22,6 +22,10 @@ from symtraj.supervision import mc_label, step_label_to_dict
 from symtraj.trajectory import parse_trajectory, trajectory_from_dict
 
 
+# An http backend that no test sends a request to.
+HTTP = {"kind": "http", "base_url": "http://localhost:1"}
+
+
 def _write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
@@ -74,16 +78,26 @@ def test_load_config_nested_backend(tmp_path):
 
 
 def test_load_config_top_level_backend(tmp_path):
-    path = _write_json(tmp_path / "cfg.json", {"kind": "oracle-mock", "accuracy": 0.5})
-    cfg = load_config(path)
-    assert cfg.backend_kind == "oracle-mock"
-    assert cfg.backend_options["accuracy"] == 0.5
+    # The former shape with the backend at the top level is rejected, not
+    # read with every pipeline key left at its default.
+    path = _write_json(
+        tmp_path / "cfg.json", {"kind": "oracle-mock", "temperature": 0.3, "n_samples": 3}
+    )
+    with pytest.raises(ConfigError, match="'kind'"):
+        load_config(path)
 
 
 def test_load_config_rejects_unknown_kind(tmp_path):
-    path = _write_json(tmp_path / "cfg.json", {"kind": "quantum"})
-    with pytest.raises(ConfigError):
+    path = _write_json(tmp_path / "cfg.json", {"backend": {"kind": "quantum"}})
+    with pytest.raises(ConfigError, match="'quantum'"):
         load_config(path)
+
+
+def test_build_backend_passes_options_to_the_constructor(tmp_path):
+    path = _write_json(tmp_path / "cfg.json", {"backend": dict(HTTP, timeout_s=1)})
+    backend = build_backend(load_config(path))
+    assert backend.timeout_s == 1
+    assert backend.model == ""
 
 
 def test_pipeline_config_validation():
@@ -92,7 +106,7 @@ def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(k=11, n_samples=10)
     with pytest.raises(ConfigError):
-        PipelineConfig(step_threshold=1.5)
+        PipelineConfig(n_shots=0)
     with pytest.raises(ConfigError):
         PipelineConfig(parallelism=0)
     with pytest.raises(ConfigError):
@@ -100,8 +114,11 @@ def test_pipeline_config_validation():
 
 
 def test_overlay_flags_prefer_cli_values(tmp_path):
-    path = _write_json(tmp_path / "cfg.json", {"kind": "oracle-mock", "temperature": 0.3})
+    path = _write_json(
+        tmp_path / "cfg.json", {"backend": {"kind": "oracle-mock"}, "temperature": 0.3}
+    )
     cfg = load_config(path)
+    assert cfg.temperature == 0.3
     args = Namespace(temperature=0.9, n_shots=None, max_tokens=None, seed=None, parallelism=None)
     merged = _overlay_flags(cfg, args)
     assert merged.temperature == 0.9
@@ -402,7 +419,7 @@ def test_malformed_config_fails(workspace, tmp_path):
 
 def test_unknown_backend_kind_fails(workspace, tmp_path):
     cfg = tmp_path / "cfg.json"
-    _write_json(cfg, {"kind": "quantum"})
+    _write_json(cfg, {"backend": {"kind": "quantum"}})
     rc = main(
         [
             "sample",
@@ -415,6 +432,53 @@ def test_unknown_backend_kind_fails(workspace, tmp_path):
         ]
     )
     assert rc == 1
+
+
+def _fails_with_one_config_line(argv, capsys, name):
+    capsys.readouterr()
+    assert main(argv) == 1, argv[0]
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert name in err, err
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        ({"kind": "oracle-mock", "temperature": 0.3, "n_samples": 3}, "'kind'"),
+        ({"backend": {"kind": "oracle-mock"}, "step_threshold": 0.9}, "'step_threshold'"),
+        ({"backend": {"kind": "oracle-mock", "sloppyness": 1.0}}, "'sloppyness'"),
+        ({"backend": dict(HTTP, timeout=1)}, "'timeout'"),
+        ({"backend": dict(HTTP, session=None)}, "'session'"),  # a test hook, not an option
+    ],
+)
+def test_config_setting_nothing_reads_fails(workspace, tmp_path, capsys, config, name):
+    cfg = _write_json(tmp_path / "cfg.json", config)
+    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg]
+    _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, name)
+
+
+def test_zero_shots_fails(workspace, tmp_path, capsys):
+    problems, config = str(workspace["problems"]), str(workspace["config"])
+    traces = str(tmp_path / "traces.jsonl")
+    argv = ["sample", "--problems", problems, "--backend", config, "--n", "1", "--out", traces]
+    assert main(argv) == 0
+    zero = ["--problems", problems, "--n-shots", "0", "--out", str(tmp_path / "out.jsonl")]
+    for argv in (
+        ["sample", "--backend", config] + zero,
+        ["label", "--traces", traces, "--backend", config] + zero,
+        ["export", "--kind", "sft", "--traces", traces] + zero,
+    ):
+        _fails_with_one_config_line(argv, capsys, "n_shots")
+
+
+def test_label_rejects_seed_flag(workspace, tmp_path):
+    # label always uses completion seeds 0..n_samples-1, so --seed is not one of its flags.
+    argv = ["label", "--traces", str(tmp_path / "t.jsonl"), "--problems", str(workspace["problems"])]
+    argv += ["--backend", str(workspace["config"]), "--seed", "5", "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_invalid_problem_record_fails_with_code_2(tmp_path):

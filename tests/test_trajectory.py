@@ -4,10 +4,11 @@ import pytest
 
 from symtraj.demos import DEMOS, RINA_DEMO, SQUASH_DEMO, demos_for, rina_problem, squash_problem
 from symtraj.fol import Exists, Pred, Variable, parse_formula
+from symtraj.jsonl import read_jsonl, write_jsonl
 from symtraj.llm import GenerationRequest
 from symtraj.mock import OracleMockBackend
 from symtraj.problems import generate_logicasker
-from symtraj.rules import Rule
+from symtraj.rules import Rule, hint_from_text
 from symtraj.semantics import Label
 from symtraj.trajectory import (
     CONTINUATION_REQUEST,
@@ -18,11 +19,9 @@ from symtraj.trajectory import (
     build_completion_prompt,
     _final_answer,
     build_sampling_prompt,
-    deserialize_trajectory,
     extract_formulas,
     parse_trajectory,
     render_step,
-    serialize_trajectory,
     trajectory_from_dict,
     trajectory_to_dict,
 )
@@ -43,7 +42,7 @@ def test_parse_marker_mode():
     traj = parse_trajectory(MARKER_TEXT, problem_id="p")
     kinds = [s.kind for s in traj.steps]
     assert kinds == [StepKind.THOUGHT, StepKind.ACTION, StepKind.OBSERVATION, StepKind.ACTION]
-    assert traj.steps[1].rule_hint is Rule.MODUS_PONENS
+    assert hint_from_text(traj.steps[1].text) is Rule.MODUS_PONENS
     assert traj.steps[2].formulas == (parse_formula("Q(a)"),)
     assert traj.final_answer is Label.TRUE
     assert traj.problem_id == "p"
@@ -167,14 +166,19 @@ def test_extract_formulas_unicode_quantifier():
     assert got == (Exists("x20", Pred("Squash", (Variable("x20"),))),)
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(tmp_path):
     traj = parse_trajectory(MARKER_TEXT, problem_id="p9", generator="mock", seed_meta={"seed": 3})
     data = trajectory_to_dict(traj)
     assert data["problem_id"] == "p9"
     assert data["steps"][2]["formulas"] == ["Q(a)"]
     assert data["final_answer"] == "True"
     assert trajectory_from_dict(data) == traj
-    assert deserialize_trajectory(serialize_trajectory(traj)) == traj
+    path = tmp_path / "traces.jsonl"
+    write_jsonl(path, [data])
+    assert [trajectory_from_dict(d) for d in read_jsonl(path)] == [traj]
+    # Trace files that still carry the former per-step rule_hint key load the same.
+    old = dict(data, steps=[dict(step, rule_hint="ModusPonens") for step in data["steps"]])
+    assert trajectory_from_dict(old) == traj
 
 
 def test_serialization_none_answer():
@@ -196,7 +200,8 @@ def test_rina_demo_structure():
     assert traj.final_answer is Label.TRUE
     obs_formula_counts = [len(s.formulas) for s in traj.steps if s.kind is StepKind.OBSERVATION]
     assert obs_formula_counts == [5, 5, 1, 3, 1, 1, 1, 1]
-    hints = [s.rule_hint for s in traj.steps if s.kind is StepKind.ACTION and s.rule_hint]
+    hints = [hint_from_text(s.text) for s in traj.steps if s.kind is StepKind.ACTION]
+    hints = [h for h in hints if h is not None]
     assert hints[0] is Rule.QUANTIFIER_NEGATION
     assert Rule.DE_MORGAN in hints and Rule.DOUBLE_NEGATION in hints
 
