@@ -40,7 +40,6 @@ from .supervision import (
     DEFAULT_K,
     DEFAULT_N_SAMPLES,
     DEFAULT_STEP_THRESHOLD,
-    PrmScore,
     RemoteScorer,
     ScorerUnavailable,
     SymbolicScorer,
@@ -50,15 +49,19 @@ from .supervision import (
     export_sft_dataset,
     mc_label,  # noqa: F401  (perfbench/layers.py wraps cli.mc_label)
     mc_label_all,
+    preference_pair_from_dict,
+    preference_pair_to_dict,
+    prm_score_from_dict,
+    prm_score_to_dict,
     score_trajectory,
     select_trajectories,
     step_label_from_dict,
     step_label_to_dict,
     trajectory_id_of,
+    with_problems,
 )
 from .trajectory import (
     EmptyTrajectory,
-    Trajectory,
     build_sampling_prompt,
     parse_trajectory,
     trajectory_from_dict,
@@ -67,12 +70,16 @@ from .trajectory import (
 
 logger = logging.getLogger(__name__)
 
-# The options a config file may give each backend kind. Their defaults live in
-# the backend constructors; the constructors' test hooks are not listed.
+# The options a config file may give each backend kind, with the JSON types
+# each accepts. Their defaults live in the backend constructors; the
+# constructors' test hooks are not listed.
+_NUMBER, _INT_OR_NULL, _STR_OR_NULL = (int, float), (int, type(None)), (str, type(None))
 BACKEND_OPTIONS = {
-    "http": ("base_url", "model", "api_key_env", "timeout_s", "max_retries", "max_prompt_chars"),
-    "oracle-mock": ("problems", "seed", "accuracy", "sloppiness", "max_prompt_chars"),
-    "scripted": ("script", "default_text", "max_prompt_chars"),
+    "http": {"base_url": (str,), "model": (str,), "api_key_env": _STR_OR_NULL, "timeout_s": _NUMBER,
+             "max_retries": (int,), "max_prompt_chars": _INT_OR_NULL},
+    "oracle-mock": {"problems": (str,), "seed": (int,), "accuracy": _NUMBER, "sloppiness": _NUMBER,
+                    "max_prompt_chars": _INT_OR_NULL},
+    "scripted": {"script": (dict,), "default_text": _STR_OR_NULL, "max_prompt_chars": _INT_OR_NULL},
 }
 
 
@@ -99,6 +106,14 @@ class PipelineConfig:
         if unknown:
             names = ", ".join(map(repr, unknown))
             raise ConfigError(f"unknown {self.backend_kind} backend option(s) {names}")
+        for name, value in self.backend_options.items():
+            types = BACKEND_OPTIONS[self.backend_kind][name]
+            # JSON true and false are not numbers, although bool subclasses int.
+            if not isinstance(value, types) or isinstance(value, bool):
+                wanted = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+                raise ConfigError(
+                    f"{self.backend_kind} backend option {name!r} must be {wanted}, got {value!r}"
+                )
         if not 1 <= self.k <= self.n_samples:
             raise ConfigError(f"need 1 <= k <= n_samples, got k={self.k} n_samples={self.n_samples}")
         if self.parallelism < 1:
@@ -166,16 +181,8 @@ def build_backend(cfg: PipelineConfig, problems: list[Problem] | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Shared loading helpers
+# Flag parsing
 # ---------------------------------------------------------------------------
-
-
-def _load_problem_map(path: str, format: str = "native-json") -> dict[str, Problem]:
-    return {p.id: p for p in load_problems(path, format=format)}
-
-
-def _load_trajectories(path: str) -> list[Trajectory]:
-    return [trajectory_from_dict(d) for d in read_jsonl(path)]
 
 
 def _parse_lengths(text: str) -> list[int]:
@@ -212,7 +219,8 @@ def cmd_sample(args) -> int:
     cfg = _overlay_flags(load_config(args.backend), args)
     problems = load_problems(args.problems, format=args.format)
     backend = build_backend(cfg, problems)
-    model = cfg.backend_options.get("model", cfg.backend_kind)
+    # The backend fills in its configured model; this name only labels traces.
+    generator = cfg.backend_options.get("model", cfg.backend_kind)
     requests_out = []
     owners = []
     for problem in problems:
@@ -224,7 +232,6 @@ def cmd_sample(args) -> int:
                     temperature=cfg.temperature,
                     max_tokens=cfg.max_tokens,
                     seed=cfg.seed + i,
-                    model=model,
                 )
             )
             owners.append((problem, i))
@@ -241,7 +248,7 @@ def cmd_sample(args) -> int:
             traj = parse_trajectory(
                 resp.text,
                 problem_id=problem.id,
-                generator=model,
+                generator=generator,
                 seed_meta={"temperature": cfg.temperature, "sample_index": i, "seed": cfg.seed + i},
             )
         except EmptyTrajectory:
@@ -258,16 +265,10 @@ def cmd_sample(args) -> int:
 
 def cmd_label(args) -> int:
     cfg = _overlay_flags(load_config(args.backend), args)
-    by_id = _load_problem_map(args.problems)
-    trajectories = _load_trajectories(args.traces)
-    backend = build_backend(cfg, list(by_id.values()))
-    items = []
-    for traj in trajectories:
-        problem = by_id.get(traj.problem_id)
-        if problem is None:
-            logger.warning("no problem on record for %r, skipping", traj.problem_id)
-            continue
-        items.append((problem, traj))
+    problems = load_problems(args.problems)
+    trajectories = read_jsonl(args.traces, trajectory_from_dict)
+    backend = build_backend(cfg, problems)
+    items = with_problems(trajectories, problems)
     all_labels = mc_label_all(
         items,
         backend,
@@ -278,26 +279,21 @@ def cmd_label(args) -> int:
         parallelism=cfg.parallelism,
         n_shots=cfg.n_shots,
     )
-    records = []
-    for (problem, _), labels in zip(items, all_labels):
-        for label in labels:
-            record = step_label_to_dict(label)
-            record["problem_id"] = problem.id
-            records.append(record)
+    records = [
+        {**step_label_to_dict(label), "problem_id": problem.id}
+        for (problem, _), labels in zip(items, all_labels)
+        for label in labels
+    ]
     write_jsonl(args.out, records)
     print(f"wrote {len(records)} step labels to {args.out}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    by_id = _load_problem_map(args.problems)
-    trajectories = _load_trajectories(args.traces)
+    problems = load_problems(args.problems)
+    trajectories = read_jsonl(args.traces, trajectory_from_dict)
     records = []
-    for traj in trajectories:
-        problem = by_id.get(traj.problem_id)
-        if problem is None:
-            logger.warning("no problem on record for %r, skipping", traj.problem_id)
-            continue
+    for problem, traj in with_problems(trajectories, problems):
         tid = trajectory_id_of(traj)
         for i, verdict in enumerate(verify_trajectory(problem, traj, max_domain=args.max_domain)):
             records.append(
@@ -316,29 +312,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_score(args) -> int:
-    by_id = _load_problem_map(args.problems)
-    trajectories = _load_trajectories(args.traces)
+    problems = load_problems(args.problems)
+    trajectories = read_jsonl(args.traces, trajectory_from_dict)
     if args.scorer == "symbolic":
-        scorer = SymbolicScorer(by_id.values(), max_domain=args.max_domain)
+        scorer = SymbolicScorer(problems, max_domain=args.max_domain)
     else:
         if not args.remote_url:
             raise ConfigError("--scorer remote needs --remote-url")
         scorer = RemoteScorer(args.remote_url)
     records = []
-    for traj in trajectories:
+    for _, traj in with_problems(trajectories, problems):
         try:
-            score = score_trajectory(traj, scorer)
+            records.append(prm_score_to_dict(score_trajectory(traj, scorer)))
         except ScorerUnavailable as exc:
             logger.warning("scoring %s failed: %s", traj.problem_id, exc)
-            continue
-        records.append(
-            {
-                "problem_id": traj.problem_id,
-                "trajectory_id": score.trajectory_id,
-                "step_probs": list(score.step_probs),
-                "trajectory_prob": score.trajectory_prob,
-            }
-        )
     write_jsonl(args.out, records)
     print(f"wrote {len(records)} trajectory scores to {args.out}")
     return 0
@@ -347,20 +334,13 @@ def cmd_score(args) -> int:
 def cmd_select(args) -> int:
     if not args.scores and not args.labels:
         raise ConfigError("select needs --scores, --labels, or both")
-    by_id = _load_problem_map(args.problems)
-    trajectories = _load_trajectories(args.traces)
-    scores = None
-    if args.scores:
-        scores = [
-            PrmScore(d["trajectory_id"], tuple(d["step_probs"]), d.get("trajectory_prob"))
-            for d in read_jsonl(args.scores)
-        ]
-    labels = None
-    if args.labels:
-        labels = [step_label_from_dict(d) for d in read_jsonl(args.labels)]
+    problems = load_problems(args.problems)
+    trajectories = read_jsonl(args.traces, trajectory_from_dict)
+    scores = read_jsonl(args.scores, prm_score_from_dict) if args.scores else None
+    labels = read_jsonl(args.labels, step_label_from_dict) if args.labels else None
     selected = select_trajectories(
         trajectories,
-        by_id.values(),
+        problems,
         scores=scores,
         labels=labels,
         step_threshold=args.step_threshold,
@@ -372,16 +352,10 @@ def cmd_select(args) -> int:
 
 def cmd_dpo_pairs(args) -> int:
     groups: dict[str, list[tuple[str, float]]] = {}
-    for d in read_jsonl(args.scores):
-        groups.setdefault(d["problem_id"], []).append((d["trajectory_id"], d["trajectory_prob"]))
+    for score in read_jsonl(args.scores, prm_score_from_dict):
+        groups.setdefault(score.problem_id, []).append((score.trajectory_id, score.trajectory_prob))
     pairs = build_dpo_pairs(groups, threshold=args.threshold)
-    write_jsonl(
-        args.out,
-        [
-            {"problem_id": p.problem_id, "chosen": p.chosen, "rejected": p.rejected, "gap": p.gap}
-            for p in pairs
-        ],
-    )
+    write_jsonl(args.out, [preference_pair_to_dict(p) for p in pairs])
     print(f"wrote {len(pairs)} preference pairs to {args.out}")
     return 0
 
@@ -389,25 +363,19 @@ def cmd_dpo_pairs(args) -> int:
 def cmd_export(args) -> int:
     if args.n_shots < 1:
         raise ConfigError(f"n_shots {args.n_shots} must be at least 1")
-    by_id = _load_problem_map(args.problems)
-    trajectories = _load_trajectories(args.traces)
-    problems = list(by_id.values())
+    problems = load_problems(args.problems)
+    trajectories = read_jsonl(args.traces, trajectory_from_dict)
     if args.kind == "prm":
         if not args.labels:
             raise ConfigError("export --kind prm needs --labels")
-        labels = [step_label_from_dict(d) for d in read_jsonl(args.labels)]
+        labels = read_jsonl(args.labels, step_label_from_dict)
         count = export_prm_dataset(labels, trajectories, problems, args.out, n_shots=args.n_shots)
     elif args.kind == "sft":
         count = export_sft_dataset(trajectories, problems, args.out, n_shots=args.n_shots)
     else:
         if not args.pairs:
             raise ConfigError("export --kind dpo needs --pairs")
-        from .supervision import PreferencePair
-
-        pairs = [
-            PreferencePair(d["problem_id"], d["chosen"], d["rejected"], d["gap"])
-            for d in read_jsonl(args.pairs)
-        ]
+        pairs = read_jsonl(args.pairs, preference_pair_from_dict)
         count = export_dpo_dataset(pairs, trajectories, problems, args.out, n_shots=args.n_shots)
     print(f"wrote {count} {args.kind} records to {args.out}")
     return 0
@@ -415,16 +383,12 @@ def cmd_export(args) -> int:
 
 def evaluate_traces(trajectories, problems) -> dict:
     """Accuracy and shape statistics; traces without answers count as wrong."""
-    by_id = {p.id: p for p in problems}
     total = 0
     matches = 0
     confusion: dict[str, dict[str, int]] = {}
     step_counts = []
     formula_counts = []
-    for traj in trajectories:
-        problem = by_id.get(traj.problem_id)
-        if problem is None:
-            continue
+    for problem, traj in with_problems(trajectories, problems):
         total += 1
         answer = str(traj.final_answer) if traj.final_answer is not None else "None"
         gold = str(problem.label)
@@ -445,9 +409,9 @@ def evaluate_traces(trajectories, problems) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    by_id = _load_problem_map(args.problems)
-    trajectories = _load_trajectories(args.traces)
-    stats = evaluate_traces(trajectories, by_id.values())
+    problems = load_problems(args.problems)
+    trajectories = read_jsonl(args.traces, trajectory_from_dict)
+    stats = evaluate_traces(trajectories, problems)
     print(f"accuracy: {stats['accuracy']:.4f} ({stats['matches']}/{stats['total']})")
     print(f"confusion: {json.dumps(stats['confusion'], sort_keys=True)}")
     print(f"mean steps: {stats['mean_steps']:.2f}")

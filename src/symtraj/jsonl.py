@@ -11,7 +11,13 @@ class FormatError(ValueError):
     """A JSONL file (or one of its records) is malformed."""
 
 
-def read_jsonl(path) -> list[dict]:
+def read_jsonl(path, convert=None) -> list:
+    """The records of a JSONL file, each passed through convert when given.
+
+    A KeyError, AttributeError, TypeError or ValueError from convert (a
+    missing key, or a value of the wrong type or out of range) becomes a
+    FormatError naming the file and line.
+    """
     records = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -23,6 +29,13 @@ def read_jsonl(path) -> list[dict]:
             raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(rec, dict):
             raise FormatError(f"{path}:{lineno}: expected an object, got {type(rec).__name__}")
+        if convert is not None:
+            try:
+                rec = convert(rec)
+            except KeyError as exc:
+                raise FormatError(f"{path}:{lineno}: missing key {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
         records.append(rec)
     return records
 

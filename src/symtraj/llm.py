@@ -13,7 +13,7 @@ import os
 import random
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import requests
@@ -179,13 +179,13 @@ class HttpBackend:
         finish = choice.get("finish_reason", "stop")
         if finish not in ("stop", "length"):
             finish = "stop"
-        usage = data.get("usage", {})
+        usage = data.get("usage") or {}  # some endpoints send "usage": null
         return GenerationResponse(
             text=text,
             finish_reason=finish,
             usage=Usage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
+                prompt_tokens=int(usage.get("prompt_tokens") or 0),
+                completion_tokens=int(usage.get("completion_tokens") or 0),
             ),
             latency_ms=latency_ms,
         )
@@ -233,7 +233,6 @@ def generate_batch(backend, reqs, parallelism: int = 4) -> list[GenerationRespon
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    reqs = list(reqs)
 
     def run(req: GenerationRequest) -> GenerationResponse:
         try:
@@ -243,9 +242,5 @@ def generate_batch(backend, reqs, parallelism: int = 4) -> list[GenerationRespon
                 text="", finish_reason="error", error=f"{type(exc).__name__}: {exc}"
             )
 
-    results: list[GenerationResponse | None] = [None] * len(reqs)
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {pool.submit(run, req): i for i, req in enumerate(reqs)}
-        for fut in as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results  # type: ignore[return-value]
+        return list(pool.map(run, reqs))

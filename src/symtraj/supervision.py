@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import requests
 
@@ -81,15 +81,13 @@ class StepLabel:
             raise ValueError(f"hard_label must be +1 or -1, got {self.hard_label}")
 
 
+def _record(obj) -> dict:
+    # One key per field, values as they are: tuples are written as JSON arrays.
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def step_label_to_dict(label: StepLabel) -> dict:
-    return {
-        "trajectory_id": label.trajectory_id,
-        "step_index": label.step_index,
-        "n_samples": label.n_samples,
-        "n_success": label.n_success,
-        "hard_label": label.hard_label,
-        "completions": [[answer, matched] for answer, matched in label.completions],
-    }
+    return _record(label)
 
 
 def step_label_from_dict(d: dict) -> StepLabel:
@@ -108,6 +106,7 @@ class PrmScore:
     trajectory_id: str
     step_probs: tuple[float, ...]
     trajectory_prob: float | None = None
+    problem_id: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "step_probs", tuple(float(p) for p in self.step_probs))
@@ -123,12 +122,44 @@ class PrmScore:
             )
 
 
+def prm_score_to_dict(score: PrmScore) -> dict:
+    return _record(score)
+
+
+def prm_score_from_dict(d: dict) -> PrmScore:
+    return PrmScore(d["trajectory_id"], d["step_probs"], d.get("trajectory_prob"), d["problem_id"])
+
+
 @dataclass(frozen=True)
 class PreferencePair:
     problem_id: str
     chosen: str
     rejected: str
     gap: float
+
+
+def preference_pair_to_dict(pair: PreferencePair) -> dict:
+    return _record(pair)
+
+
+def preference_pair_from_dict(d: dict) -> PreferencePair:
+    return PreferencePair(d["problem_id"], d["chosen"], d["rejected"], d["gap"])
+
+
+def with_problems(trajs, problems) -> list[tuple[Problem, Trajectory]]:
+    """(problem, trajectory) for each trajectory in order; every stage joins here.
+
+    A trajectory whose problem is not on record is dropped with a warning.
+    """
+    by_id = {p.id: p for p in problems}
+    joined = []
+    for traj in trajs:
+        problem = by_id.get(traj.problem_id)
+        if problem is None:
+            logger.warning("no problem on record for %r, skipping", traj.problem_id)
+        else:
+            joined.append((problem, traj))
+    return joined
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +318,11 @@ class RemoteScorer:
 
 
 def score_trajectory(traj: Trajectory, scorer) -> PrmScore:
-    return PrmScore(trajectory_id=trajectory_id_of(traj), step_probs=tuple(scorer.step_probs(traj)))
+    return PrmScore(
+        trajectory_id=trajectory_id_of(traj),
+        step_probs=tuple(scorer.step_probs(traj)),
+        problem_id=traj.problem_id,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +345,6 @@ def select_trajectories(
     """
     if scores is None and labels is None:
         raise ValueError("need scores, labels, or both to judge steps")
-    by_id = {p.id: p for p in problems}
     score_map = {s.trajectory_id: s for s in scores} if scores is not None else None
     label_map: dict[str, list[StepLabel]] | None = None
     if labels is not None:
@@ -318,11 +352,7 @@ def select_trajectories(
         for label in labels:
             label_map.setdefault(label.trajectory_id, []).append(label)
     selected = []
-    for traj in trajs:
-        problem = by_id.get(traj.problem_id)
-        if problem is None:
-            logger.warning("dropping trajectory for unknown problem %r", traj.problem_id)
-            continue
+    for problem, traj in with_problems(trajs, problems):
         if traj.final_answer is not problem.label:
             continue
         tid = trajectory_id_of(traj)
@@ -375,16 +405,13 @@ def _prompt_text(problem: Problem, n_shots: int) -> str:
 
 def export_prm_dataset(labels, trajectories, problems, path, n_shots: int = 1) -> int:
     """PRM records {prompt, steps, step_labels}; returns the record count."""
-    by_id = {p.id: p for p in problems}
     label_map: dict[str, dict[int, int]] = {}
     for label in labels:
         label_map.setdefault(label.trajectory_id, {})[label.step_index] = label.hard_label
     records = []
-    for traj in trajectories:
-        tid = trajectory_id_of(traj)
-        per_step = label_map.get(tid)
-        problem = by_id.get(traj.problem_id)
-        if per_step is None or problem is None:
+    for problem, traj in with_problems(trajectories, problems):
+        per_step = label_map.get(trajectory_id_of(traj))
+        if per_step is None:
             continue
         records.append(
             {
@@ -399,29 +426,23 @@ def export_prm_dataset(labels, trajectories, problems, path, n_shots: int = 1) -
 
 def export_sft_dataset(selected, problems, path, n_shots: int = 1) -> int:
     """SFT records {prompt, response}; returns the record count."""
-    by_id = {p.id: p for p in problems}
-    records = []
-    for traj in selected:
-        problem = by_id.get(traj.problem_id)
-        if problem is None:
-            continue
-        records.append({"prompt": _prompt_text(problem, n_shots), "response": traj.raw_text})
+    records = [
+        {"prompt": _prompt_text(problem, n_shots), "response": traj.raw_text}
+        for problem, traj in with_problems(selected, problems)
+    ]
     write_jsonl(path, records)
     return len(records)
 
 
 def export_dpo_dataset(pairs, trajectories, problems, path, n_shots: int = 1) -> int:
     """DPO records {prompt, chosen, rejected}; returns the record count."""
-    by_id = {p.id: p for p in problems}
-    raw_by_tid = {trajectory_id_of(t): t.raw_text for t in trajectories}
+    by_tid = {trajectory_id_of(t): (p, t.raw_text) for p, t in with_problems(trajectories, problems)}
     records = []
     for pair in pairs:
-        problem = by_id.get(pair.problem_id)
-        chosen = raw_by_tid.get(pair.chosen)
-        rejected = raw_by_tid.get(pair.rejected)
-        if problem is None or chosen is None or rejected is None:
+        if pair.chosen not in by_tid or pair.rejected not in by_tid:
             logger.warning("skipping pair with missing pieces: %s", pair)
             continue
+        (problem, chosen), (_, rejected) = by_tid[pair.chosen], by_tid[pair.rejected]
         records.append(
             {"prompt": _prompt_text(problem, n_shots), "chosen": chosen, "rejected": rejected}
         )

@@ -1,10 +1,13 @@
 """End-to-end tests for the command line interface."""
 
+import functools
 import json
+import logging
 from argparse import Namespace
 
 import pytest
 
+from symtraj import cli
 from symtraj.cli import (
     ConfigError,
     PipelineConfig,
@@ -16,6 +19,7 @@ from symtraj.cli import (
 )
 from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl, write_jsonl
+from symtraj.llm import HttpBackend
 from symtraj.problems import Problem, Statement, load_problems
 from symtraj.semantics import Label
 from symtraj.supervision import mc_label, step_label_to_dict
@@ -98,6 +102,22 @@ def test_build_backend_passes_options_to_the_constructor(tmp_path):
     backend = build_backend(load_config(path))
     assert backend.timeout_s == 1
     assert backend.model == ""
+
+
+@pytest.mark.parametrize(
+    "options, name",
+    [
+        (dict(HTTP, timeout_s="60"), "'timeout_s'"),
+        (dict(HTTP, max_retries=2.5), "'max_retries'"),
+        (dict(HTTP, base_url=None), "'base_url'"),
+        ({"kind": "oracle-mock", "sloppiness": True}, "'sloppiness'"),
+        ({"kind": "scripted", "script": []}, "'script'"),
+    ],
+)
+def test_backend_option_of_the_wrong_type_fails_at_load(tmp_path, options, name):
+    path = _write_json(tmp_path / "cfg.json", {"backend": options})
+    with pytest.raises(ConfigError, match=name):
+        load_config(path)
 
 
 def test_pipeline_config_validation():
@@ -332,6 +352,35 @@ def test_label_matches_per_trajectory_mc_label_byte_for_byte(workspace):
     assert labels.read_bytes() == expected.read_bytes()
 
 
+class _ChatSession:
+    """A chat-completions endpoint that finishes every trace with True."""
+
+    def __init__(self):
+        self.models = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.models.append(json["model"])
+        reply = {"choices": [{"message": {"content": "Thought: done.\nAction: Finish [True]"}}]}
+        return Namespace(status_code=200, json=lambda: reply)
+
+
+def test_sample_and_label_ask_for_the_same_model(workspace, monkeypatch):
+    session = _ChatSession()
+    monkeypatch.setattr(cli, "HttpBackend", functools.partial(HttpBackend, session=session))
+    d, problems = workspace["dir"], str(workspace["problems"])
+    config = _write_json(d / "http.json", {"backend": HTTP, "n_samples": 2})
+    traces = d / "traces.jsonl"
+    assert main(["sample", "--problems", problems, "--backend", config, "--n", "1", "--out", str(traces)]) == 0
+    sampled = session.models
+    session.models = []
+    argv = ["label", "--traces", str(traces), "--problems", problems, "--backend", config]
+    assert main(argv + ["--out", str(d / "labels.jsonl")]) == 0
+    # Neither stage names a model; the backend sends its configured one.
+    assert len(sampled) == 4 and session.models
+    assert set(sampled) == set(session.models) == {""}
+    assert {r["generator"] for r in read_jsonl(traces)} == {"http"}
+
+
 def test_label_export_requires_labels_file(workspace, tmp_path):
     d = workspace["dir"]
     traces = d / "traces.jsonl"
@@ -494,6 +543,112 @@ def test_invalid_problem_record_fails_with_code_2(tmp_path):
     traces.write_text("", encoding="utf-8")
     rc = main(["evaluate", "--traces", str(traces), "--problems", str(problems)])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# Reading artifacts: malformed records and traces of unknown problems
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    d = tmp_path_factory.mktemp("artifacts")
+    files = {name: str(d / f"{name}.jsonl") for name in ("problems", "traces", "labels", "scores", "pairs")}
+    # Spoiled samples make preference pairs, clean ones are selected.
+    files["config"] = _write_json(
+        d / "config.json", {"backend": {"kind": "oracle-mock", "sloppiness": 0.5}, "n_samples": 2}
+    )
+    for argv in (
+        "gen-problems --lengths 3 --count 3 --seed 3 --no-split --out {problems}",
+        "sample --problems {problems} --backend {config} --n 2 --out {traces}",
+        "label --traces {traces} --problems {problems} --backend {config} --out {labels}",
+        "score --traces {traces} --problems {problems} --out {scores}",
+        "dpo-pairs --scores {scores} --threshold 0 --out {pairs}",
+    ):
+        assert main([token.format(**files) for token in argv.split()]) == 0, argv
+    return files
+
+
+# Every command that reads an artifact, with the files it reads.
+READERS = {
+    "verify": "verify --traces {traces} --problems {problems} --out {out}",
+    "label": "label --traces {traces} --problems {problems} --backend {config} --out {out}",
+    "score": "score --traces {traces} --problems {problems} --out {out}",
+    "select": "select --traces {traces} --problems {problems} --scores {scores} --labels {labels} --out {out}",
+    "dpo-pairs": "dpo-pairs --scores {scores} --out {out}",
+    "export-prm": "export --kind prm --traces {traces} --problems {problems} --labels {labels} --out {out}",
+    "export-sft": "export --kind sft --traces {traces} --problems {problems} --out {out}",
+    "export-dpo": "export --kind dpo --traces {traces} --problems {problems} --pairs {pairs} --out {out}",
+    "evaluate": "evaluate --traces {traces} --problems {problems}",
+}
+TRACE_READERS = [stage for stage, argv in READERS.items() if "{traces}" in argv]
+
+
+def _argv(stage, files):
+    return [token.format(**files) for token in READERS[stage].split()]
+
+
+def _without(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+MALFORMED = {
+    "traces": {
+        "bad formula": lambda rec: dict(
+            rec, steps=[{"kind": "Observation", "text": "Observation: P((", "formulas": ["P(("]}]
+        ),
+        "answer not a string": lambda rec: dict(rec, final_answer=5),
+    },
+    "scores": {
+        "missing key": _without("trajectory_id"),
+        "probability 1.5": lambda rec: dict(rec, step_probs=[1.5]),
+        "not the step product": lambda rec: dict(rec, trajectory_prob=rec["trajectory_prob"] + 0.1),
+    },
+    "labels": {"missing key": _without("hard_label")},
+    "pairs": {"missing key": _without("chosen")},
+}
+
+
+@pytest.mark.parametrize(
+    "stage, artifact, fault",
+    [
+        (stage, artifact, fault)
+        for artifact, faults in MALFORMED.items()
+        for fault in faults
+        for stage in READERS
+        if "{%s}" % artifact in READERS[stage]
+    ],
+)
+def test_malformed_record_is_one_error_line(artifacts, tmp_path, capsys, stage, artifact, fault):
+    bad = tmp_path / f"bad-{artifact}.jsonl"
+    write_jsonl(bad, [MALFORMED[artifact][fault](read_jsonl(artifacts[artifact])[0])])
+    files = dict(artifacts, out=str(tmp_path / "out.jsonl"), **{artifact: str(bad)})
+    capsys.readouterr()
+    assert main(_argv(stage, files)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("stage", TRACE_READERS)
+def test_every_stage_drops_a_trace_of_an_unknown_problem_alike(
+    artifacts, tmp_path, caplog, capsys, stage
+):
+    traces = read_jsonl(artifacts["traces"])
+    ghost = tmp_path / "ghost-traces.jsonl"
+    write_jsonl(ghost, [dict(traces[0], problem_id="ghost")] + traces)
+    outputs = []
+    for name, path in (("clean", artifacts["traces"]), ("ghost", str(ghost))):
+        out = tmp_path / f"{name}.out.jsonl"
+        caplog.clear()
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING):
+            assert main(_argv(stage, dict(artifacts, traces=path, out=str(out)))) == 0
+        warnings = [r.getMessage() for r in caplog.records if "ghost" in r.getMessage()]
+        assert warnings == ([] if name == "clean" else ["no problem on record for 'ghost', skipping"])
+        stdout = capsys.readouterr().out
+        outputs.append(out.read_bytes() if out.exists() else stdout)
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 # ---------------------------------------------------------------------------

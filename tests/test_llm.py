@@ -1,6 +1,7 @@
 """Generation requests, HTTP backend retry behavior, and batch fan-out."""
 
 import random
+import threading
 
 import pytest
 import requests
@@ -160,6 +161,20 @@ def test_http_backend_malformed_payloads():
         backend.generate(GenerationRequest(messages=MESSAGES))
 
 
+@pytest.mark.parametrize("usage", [None, "absent", {"prompt_tokens": None}])
+def test_http_backend_reads_missing_usage_as_zero(usage):
+    payload = {"choices": [{"message": {"content": "fine"}, "finish_reason": "stop"}]}
+    if usage != "absent":
+        payload["usage"] = usage
+    backend, _ = _backend([FakeResponse(payload=payload)])
+    resp = backend.generate(GenerationRequest(messages=MESSAGES))
+    assert resp.text == "fine" and resp.usage == Usage(0, 0)
+    # Nor does a batch turn such a completion into an error response.
+    backend, _ = _backend([FakeResponse(payload=payload)])
+    [resp] = generate_batch(backend, [GenerationRequest(messages=MESSAGES)], parallelism=1)
+    assert resp.error is None and resp.text == "fine"
+
+
 def test_http_backend_prompt_too_long():
     backend, session = _backend([], max_prompt_chars=3)
     with pytest.raises(PromptTooLong):
@@ -200,6 +215,28 @@ def test_generate_batch_preserves_order_and_wraps_errors():
     assert [r.text for r in responses] == ["yes", "", "yes"]
     assert responses[1].finish_reason == "error"
     assert responses[1].error.startswith("BackendUnavailable")
+
+
+class BarrierSession(FakeSession):
+    """Answers only once `parties` requests are in flight at the same time."""
+
+    def __init__(self, parties):
+        super().__init__([])
+        self.barrier = threading.Barrier(parties, timeout=5)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.barrier.wait()  # BrokenBarrierError, an error response, unless all arrive
+        return FakeResponse(payload=_ok_payload(text=json["messages"][-1]["content"]))
+
+
+def test_generate_batch_runs_parallelism_requests_at_once():
+    backend = HttpBackend("http://unit.test/v1/chat", session=BarrierSession(2))
+    reqs = [
+        GenerationRequest(messages=({"role": "user", "content": f"q{i}"},)) for i in range(4)
+    ]
+    responses = generate_batch(backend, reqs, parallelism=2)
+    assert [r.error for r in responses] == [None] * 4
+    assert [r.text for r in responses] == ["q0", "q1", "q2", "q3"]
 
 
 def test_generate_batch_validates_parallelism():
