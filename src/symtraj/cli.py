@@ -289,13 +289,20 @@ def cmd_label(args) -> int:
     return 0
 
 
+def _max_domain(args) -> int:
+    if args.max_domain < 1:
+        raise ConfigError(f"--max-domain must be at least 1, got {args.max_domain}")
+    return args.max_domain
+
+
 def cmd_verify(args) -> int:
+    max_domain = _max_domain(args)
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     records = []
     for problem, traj in with_problems(trajectories, problems):
         tid = trajectory_id_of(traj)
-        for i, verdict in enumerate(verify_trajectory(problem, traj, max_domain=args.max_domain)):
+        for i, verdict in enumerate(verify_trajectory(problem, traj, max_domain=max_domain)):
             records.append(
                 {
                     "problem_id": problem.id,
@@ -312,10 +319,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_score(args) -> int:
+    max_domain = _max_domain(args)
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     if args.scorer == "symbolic":
-        scorer = SymbolicScorer(problems, max_domain=args.max_domain)
+        scorer = SymbolicScorer(problems, max_domain=max_domain)
     else:
         if not args.remote_url:
             raise ConfigError("--scorer remote needs --remote-url")

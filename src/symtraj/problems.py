@@ -373,6 +373,8 @@ def load_problems(path, format: str = "native-json") -> list[Problem]:
             validate_problem(p)
         except KeyError as exc:
             raise FormatError(f"{path}: record {i}: missing field {exc}") from exc
+        except FormulaSyntaxError as exc:
+            raise FormatError(f"{path}: record {i}: {exc}") from exc
         except InvariantViolation as exc:
             raise InvariantViolation(f"{path}: record {i}: {exc}") from exc
         problems.append(p)

@@ -1,21 +1,30 @@
-"""Finite-model semantics: truth evaluation and a brute-force entailment oracle.
+"""Finite-model semantics: truth evaluation and a finite-model entailment oracle.
 
-entails() decides three-way entailment by checking every interpretation over
-domains of size 1..max_domain. The search enumerates constant denotations up
-to renaming of domain elements (predicate tables are enumerated in full, so
-isomorphic assignments cannot change satisfiability) and prunes any subtree of
-truth assignments that already falsifies a constraint; both cuts only skip
-interpretations that cannot matter, so the verdict matches exhaustive search.
+evaluate() gives the truth of a formula in one explicit interpretation.
+
+entails() decides three-way entailment over domains of size 1..max_domain. For
+each domain size it takes the denotations of the constants up to renaming of
+domain elements (isomorphic interpretations cannot differ in satisfiability)
+and, for each, grounds the premises with the hypothesis, and again with its
+negation, to clauses over the ground atoms. A top-level ∧ and every ∀ instance
+become separate constraints, ¬ moves inward, and a disjunction (∨, →, ∃
+instances) becomes one clause; ⊕, ↔ and a conjunction nested in a disjunction
+get fresh (Tseitin) variables. A DPLL search with unit propagation then
+decides whether the clauses have a model. The search is complete, so the
+verdict is the one checking every interpretation would give.
+
+budget caps the work: one tick per constant denotation and one per search
+node (each probe's root and each branch). interpretations_explored reports
+the ticks used.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fol import (
     And,
-    Constant,
     Exists,
     ForAll,
     Formula,
@@ -120,84 +129,119 @@ class EntailmentVerdict:
     interpretations_explored: int
 
 
-# Ground constraint nodes: ("atom", idx) / ("not", n) / ("and", (n, ...)) /
-# ("or", (n, ...)) / ("xor", a, b) / ("iff", a, b)
+class _Grounder:
+    """Clauses over the ground atoms of one domain size and one denotation of
+    the constants.
 
+    A clause is a list of literals; literal v (or -v) says variable v is true
+    (or false). Variables number the ground atoms P(e1, ..., ek) and the fresh
+    definitions below, from 1. A closed formula becomes the clauses it is a
+    conjunction of: a top-level ∧ and every ∀ instance give separate
+    constraints, ¬ moves inward, and a disjunction (∨, →, ∃ instances) of
+    literals gives one clause. A part that is neither (⊕, ↔, or a second
+    conjunction inside a disjunction) stands for a fresh variable defined by
+    clauses of its own (Tseitin), so the clauses have a model exactly when
+    the formulas do.
+    """
 
-def _ground(f: Formula, env: dict[str, int], consts: dict[str, int], atom_ix: dict) -> tuple:
-    if isinstance(f, Pred):
-        elems = tuple(env[t.name] if isinstance(t, Variable) else consts[t.name] for t in f.args)
-        key = (f.name, elems)
-        idx = atom_ix.get(key)
-        if idx is None:
-            idx = len(atom_ix)
-            atom_ix[key] = idx
-        return ("atom", idx)
-    if isinstance(f, Not):
-        return ("not", _ground(f.body, env, consts, atom_ix))
-    if isinstance(f, And):
-        return ("and", (_ground(f.left, env, consts, atom_ix), _ground(f.right, env, consts, atom_ix)))
-    if isinstance(f, Or):
-        return ("or", (_ground(f.left, env, consts, atom_ix), _ground(f.right, env, consts, atom_ix)))
-    if isinstance(f, Implies):
-        return ("or", (("not", _ground(f.left, env, consts, atom_ix)), _ground(f.right, env, consts, atom_ix)))
-    if isinstance(f, Xor):
-        return ("xor", _ground(f.left, env, consts, atom_ix), _ground(f.right, env, consts, atom_ix))
-    if isinstance(f, Iff):
-        return ("iff", _ground(f.left, env, consts, atom_ix), _ground(f.right, env, consts, atom_ix))
-    if isinstance(f, (ForAll, Exists)):
-        domain = range(env["__domain__"])
-        parts = tuple(_ground(f.body, {**env, f.var: e}, consts, atom_ix) for e in domain)
-        return ("and" if isinstance(f, ForAll) else "or", parts)
-    raise TypeError(f"not a formula: {f!r}")
+    def __init__(self, size: int, consts: dict[str, int]):
+        self.size = size
+        self.consts = consts
+        self.atoms: dict[tuple[str, tuple[int, ...]], int] = {}
+        self.n_vars = 0
+        self.clauses: list[list[int]] = []
 
+    def clauses_of(self, formulas) -> list[list[int]]:
+        self.clauses = []
+        for f in formulas:
+            self._add(f, True, {}, ())
+        return self.clauses
 
-def _eval3(node: tuple, assign: list) -> bool | None:
-    kind = node[0]
-    if kind == "atom":
-        return assign[node[1]]
-    if kind == "not":
-        v = _eval3(node[1], assign)
-        return None if v is None else not v
-    if kind == "and":
-        saw_none = False
-        for child in node[1]:
-            v = _eval3(child, assign)
-            if v is False:
-                return False
-            if v is None:
-                saw_none = True
-        return None if saw_none else True
-    if kind == "or":
-        saw_none = False
-        for child in node[1]:
-            v = _eval3(child, assign)
-            if v is True:
-                return True
-            if v is None:
-                saw_none = True
-        return None if saw_none else False
-    a = _eval3(node[1], assign)
-    b = _eval3(node[2], assign)
-    if a is None or b is None:
-        return None
-    return (a != b) if kind == "xor" else (a == b)
+    def _fresh(self) -> int:
+        self.n_vars += 1
+        return self.n_vars
 
+    def _atom(self, f: Pred, env: dict[str, int]) -> int:
+        elems = [env[t.name] if isinstance(t, Variable) else self.consts[t.name] for t in f.args]
+        key = (f.name, tuple(elems))
+        var = self.atoms.get(key)
+        if var is None:
+            var = self.atoms[key] = self._fresh()
+        return var
 
-def _atoms_of(node: tuple, acc: list, seen: set) -> None:
-    kind = node[0]
-    if kind == "atom":
-        if node[1] not in seen:
-            seen.add(node[1])
-            acc.append(node[1])
-    elif kind == "not":
-        _atoms_of(node[1], acc, seen)
-    elif kind in ("and", "or"):
-        for child in node[1]:
-            _atoms_of(child, acc, seen)
-    else:
-        _atoms_of(node[1], acc, seen)
-        _atoms_of(node[2], acc, seen)
+    def _clause(self, lits) -> None:
+        unique = dict.fromkeys(lits)
+        if not any(-lit in unique for lit in unique):  # else it holds in every model
+            self.clauses.append(list(unique))
+
+    def _parts(self, f: Formula, positive: bool, env: dict[str, int]):
+        """The operands of f (of ¬f when not positive), each with its polarity."""
+        if isinstance(f, Implies):
+            return ((f.left, not positive, env), (f.right, positive, env))
+        if isinstance(f, (And, Or)):
+            return ((f.left, positive, env), (f.right, positive, env))
+        if isinstance(f, (ForAll, Exists)):
+            return [(f.body, positive, {**env, f.var: e}) for e in range(self.size)]
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _add(self, f: Formula, positive: bool, env: dict[str, int], prefix) -> None:
+        """Clauses for prefix ∨ f (prefix ∨ ¬f when not positive), prefix a
+        disjunction of literals."""
+        while isinstance(f, Not):
+            f, positive = f.body, not positive
+        if isinstance(f, Pred):
+            var = self._atom(f, env)
+            self._clause([*prefix, var if positive else -var])
+        elif isinstance(f, (Xor, Iff)):
+            a, b = self._define(f.left, env), self._define(f.right, env)
+            if positive == isinstance(f, Xor):  # the two sides differ
+                self._clause([*prefix, a, b])
+                self._clause([*prefix, -a, -b])
+            else:
+                self._clause([*prefix, -a, b])
+                self._clause([*prefix, a, -b])
+        elif isinstance(f, (And, ForAll)) == positive:  # a conjunction
+            for part in self._parts(f, positive, env):
+                self._add(*part, prefix)
+        else:
+            lits, rest = list(prefix), []
+            self._disjuncts(f, positive, env, lits, rest)
+            if not rest:
+                self._clause(lits)
+                return
+            # prefix ∨ lits ∨ C ∨ D ∨ ...: distribute over the first part C,
+            # and put in each other part's place a fresh variable implying it.
+            for part in rest[1:]:
+                var = self._fresh()
+                self._add(*part, (-var,))
+                lits.append(var)
+            self._add(*rest[0], lits)
+
+    def _disjuncts(self, f: Formula, positive: bool, env: dict[str, int], lits: list, rest: list) -> None:
+        """Flatten the disjunction f (¬f when not positive): literals go to
+        lits, parts of any other shape to rest."""
+        for g, g_pos, g_env in self._parts(f, positive, env):
+            while isinstance(g, Not):
+                g, g_pos = g.body, not g_pos
+            if isinstance(g, Pred):
+                var = self._atom(g, g_env)
+                lits.append(var if g_pos else -var)
+            elif isinstance(g, (Xor, Iff)) or isinstance(g, (And, ForAll)) == g_pos:
+                rest.append((g, g_pos, g_env))
+            else:
+                self._disjuncts(g, g_pos, g_env, lits, rest)
+
+    def _define(self, f: Formula, env: dict[str, int]) -> int:
+        """A literal true exactly when f is."""
+        sign = 1
+        while isinstance(f, Not):
+            f, sign = f.body, -sign
+        if isinstance(f, Pred):
+            return sign * self._atom(f, env)
+        var = self._fresh()
+        self._add(f, True, env, (-var,))
+        self._add(f, False, env, (var,))
+        return sign * var
 
 
 class _Budget:
@@ -213,70 +257,82 @@ class _Budget:
             raise BudgetExceeded(f"interpretation budget of {self.cap} exceeded")
 
 
-def _satisfiable(nodes: list[tuple], n_atoms: int, budget: _Budget) -> bool:
-    """Is there a truth assignment to the ground atoms satisfying every node?"""
-    assign: list[bool | None] = [None] * n_atoms
-    atom_lists = []
-    for node in nodes:
-        acc: list[int] = []
-        _atoms_of(node, acc, set())
-        atom_lists.append(acc)
-    formulas_of: dict[int, list[int]] = {}
-    for fi, atoms in enumerate(atom_lists):
-        for a in atoms:
-            formulas_of.setdefault(a, []).append(fi)
-    status: list[bool | None] = [_eval3(n, assign) for n in nodes]
-    if False in status:
-        return False
-    unassigned = [len(atoms) for atoms in atom_lists]
+def _satisfiable(clauses: list[list[int]], n_vars: int, budget: _Budget) -> bool:
+    """Is there a truth assignment to variables 1..n_vars satisfying every clause?
 
-    def set_atom(atom: int, value: bool) -> tuple[list[tuple[int, bool | None]], bool]:
-        assign[atom] = value
-        changed: list[tuple[int, bool | None]] = []
-        ok = True
-        for fi in formulas_of.get(atom, ()):
-            unassigned[fi] -= 1
-            old = status[fi]
-            if old is True:
-                continue  # three-valued truth is monotone under extension
-            new = _eval3(nodes[fi], assign)
-            if new is not old:
-                status[fi] = new
-                changed.append((fi, old))
-            if new is False:
-                ok = False
-        return changed, ok
+    DPLL with unit propagation. Each clause counts its true and its unassigned
+    literals, and a clause with no true literal sits in open_by_free[k], k its
+    unassigned count: open_by_free[0] holds conflicts, open_by_free[1] unit
+    clauses, and the branch is a literal of a shortest open clause. Every
+    assignment goes on a trail, and backtracking undoes it in reverse.
+    """
+    # Indexed by literal: v at v, -v at 2 * n_vars + 1 - v (negative indexing).
+    occurs: list[list[int]] = [[] for _ in range(2 * n_vars + 1)]
+    value: list[bool | None] = [None] * (2 * n_vars + 1)
+    n_true = [0] * len(clauses)
+    n_free = [len(c) for c in clauses]
+    open_by_free: list[set[int]] = [set() for _ in range(max(n_free, default=0) + 2)]
+    for ci, clause in enumerate(clauses):
+        open_by_free[len(clause)].add(ci)
+        for lit in clause:
+            occurs[lit].append(ci)
+    conflicts, units = open_by_free[0], open_by_free[1]
+    trail: list[int] = []
 
-    def undo(atom: int, changed: list[tuple[int, bool | None]]) -> None:
-        assign[atom] = None
-        for fi in formulas_of.get(atom, ()):
-            unassigned[fi] += 1
-        for fi, old in changed:
-            status[fi] = old
+    def assign(lit: int) -> None:
+        value[lit], value[-lit] = True, False
+        trail.append(lit)
+        for ci in occurs[lit]:
+            if n_true[ci] == 0:
+                open_by_free[n_free[ci]].discard(ci)
+            n_true[ci] += 1
+            n_free[ci] -= 1
+        for ci in occurs[-lit]:
+            k = n_free[ci]
+            n_free[ci] = k - 1
+            if n_true[ci] == 0:
+                open_by_free[k].discard(ci)
+                open_by_free[k - 1].add(ci)
 
-    def dfs() -> bool:
+    def undo_to(mark: int) -> None:
+        while len(trail) > mark:
+            lit = trail.pop()
+            value[lit] = value[-lit] = None
+            for ci in occurs[-lit]:
+                k = n_free[ci]
+                n_free[ci] = k + 1
+                if n_true[ci] == 0:
+                    open_by_free[k].discard(ci)
+                    open_by_free[k + 1].add(ci)
+            for ci in occurs[lit]:
+                n_true[ci] -= 1
+                n_free[ci] += 1
+                if n_true[ci] == 0:
+                    open_by_free[n_free[ci]].add(ci)
+
+    def free_literal(ci: int) -> int:
+        return next(lit for lit in clauses[ci] if value[lit] is None)
+
+    def search() -> bool:
         budget.tick()
-        # Branch inside the most constrained undecided formula; one with a
-        # single free atom behaves like a unit clause and fails fast.
-        target = None
-        best = None
-        for fi, s in enumerate(status):
-            if s is not True and (best is None or unassigned[fi] < best):
-                target = fi
-                best = unassigned[fi]
-                if best <= 1:
-                    break
-        if target is None:
-            return True
-        atom = next(a for a in atom_lists[target] if assign[a] is None)
-        for value in (False, True):
-            changed, ok = set_atom(atom, value)
-            if ok and dfs():
-                return True
-            undo(atom, changed)
+        mark = len(trail)
+        while units and not conflicts:
+            assign(free_literal(units.pop()))
+        if not conflicts:
+            shortest = next((s for s in open_by_free[2:] if s), None)
+            if shortest is None:
+                return True  # every clause has a true literal
+            lit = free_literal(shortest.pop())  # lit satisfies it; undo_to puts it back
+            for choice in (lit, -lit):
+                before = len(trail)
+                assign(choice)
+                if search():
+                    return True
+                undo_to(before)
+        undo_to(mark)
         return False
 
-    return dfs()
+    return search()
 
 
 def _constant_assignments(n: int, size: int):
@@ -312,6 +368,8 @@ def entails(
     TRUE: hypothesis holds in every model of the premises (all checked domain
     sizes); FALSE: its negation does; UNCERTAIN otherwise, including when the
     premises have no model at all (flagged). Deterministic for fixed inputs.
+    Raises ValueError for an open formula or max_domain below 1, and
+    BudgetExceeded when the search needs more than budget ticks.
     """
     premises = list(premises)
     for f in [*premises, hypothesis]:
@@ -322,6 +380,8 @@ def entails(
     const_names = sorted(sig.constants)
     if max_domain is None:
         max_domain = max(3, len(const_names))
+    if max_domain < 1:
+        raise ValueError(f"max_domain must be at least 1, got {max_domain}")
 
     tracker = _Budget(budget)
     sat_with_hyp = False
@@ -331,18 +391,14 @@ def entails(
             if sat_with_hyp and sat_with_neg:
                 break
             tracker.tick()
-            consts = dict(zip(const_names, combo))
-            atom_ix: dict = {}
-            env = {"__domain__": size}
-            grounded = [_ground(f, env, consts, atom_ix) for f in premises]
-            hyp_node = _ground(hypothesis, env, consts, atom_ix)
-            n_atoms = len(atom_ix)
+            ground = _Grounder(size, dict(zip(const_names, combo)))
+            premise_clauses = ground.clauses_of(premises)
             if not sat_with_neg:
-                if _satisfiable(grounded + [("not", hyp_node)], n_atoms, tracker):
-                    sat_with_neg = True
+                clauses = premise_clauses + ground.clauses_of([Not(hypothesis)])
+                sat_with_neg = _satisfiable(clauses, ground.n_vars, tracker)
             if not sat_with_hyp:
-                if _satisfiable(grounded + [hyp_node], n_atoms, tracker):
-                    sat_with_hyp = True
+                clauses = premise_clauses + ground.clauses_of([hypothesis])
+                sat_with_hyp = _satisfiable(clauses, ground.n_vars, tracker)
         if sat_with_hyp and sat_with_neg:
             break
 

@@ -254,7 +254,10 @@ def trajectory_from_dict(d: dict) -> Trajectory:
         )
         for s in d.get("steps", [])
     )
-    answer = Label.from_text(d["final_answer"]) if d.get("final_answer") else None
+    word = d.get("final_answer")
+    answer = None if word is None else Label.from_text(word)
+    if word is not None and answer is None:
+        raise ValueError(f"final_answer {word!r} names no label")
     return Trajectory(
         steps=steps,
         final_answer=answer,

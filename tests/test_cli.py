@@ -598,6 +598,7 @@ MALFORMED = {
             rec, steps=[{"kind": "Observation", "text": "Observation: P((", "formulas": ["P(("]}]
         ),
         "answer not a string": lambda rec: dict(rec, final_answer=5),
+        "answer naming no label": lambda rec: dict(rec, final_answer="Maybe"),
     },
     "scores": {
         "missing key": _without("trajectory_id"),
@@ -627,6 +628,24 @@ def test_malformed_record_is_one_error_line(artifacts, tmp_path, capsys, stage, 
     assert main(_argv(stage, files)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("stage", [stage for stage, argv in READERS.items() if "{problems}" in argv])
+def test_unparseable_problem_formula_is_one_error_line(artifacts, tmp_path, capsys, stage):
+    bad = tmp_path / "bad-problems.jsonl"
+    record = read_jsonl(artifacts["problems"])[0]
+    write_jsonl(bad, [dict(record, premises=[{"nl": "broken", "fol": "P(("}])])
+    capsys.readouterr()
+    assert main(_argv(stage, dict(artifacts, problems=str(bad), out=str(tmp_path / "out.jsonl")))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: record 0: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("stage", ["verify", "score"])
+def test_max_domain_below_one_fails(artifacts, tmp_path, capsys, stage):
+    argv = _argv(stage, dict(artifacts, out=str(tmp_path / "out.jsonl"))) + ["--max-domain", "0"]
+    _fails_with_one_config_line(argv, capsys, "--max-domain")
     assert not (tmp_path / "out.jsonl").exists()
 
 

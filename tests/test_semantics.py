@@ -1,10 +1,25 @@
 """Model evaluation and bounded entailment checking."""
 
+import itertools
 import random
 
 import pytest
 
-from symtraj.fol import Not, Or, parse_formula
+from symtraj.fol import (
+    And,
+    Constant,
+    Exists,
+    ForAll,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Pred,
+    Variable,
+    Xor,
+    parse_formula,
+    subformulas,
+)
 from symtraj.semantics import (
     BudgetExceeded,
     Interpretation,
@@ -158,3 +173,98 @@ def test_entails_disjunction_introduction_semantic():
         verdict = entails([a], Or(a, b), max_domain=2)
         if not verdict.unsatisfiable_premises:
             assert verdict.result is Label.TRUE
+
+
+# ---------------------------------------------------------------------------
+# Differential check: entails against evaluate over every interpretation
+# ---------------------------------------------------------------------------
+
+
+def _random_formula(rng, depth, preds, consts, bound=()):
+    if depth <= 0 or rng.random() < 0.15:
+        name, arity = rng.choice(preds)
+        terms = [Variable(rng.choice(bound)) if bound and rng.random() < 0.7 else Constant(rng.choice(consts))
+                 for _ in range(arity)]
+        return Pred(name, tuple(terms))
+    kind = rng.randrange(9)
+    if kind == 0:
+        return Not(_random_formula(rng, depth - 1, preds, consts, bound))
+    if kind <= 5:
+        op = (And, Or, Xor, Implies, Iff)[kind - 1]
+        return op(_random_formula(rng, depth - 1, preds, consts, bound),
+                  _random_formula(rng, depth - 1, preds, consts, bound))
+    var = "xyz"[len(bound) % 3]
+    quantifier = ForAll if kind <= 7 else Exists
+    return quantifier(var, _random_formula(rng, depth - 1, preds, consts, bound + (var,)))
+
+
+def _interpretations(preds, consts, max_domain):
+    for size in range(1, max_domain + 1):
+        domain = tuple(range(size))
+        tables = []
+        for _, arity in preds:
+            rows = list(itertools.product(domain, repeat=arity))
+            tables.append([frozenset(r for r, bit in zip(rows, bits) if bit)
+                           for bits in itertools.product((False, True), repeat=len(rows))])
+        for chosen in itertools.product(*tables):
+            for denotation in itertools.product(domain, repeat=len(consts)):
+                predicates = {name: table for (name, _), table in zip(preds, chosen)}
+                yield Interpretation(domain, predicates, dict(zip(consts, denotation)))
+
+
+def _brute_force(premises, hypothesis, models):
+    sat_with_hyp = sat_with_neg = False
+    for m in models:
+        if all(evaluate(p, m) for p in premises):
+            if evaluate(hypothesis, m):
+                sat_with_hyp = True
+            else:
+                sat_with_neg = True
+    if sat_with_hyp and sat_with_neg:
+        return Label.UNCERTAIN, False
+    if sat_with_hyp:
+        return Label.TRUE, False
+    if sat_with_neg:
+        return Label.FALSE, False
+    return Label.UNCERTAIN, True
+
+
+def _has_exists_under_forall(f):
+    return any(
+        isinstance(g, ForAll) and any(isinstance(h, Exists) for h in subformulas(g.body)) for g in subformulas(f)
+    )
+
+
+@pytest.mark.parametrize(
+    "preds, consts, max_domain, seed",
+    [((("P", 1), ("R", 2)), ("a", "b"), 2, 11), ((("P", 1), ("Q", 1)), ("a",), 3, 12)],
+)
+def test_entails_matches_exhaustive_evaluation(preds, consts, max_domain, seed):
+    rng = random.Random(seed)
+    models = list(_interpretations(preds, consts, max_domain))
+    seen = set()
+    for _ in range(100):
+        premises = [_random_formula(rng, 3, preds, consts) for _ in range(rng.randint(1, 2))]
+        hypothesis = _random_formula(rng, 3, preds, consts)
+        for f in [*premises, hypothesis]:
+            seen.update(type(g) for g in subformulas(f))
+            if _has_exists_under_forall(f):
+                seen.add("exists under forall")
+        verdict = entails(premises, hypothesis, max_domain=max_domain)
+        expected = _brute_force(premises, hypothesis, models)
+        assert (verdict.result, verdict.unsatisfiable_premises) == expected, (premises, hypothesis)
+    assert seen >= {Not, And, Or, Xor, Implies, Iff, ForAll, Exists, "exists under forall"}
+
+
+def test_entails_rejects_domain_below_one():
+    with pytest.raises(ValueError, match="max_domain"):
+        entails([parse_formula("P(a)")], parse_formula("P(a)"), max_domain=0)
+
+
+def test_entails_keeps_every_existential_witness():
+    # R(a), ¬R(b) keep a and b apart, so only a third element can witness the ∃;
+    # its ground form is a disjunction of three conjunctions.
+    premises = [parse_formula(t) for t in ("exists x (P(x) & Q(x))", "~(P(a) & Q(a))", "~(P(b) & Q(b))", "R(a)", "~R(b)")]
+    assert entails(premises, parse_formula("P(a)"), max_domain=2).unsatisfiable_premises
+    verdict = entails(premises, parse_formula("P(a)"), max_domain=3)
+    assert (verdict.result, verdict.unsatisfiable_premises) == (Label.UNCERTAIN, False)

@@ -186,6 +186,14 @@ def test_serialization_none_answer():
     data = trajectory_to_dict(traj)
     assert data["final_answer"] is None
     assert trajectory_from_dict(data) == traj
+    del data["final_answer"]
+    assert trajectory_from_dict(data) == traj
+
+
+@pytest.mark.parametrize("word", ["Maybe", ""])
+def test_answer_naming_no_label_is_rejected(word):
+    with pytest.raises(ValueError, match="names no label"):
+        trajectory_from_dict({"final_answer": word})
 
 
 def test_demo_library_ordering():
