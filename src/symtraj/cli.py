@@ -319,11 +319,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_score(args) -> int:
-    max_domain = _max_domain(args)
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     if args.scorer == "symbolic":
-        scorer = SymbolicScorer(problems, max_domain=max_domain)
+        scorer = SymbolicScorer(problems, max_domain=_max_domain(args))
     else:
         if not args.remote_url:
             raise ConfigError("--scorer remote needs --remote-url")

@@ -246,6 +246,13 @@ _RULES = {
 }
 
 
+def _check_max_domain(max_domain: int) -> None:
+    # Checked here, not left to entails: verify_step reports an oracle
+    # ValueError as an INVALID step, which would hide the bad setting.
+    if max_domain < 1:
+        raise ValueError(f"max_domain must be at least 1, got {max_domain}")
+
+
 def verify_step(
     context,
     claimed: Formula,
@@ -256,7 +263,9 @@ def verify_step(
 
     Tries one application of each rule (the hinted rule first when given,
     then the others in catalog order), then the finite-model oracle.
+    Raises ValueError for max_domain below 1.
     """
+    _check_max_domain(max_domain)
     known: dict[Formula, int] = {}
     for f in context:
         known.setdefault(f, len(known))
@@ -363,8 +372,10 @@ def verify_trajectory(problem, traj, max_domain: int = 3) -> list[StepVerdict]:
     Observations after formalization-style actions are syntax-checked only;
     later Observation formulas are justified one by one (each earlier line of
     the same observation is visible to the next) and then join the context.
-    Thought and Action steps get neutral verdicts.
+    Thought and Action steps get neutral verdicts. Raises ValueError for
+    max_domain below 1.
     """
+    _check_max_domain(max_domain)
     context: list[Formula] = [s.formula for s in problem.premises if s.formula is not None]
     sig = fol.Signature()
     for f in context:

@@ -9,11 +9,12 @@ and, for each, grounds the premises with the hypothesis, and again with its
 negation, to clauses over the ground atoms. A top-level ∧ and every ∀ instance
 become separate constraints, ¬ moves inward, and a disjunction (∨, →, ∃
 instances) becomes one clause; ⊕, ↔ and a conjunction nested in a disjunction
-get fresh (Tseitin) variables. A DPLL search with unit propagation then
-decides whether the clauses have a model. The search is complete, so the
-verdict is the one checking every interpretation would give.
+get fresh (Tseitin) variables, each operand of ⊕ or ↔ defined once, so the
+clauses stay linear in the size of the ground formulas. A DPLL search with
+unit propagation then decides whether the clauses have a model. The search is
+complete, so the verdict is the one checking every interpretation would give.
 
-budget caps the work: one tick per constant denotation and one per search
+budget caps the search: one tick per constant denotation and one per search
 node (each probe's root and each branch). interpretations_explored reports
 the ticks used.
 """
@@ -131,7 +132,7 @@ class EntailmentVerdict:
 
 class _Grounder:
     """Clauses over the ground atoms of one domain size and one denotation of
-    the constants.
+    the constants, for the premises and for each probe formula in turn.
 
     A clause is a list of literals; literal v (or -v) says variable v is true
     (or false). Variables number the ground atoms P(e1, ..., ek) and the fresh
@@ -141,41 +142,59 @@ class _Grounder:
     literals gives one clause. A part that is neither (⊕, ↔, or a second
     conjunction inside a disjunction) stands for a fresh variable defined by
     clauses of its own (Tseitin), so the clauses have a model exactly when
-    the formulas do.
+    the formulas do. An operand of ⊕ or ↔ is defined once per variable
+    binding and the definition reused, so nested ⊕/↔ ground in linear size.
     """
 
-    def __init__(self, size: int, consts: dict[str, int]):
+    def __init__(self, size: int, consts: dict[str, int], premises):
         self.size = size
         self.consts = consts
         self.atoms: dict[tuple[str, tuple[int, ...]], int] = {}
+        self.defined: dict[tuple[Formula, tuple], int] = {}
         self.n_vars = 0
         self.clauses: list[list[int]] = []
-
-    def clauses_of(self, formulas) -> list[list[int]]:
-        self.clauses = []
-        for f in formulas:
+        for f in premises:
             self._add(f, True, {}, ())
-        return self.clauses
+        self.premise_clauses = self.clauses
+
+    def with_premises(self, f: Formula) -> list[list[int]]:
+        """The premise clauses and those of f. Definitions made for f are
+        forgotten afterwards, as their clauses belong to this list only."""
+        defined = dict(self.defined)
+        self.clauses = list(self.premise_clauses)
+        self._add(f, True, {}, ())
+        clauses, self.defined = self.clauses, defined
+        return clauses
 
     def _fresh(self) -> int:
         self.n_vars += 1
         return self.n_vars
-
-    def _atom(self, f: Pred, env: dict[str, int]) -> int:
-        elems = [env[t.name] if isinstance(t, Variable) else self.consts[t.name] for t in f.args]
-        key = (f.name, tuple(elems))
-        var = self.atoms.get(key)
-        if var is None:
-            var = self.atoms[key] = self._fresh()
-        return var
 
     def _clause(self, lits) -> None:
         unique = dict.fromkeys(lits)
         if not any(-lit in unique for lit in unique):  # else it holds in every model
             self.clauses.append(list(unique))
 
+    def _shape(self, f: Formula, positive: bool, env: dict[str, int]):
+        """f (¬f when not positive) with its leading ¬s taken off, as
+        (f, positive, shape, literal). shape is "atom" (literal is its
+        literal, else None), "equiv" (⊕, ↔), "and" (∧, ∀, or the negation of
+        a disjunction) or "or" (∨, →, ∃, or the negation of ∧, ∀)."""
+        while isinstance(f, Not):
+            f, positive = f.body, not positive
+        if isinstance(f, Pred):
+            elems = tuple(env[t.name] if isinstance(t, Variable) else self.consts[t.name] for t in f.args)
+            var = self.atoms.get((f.name, elems))
+            if var is None:
+                var = self.atoms[(f.name, elems)] = self._fresh()
+            return f, positive, "atom", var if positive else -var
+        if isinstance(f, (Xor, Iff)):
+            return f, positive, "equiv", None
+        return f, positive, "and" if isinstance(f, (And, ForAll)) == positive else "or", None
+
     def _parts(self, f: Formula, positive: bool, env: dict[str, int]):
-        """The operands of f (of ¬f when not positive), each with its polarity."""
+        """The operands of the conjunction or disjunction f (¬f when not
+        positive), each with its polarity and variable binding."""
         if isinstance(f, Implies):
             return ((f.left, not positive, env), (f.right, positive, env))
         if isinstance(f, (And, Or)):
@@ -187,12 +206,10 @@ class _Grounder:
     def _add(self, f: Formula, positive: bool, env: dict[str, int], prefix) -> None:
         """Clauses for prefix ∨ f (prefix ∨ ¬f when not positive), prefix a
         disjunction of literals."""
-        while isinstance(f, Not):
-            f, positive = f.body, not positive
-        if isinstance(f, Pred):
-            var = self._atom(f, env)
-            self._clause([*prefix, var if positive else -var])
-        elif isinstance(f, (Xor, Iff)):
+        f, positive, shape, lit = self._shape(f, positive, env)
+        if shape == "atom":
+            self._clause([*prefix, lit])
+        elif shape == "equiv":
             a, b = self._define(f.left, env), self._define(f.right, env)
             if positive == isinstance(f, Xor):  # the two sides differ
                 self._clause([*prefix, a, b])
@@ -200,7 +217,7 @@ class _Grounder:
             else:
                 self._clause([*prefix, -a, b])
                 self._clause([*prefix, a, -b])
-        elif isinstance(f, (And, ForAll)) == positive:  # a conjunction
+        elif shape == "and":
             for part in self._parts(f, positive, env):
                 self._add(*part, prefix)
         else:
@@ -220,28 +237,27 @@ class _Grounder:
     def _disjuncts(self, f: Formula, positive: bool, env: dict[str, int], lits: list, rest: list) -> None:
         """Flatten the disjunction f (¬f when not positive): literals go to
         lits, parts of any other shape to rest."""
-        for g, g_pos, g_env in self._parts(f, positive, env):
-            while isinstance(g, Not):
-                g, g_pos = g.body, not g_pos
-            if isinstance(g, Pred):
-                var = self._atom(g, g_env)
-                lits.append(var if g_pos else -var)
-            elif isinstance(g, (Xor, Iff)) or isinstance(g, (And, ForAll)) == g_pos:
-                rest.append((g, g_pos, g_env))
+        for part in self._parts(f, positive, env):
+            g, g_pos, shape, lit = self._shape(*part)
+            if shape == "atom":
+                lits.append(lit)
+            elif shape == "or":
+                self._disjuncts(g, g_pos, part[2], lits, rest)
             else:
-                self._disjuncts(g, g_pos, g_env, lits, rest)
+                rest.append((g, g_pos, part[2]))
 
     def _define(self, f: Formula, env: dict[str, int]) -> int:
         """A literal true exactly when f is."""
-        sign = 1
-        while isinstance(f, Not):
-            f, sign = f.body, -sign
-        if isinstance(f, Pred):
-            return sign * self._atom(f, env)
-        var = self._fresh()
-        self._add(f, True, env, (-var,))
-        self._add(f, False, env, (var,))
-        return sign * var
+        f, positive, shape, lit = self._shape(f, True, env)
+        if shape != "atom":
+            key = (f, tuple(env.items()))
+            var = self.defined.get(key)
+            if var is None:
+                var = self.defined[key] = self._fresh()
+                self._add(f, True, env, (-var,))
+                self._add(f, False, env, (var,))
+            lit = var if positive else -var
+        return lit
 
 
 class _Budget:
@@ -391,13 +407,12 @@ def entails(
             if sat_with_hyp and sat_with_neg:
                 break
             tracker.tick()
-            ground = _Grounder(size, dict(zip(const_names, combo)))
-            premise_clauses = ground.clauses_of(premises)
+            ground = _Grounder(size, dict(zip(const_names, combo)), premises)
             if not sat_with_neg:
-                clauses = premise_clauses + ground.clauses_of([Not(hypothesis)])
+                clauses = ground.with_premises(Not(hypothesis))
                 sat_with_neg = _satisfiable(clauses, ground.n_vars, tracker)
             if not sat_with_hyp:
-                clauses = premise_clauses + ground.clauses_of([hypothesis])
+                clauses = ground.with_premises(hypothesis)
                 sat_with_hyp = _satisfiable(clauses, ground.n_vars, tracker)
         if sat_with_hyp and sat_with_neg:
             break

@@ -649,6 +649,12 @@ def test_max_domain_below_one_fails(artifacts, tmp_path, capsys, stage):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_remote_scorer_ignores_max_domain(artifacts, tmp_path, capsys):
+    # Only the symbolic scorer uses --max-domain; the remote one fails on its own URL.
+    argv = _argv("score", dict(artifacts, out=str(tmp_path / "out.jsonl")))
+    _fails_with_one_config_line(argv + ["--scorer", "remote", "--max-domain", "0"], capsys, "--remote-url")
+
+
 @pytest.mark.parametrize("stage", TRACE_READERS)
 def test_every_stage_drops_a_trace_of_an_unknown_problem_alike(
     artifacts, tmp_path, caplog, capsys, stage

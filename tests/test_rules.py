@@ -475,6 +475,16 @@ def test_verify_trajectory_rule_chain():
     assert verdicts[4].rule.rule is Rule.MODUS_PONENS
 
 
+def test_verify_rejects_domain_below_one():
+    # Raised before any step is tried: reported per step it would mark every
+    # step the oracle decides INVALID.
+    with pytest.raises(ValueError, match="max_domain"):
+        verify_step([P_a], Q_a, max_domain=0)
+    traj = _traj([Step(StepKind.ACTION, "Apply modus ponens"), Step(StepKind.OBSERVATION, "Q(a)", (Q_a,))])
+    with pytest.raises(ValueError, match="max_domain"):
+        verify_trajectory(_chain_problem(), traj, max_domain=0)
+
+
 def test_verify_trajectory_empty_observation_is_unparseable():
     traj = _traj(
         [

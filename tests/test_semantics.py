@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -254,6 +255,21 @@ def test_entails_matches_exhaustive_evaluation(preds, consts, max_domain, seed):
         expected = _brute_force(premises, hypothesis, models)
         assert (verdict.result, verdict.unsatisfiable_premises) == expected, (premises, hypothesis)
     assert seen >= {Not, And, Or, Xor, Implies, Iff, ForAll, Exists, "exists under forall"}
+
+
+@pytest.mark.parametrize("op", ["^", "<->"])
+def test_entails_nested_xor_and_iff_chains_ground_linearly(op):
+    # The parser nests a chain of n operands n - 1 deep; defining each
+    # operand once keeps the clauses linear in n rather than exponential.
+    atoms = [f"P{i}(a)" for i in range(30)]
+    chain = parse_formula(f" {op} ".join(atoms))
+    start = time.perf_counter()
+    verdict = entails([chain], parse_formula(atoms[0]), max_domain=1)
+    assert time.perf_counter() - start < 2.0
+    assert (verdict.result, verdict.unsatisfiable_premises) == (Label.UNCERTAIN, False)
+    verdict = entails([chain, *(parse_formula(a) for a in atoms[1:])], parse_formula(atoms[0]), max_domain=1)
+    # Every other operand true: the ⊕ chain forces P0 false (odd parity), the ↔ chain true.
+    assert verdict.result is (Label.FALSE if op == "^" else Label.TRUE)
 
 
 def test_entails_rejects_domain_below_one():
