@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .fol import clear_parse_cache
 from .jsonl import FormatError, read_jsonl, write_jsonl
 from .llm import (
     DEFAULT_MAX_TOKENS,
@@ -114,6 +115,12 @@ class PipelineConfig:
                 raise ConfigError(
                     f"{self.backend_kind} backend option {name!r} must be {wanted}, got {value!r}"
                 )
+        if self.backend_kind == "http":
+            # Either would make every request fail, one error response each.
+            if self.backend_options.get("max_retries", 1) < 1:
+                raise ConfigError("http backend option 'max_retries' must be at least 1")
+            if self.backend_options.get("timeout_s", 1) <= 0:
+                raise ConfigError("http backend option 'timeout_s' must be above 0")
         if not 1 <= self.k <= self.n_samples:
             raise ConfigError(f"need 1 <= k <= n_samples, got k={self.k} n_samples={self.n_samples}")
         if self.parallelism < 1:
@@ -524,6 +531,7 @@ def _add_knob_flags(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
+    clear_parse_cache()  # parses are shared within one command, not across commands
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:

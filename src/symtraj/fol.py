@@ -12,8 +12,10 @@ listed in the parser's declared-variables set, otherwise it is a Constant.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class FormulaSyntaxError(ValueError):
@@ -224,8 +226,7 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"forall": "forall", "exists": "exists"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     start: int  # character offset
@@ -389,13 +390,37 @@ class _Parser:
             return Pred(name, tuple(args))
 
 
-def parse_formula(text: str, variables: frozenset[str] | set[str] = frozenset()) -> Formula:
-    """Parse a complete formula. Raises FormulaSyntaxError on malformed input."""
-    tokens_exist = text.strip()
-    if not tokens_exist:
+# Distinct (text, variables) pairs whose parse is kept. Traces restate their
+# problem's premises and samples of one problem repeat each other, so most
+# parse_formula calls of a command ask for a text parsed shortly before. A
+# command of the benchmark workloads parses at most about 500 distinct texts;
+# the bound keeps a long-lived library caller that never clears the cache to
+# about a megabyte of formulas.
+PARSE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_cached(text: str, variables: frozenset[str]) -> Formula:
+    # Only results are cached: malformed text raises on every call.
+    if not text.strip():
         raise FormulaSyntaxError("empty input", 0, "a formula")
-    f, _ = _Parser(text, frozenset(variables)).parse(require_end=True)
+    f, _ = _Parser(text, variables).parse(require_end=True)
     return f
+
+
+def parse_formula(text: str, variables: frozenset[str] | set[str] = frozenset()) -> Formula:
+    """Parse a complete formula. Raises FormulaSyntaxError on malformed input.
+
+    The last PARSE_CACHE_SIZE distinct (text, variables) pairs are kept until
+    clear_parse_cache(), so a repeated text is not parsed again; formulas are
+    frozen, so callers share the result.
+    """
+    return _parse_cached(text, frozenset(variables))
+
+
+def clear_parse_cache() -> None:
+    """Forget every cached parse (the CLI does so as each command starts)."""
+    _parse_cached.cache_clear()
 
 
 def parse_prefix(text: str, variables: frozenset[str] | set[str] = frozenset()) -> tuple[Formula, int]:

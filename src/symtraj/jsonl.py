@@ -20,7 +20,9 @@ def read_jsonl(path, convert=None) -> list:
     """
     records = []
     text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Records end at "\n" only: write_jsonl leaves U+2028, U+2029 and U+0085
+    # unescaped inside strings, and str.splitlines() would break at them.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -2,7 +2,9 @@
 
 Both expose generate(request) -> response; generate_batch fans requests out
 over a bounded thread pool, preserving request order and embedding per-item
-failures instead of aborting the batch.
+failures instead of aborting the batch. A backend whose class sets
+in_process = True computes its answers in this interpreter, so its requests
+run inline: threads would only hand the interpreter lock back and forth.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ class HttpBackend:
     logged.
     """
 
+    in_process = False
+
     def __init__(
         self,
         base_url: str,
@@ -199,6 +203,8 @@ class ScriptedMockBackend:
     with finish_reason=length.
     """
 
+    in_process = True
+
     def __init__(
         self,
         script: dict[str, str] | None = None,
@@ -226,7 +232,8 @@ class ScriptedMockBackend:
 
 
 def generate_batch(backend, reqs, parallelism: int = 4) -> list[GenerationResponse]:
-    """Run requests through the backend, at most `parallelism` in flight.
+    """Run requests through the backend, at most `parallelism` in flight
+    (one at a time, in the calling thread, for an in-process backend).
 
     Results come back in request order; a failing request becomes a response
     with finish_reason="error" carrying the exception, never a batch failure.
@@ -242,5 +249,7 @@ def generate_batch(backend, reqs, parallelism: int = 4) -> list[GenerationRespon
                 text="", finish_reason="error", error=f"{type(exc).__name__}: {exc}"
             )
 
+    if getattr(backend, "in_process", False):
+        return [run(req) for req in reqs]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(run, reqs))

@@ -45,6 +45,8 @@ def _flip(label: Label) -> Label:
 class OracleMockBackend:
     """Deterministic stand-in for a live model over a known problem set."""
 
+    in_process = True
+
     def __init__(
         self,
         problems,

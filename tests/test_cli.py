@@ -7,7 +7,7 @@ from argparse import Namespace
 
 import pytest
 
-from symtraj import cli
+from symtraj import cli, fol
 from symtraj.cli import (
     ConfigError,
     PipelineConfig,
@@ -118,6 +118,17 @@ def test_backend_option_of_the_wrong_type_fails_at_load(tmp_path, options, name)
     path = _write_json(tmp_path / "cfg.json", {"backend": options})
     with pytest.raises(ConfigError, match=name):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "option, value", [("max_retries", 0), ("max_retries", -1), ("timeout_s", 0), ("timeout_s", -1)]
+)
+def test_http_option_that_fails_every_request_fails_at_load(workspace, tmp_path, capsys, option, value):
+    cfg = _write_json(tmp_path / "cfg.json", {"backend": dict(HTTP, **{option: value})})
+    with pytest.raises(ConfigError, match=repr(option)):
+        load_config(cfg)
+    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg]
+    _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, repr(option))
 
 
 def test_pipeline_config_validation():
@@ -528,6 +539,26 @@ def test_label_rejects_seed_flag(workspace, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_read_jsonl_reads_back_line_separators_inside_strings(tmp_path):
+    records = [{"raw_text": "a\u2028b\u2029c\u0085d"}, {"raw_text": "next"}]
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, records)
+    assert read_jsonl(path) == records
+
+
+def test_every_command_starts_with_an_empty_parse_cache(workspace, tmp_path):
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text("", encoding="utf-8")
+    gen = ["gen-problems", "--lengths", "3", "--count", "2", "--out", str(tmp_path / "p.jsonl")]
+    evaluate = ["evaluate", "--traces", str(traces), "--problems", str(workspace["problems"])]
+    for argv in (gen, evaluate):
+        parse_formula("Unused(q)")  # a parse left over from before the command
+        assert main(argv) == 0
+        misses = fol._parse_cached.cache_info().misses
+        parse_formula("Unused(q)")
+        assert fol._parse_cached.cache_info().misses == misses + 1, argv[0]
 
 
 def test_invalid_problem_record_fails_with_code_2(tmp_path):

@@ -20,6 +20,7 @@ from symtraj.fol import (
     Signature,
     Variable,
     Xor,
+    _Parser,
     collect_signature,
     constants,
     free_vars,
@@ -175,3 +176,24 @@ def test_printer_uses_minimal_parentheses():
     text = print_formula(f)
     assert text == "P(a) ∧ Q(a) → P(a) ∨ Q(a)"
     assert parse_formula(text) == f
+
+
+def test_malformed_text_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula("P((a)")
+
+
+def test_declared_variables_are_part_of_the_cached_parse():
+    for variables in (frozenset(), {"x"}, frozenset()):
+        expected = P_x if variables else Pred("P", (Constant("x"),))
+        assert parse_formula("P(x)", variables=variables) == expected
+
+
+def test_cached_parse_is_shared_and_equals_a_fresh_parse():
+    rng = random.Random(303)
+    for _ in range(100):
+        text = print_formula(random_closed_formula(rng, depth=4))
+        first = parse_formula(text)
+        assert parse_formula(text) is first
+        assert first == _Parser(text, frozenset()).parse(require_end=True)[0]

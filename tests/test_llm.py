@@ -18,6 +18,7 @@ from symtraj.llm import (
     generate_batch,
     prompt_key,
 )
+from symtraj.mock import OracleMockBackend
 
 MESSAGES = ({"role": "system", "content": "be brief"}, {"role": "user", "content": "hi"})
 
@@ -237,6 +238,31 @@ def test_generate_batch_runs_parallelism_requests_at_once():
     responses = generate_batch(backend, reqs, parallelism=2)
     assert [r.error for r in responses] == [None] * 4
     assert [r.text for r in responses] == ["q0", "q1", "q2", "q3"]
+
+
+class ThreadRecordingBackend(ScriptedMockBackend):
+    """A scripted mock that notes the thread each request runs on."""
+
+    def __init__(self, script):
+        super().__init__(script)
+        self.threads = []
+
+    def generate(self, req):
+        self.threads.append(threading.get_ident())
+        return super().generate(req)
+
+
+def test_generate_batch_runs_in_process_backends_on_the_calling_thread():
+    assert OracleMockBackend.in_process and ScriptedMockBackend.in_process
+    assert not HttpBackend.in_process
+    backend = ThreadRecordingBackend({prompt_key(MESSAGES): "yes"})
+    ok_req = GenerationRequest(messages=MESSAGES)
+    bad_req = GenerationRequest(messages=({"role": "user", "content": "unknown"},))
+    responses = generate_batch(backend, [ok_req, bad_req, ok_req], parallelism=4)
+    assert backend.threads == [threading.get_ident()] * 3
+    assert [r.text for r in responses] == ["yes", "", "yes"]
+    assert responses[1].finish_reason == "error"
+    assert responses[1].error.startswith("BackendUnavailable")
 
 
 def test_generate_batch_validates_parallelism():
