@@ -19,10 +19,13 @@ from .jsonl import FormatError, read_jsonl, write_jsonl
 from .llm import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_TEMPERATURE,
+    DEFAULT_TIMEOUT_S,
+    MAX_ATTEMPTS,
     BackendUnavailable,
     GenerationRequest,
     HttpBackend,
     ScriptedMockBackend,
+    check_retry_limits,
     generate_batch,
 )
 from .mock import OracleMockBackend
@@ -116,11 +119,13 @@ class PipelineConfig:
                     f"{self.backend_kind} backend option {name!r} must be {wanted}, got {value!r}"
                 )
         if self.backend_kind == "http":
-            # Either would make every request fail, one error response each.
-            if self.backend_options.get("max_retries", 1) < 1:
-                raise ConfigError("http backend option 'max_retries' must be at least 1")
-            if self.backend_options.get("timeout_s", 1) <= 0:
-                raise ConfigError("http backend option 'timeout_s' must be above 0")
+            opts = self.backend_options
+            try:
+                check_retry_limits(
+                    opts.get("max_retries", MAX_ATTEMPTS), opts.get("timeout_s", DEFAULT_TIMEOUT_S)
+                )
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if not 1 <= self.k <= self.n_samples:
             raise ConfigError(f"need 1 <= k <= n_samples, got k={self.k} n_samples={self.n_samples}")
         if self.parallelism < 1:
@@ -175,7 +180,10 @@ def build_backend(cfg: PipelineConfig, problems: list[Problem] | None = None):
     if cfg.backend_kind == "http":
         if not opts.get("base_url"):
             raise ConfigError("http backend needs a base_url")
-        return HttpBackend(**opts)
+        try:
+            return HttpBackend(**opts)
+        except ValueError as exc:  # a base_url or proxy this client cannot use
+            raise ConfigError(str(exc)) from None
     if cfg.backend_kind == "oracle-mock":
         if "problems" in opts:
             problems = load_problems(opts.pop("problems"))
@@ -185,6 +193,13 @@ def build_backend(cfg: PipelineConfig, problems: list[Problem] | None = None):
     if not isinstance(opts.get("script"), dict):
         raise ConfigError("scripted backend needs a 'script' object")
     return ScriptedMockBackend(**opts)
+
+
+def _close(resource) -> None:
+    """Close a backend or scorer that holds connections; the in-process ones hold none."""
+    close = getattr(resource, "close", None)
+    if close is not None:
+        close()
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +257,10 @@ def cmd_sample(args) -> int:
                 )
             )
             owners.append((problem, i))
-    responses = generate_batch(backend, requests_out, cfg.parallelism)
+    try:
+        responses = generate_batch(backend, requests_out, cfg.parallelism)
+    finally:
+        _close(backend)
     records = []
     failures = 0
     answers: dict[str, int] = {}
@@ -276,16 +294,19 @@ def cmd_label(args) -> int:
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     backend = build_backend(cfg, problems)
     items = with_problems(trajectories, problems)
-    all_labels = mc_label_all(
-        items,
-        backend,
-        n_samples=cfg.n_samples,
-        k=cfg.k,
-        temperature=cfg.temperature,
-        max_tokens=cfg.max_tokens,
-        parallelism=cfg.parallelism,
-        n_shots=cfg.n_shots,
-    )
+    try:
+        all_labels = mc_label_all(
+            items,
+            backend,
+            n_samples=cfg.n_samples,
+            k=cfg.k,
+            temperature=cfg.temperature,
+            max_tokens=cfg.max_tokens,
+            parallelism=cfg.parallelism,
+            n_shots=cfg.n_shots,
+        )
+    finally:
+        _close(backend)
     records = [
         {**step_label_to_dict(label), "problem_id": problem.id}
         for (problem, _), labels in zip(items, all_labels)
@@ -333,13 +354,19 @@ def cmd_score(args) -> int:
     else:
         if not args.remote_url:
             raise ConfigError("--scorer remote needs --remote-url")
-        scorer = RemoteScorer(args.remote_url)
-    records = []
-    for _, traj in with_problems(trajectories, problems):
         try:
-            records.append(prm_score_to_dict(score_trajectory(traj, scorer)))
-        except ScorerUnavailable as exc:
-            logger.warning("scoring %s failed: %s", traj.problem_id, exc)
+            scorer = RemoteScorer(args.remote_url)
+        except ValueError as exc:
+            raise ConfigError(f"--remote-url: {exc}") from None
+    records = []
+    try:
+        for _, traj in with_problems(trajectories, problems):
+            try:
+                records.append(prm_score_to_dict(score_trajectory(traj, scorer)))
+            except ScorerUnavailable as exc:
+                logger.warning("scoring %s failed: %s", traj.problem_id, exc)
+    finally:
+        _close(scorer)
     write_jsonl(args.out, records)
     print(f"wrote {len(records)} trajectory scores to {args.out}")
     return 0

@@ -5,28 +5,44 @@ over a bounded thread pool, preserving request order and embedding per-item
 failures instead of aborting the batch. A backend whose class sets
 in_process = True computes its answers in this interpreter, so its requests
 run inline: threads would only hand the interpreter lock back and forth.
+
+JsonClient is the one HTTP client, shared by HttpBackend and the remote
+scorer; it uses the standard library alone.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
+import json
 import logging
 import os
 import random
 import re
+import ssl
+import threading
 import time
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-import requests
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_MAX_TOKENS = 1024
+DEFAULT_TIMEOUT_S = 60.0
 RETRY_BASE_DELAY_S = 1.0
 RETRY_FACTOR = 2.0
 MAX_ATTEMPTS = 5
+
+# What a request can fail with on the way: refused, reset, timed out, TLS,
+# or a reply that is not HTTP.
+NETWORK_ERRORS = (OSError, http.client.HTTPException)
+# How a kept-alive connection that the server closed while it sat idle fails
+# (over TLS, a server that skips close_notify leaves an EOF error).
+_CLOSED_WHILE_IDLE = (ConnectionError, ssl.SSLEOFError)
 
 
 class BackendUnavailable(RuntimeError):
@@ -95,8 +111,114 @@ def _truncate(text: str, max_tokens: int) -> tuple[str, str]:
     return text, "stop"
 
 
+def check_retry_limits(max_retries: int, timeout_s: float) -> None:
+    """Refuse an HttpBackend setting under which every request fails: no
+    attempt at all, or a socket timeout of zero (non-blocking) or below."""
+    if max_retries < 1:
+        raise ValueError(f"http backend option 'max_retries' must be at least 1, got {max_retries}")
+    if not timeout_s > 0:
+        raise ValueError(f"http backend option 'timeout_s' must be above 0, got {timeout_s}")
+
+
+class JsonClient:
+    """POSTs JSON to one http(s) URL over kept-alive connections.
+
+    Idle connections wait in a lock-guarded list, not one per thread, so they
+    outlive any thread pool, and there are never more of them than requests
+    that were in flight at once. The proxy environment (HTTP_PROXY,
+    HTTPS_PROXY, ALL_PROXY, NO_PROXY) and the TLS context are read once, here:
+    an http URL goes through its proxy in absolute form, an https URL through
+    a CONNECT tunnel. Certificates are checked against the system store (or
+    SSL_CERT_FILE).
+    """
+
+    def __init__(self, url: str, timeout_s: float = DEFAULT_TIMEOUT_S):
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http or https URL: {url!r}")
+        self.url = url
+        self._timeout_s = timeout_s
+        https = parts.scheme == "https"
+        self._context = ssl.create_default_context() if https else None
+        # An explicit port: http.client would read one off a bare IPv6 host.
+        self._address = (parts.hostname, parts.port or (443 if https else 80))
+        path = parts.path or "/"
+        self._target = f"{path}?{parts.query}" if parts.query else path
+        self._headers = {"Content-Type": "application/json"}
+        self._tunnel = None
+        proxies = {} if urllib.request.proxy_bypass(parts.hostname) else urllib.request.getproxies()
+        proxy = proxies.get(parts.scheme) or proxies.get("all")
+        if proxy:
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if via.scheme != "http" or not via.hostname:
+                raise ValueError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
+            auth = {}
+            if via.username is not None:
+                user = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password or '')}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode()).decode()
+            if https:
+                self._tunnel = (*self._address, auth)
+            else:
+                self._target = f"{parts.scheme}://{parts.netloc}{self._target}"  # absolute form
+                self._headers.update(auth)
+            self._address = (via.hostname, via.port or 80)
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    def post(self, body, headers: dict | None = None) -> tuple[int, bytes]:
+        """Send body as JSON; return the status and the raw response body.
+
+        Raises one of NETWORK_ERRORS when no answer arrives. A kept-alive
+        connection that the server has closed meanwhile is reconnected once,
+        at once.
+        """
+        payload = json.dumps(body, allow_nan=False).encode("utf-8")
+        headers = {**self._headers, **headers} if headers else self._headers
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connection()
+        elif conn.sock is not None:
+            try:
+                return self._exchange(conn, payload, headers)
+            except _CLOSED_WHILE_IDLE as exc:
+                logger.debug("kept-alive connection to %s lost, reconnecting: %s", self.url, exc)
+        return self._exchange(conn, payload, headers)
+
+    def close(self) -> None:
+        """Close the idle connections; a later post opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        # Not connected yet: http.client connects on the first request, and
+        # again on the next after a close.
+        host, port = self._address
+        if self._context is None:
+            return http.client.HTTPConnection(host, port, timeout=self._timeout_s)
+        conn = http.client.HTTPSConnection(host, port, timeout=self._timeout_s, context=self._context)
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _exchange(self, conn, payload: bytes, headers: dict) -> tuple[int, bytes]:
+        try:
+            conn.request("POST", self._target, payload, headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            self._idle.append(conn)
+        return resp.status, data
+
+
 class HttpBackend:
-    """Chat-completions client: POST {model, messages, temperature, max_tokens, seed}.
+    """Chat-completions client: POST {model, messages, temperature, max_tokens, seed}
+    to base_url, the whole endpoint URL (nothing is appended to it).
 
     Retries 429/5xx/network failures with exponential backoff (base 1s,
     factor 2, up to 5 attempts, jittered). The API key is read from the
@@ -111,22 +233,25 @@ class HttpBackend:
         base_url: str,
         model: str = "",
         api_key_env: str | None = None,
-        timeout_s: float = 60.0,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
         max_retries: int = MAX_ATTEMPTS,
         max_prompt_chars: int | None = None,
-        session=None,
         sleep=time.sleep,
         rng: random.Random | None = None,
     ):
+        check_retry_limits(max_retries, timeout_s)
         self.base_url = base_url
         self.model = model
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.max_prompt_chars = max_prompt_chars
         self.api_key_env = api_key_env
-        self._session = session if session is not None else requests.Session()
+        self._client = JsonClient(base_url, timeout_s)
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
+
+    def close(self) -> None:
+        self._client.close()
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         if self.max_prompt_chars is not None and _prompt_chars(req.messages) > self.max_prompt_chars:
@@ -140,10 +265,8 @@ class HttpBackend:
             "max_tokens": req.max_tokens,
             "seed": req.seed,
         }
-        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(self.api_key_env) if self.api_key_env else None
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
+        headers = {"Authorization": f"Bearer {api_key}"} if api_key else None
         start = time.perf_counter()
         last_failure = "no attempt made"
         for attempt in range(self.max_retries):
@@ -151,26 +274,24 @@ class HttpBackend:
                 delay = RETRY_BASE_DELAY_S * RETRY_FACTOR ** (attempt - 1)
                 self._sleep(delay * self._rng.uniform(0.5, 1.5))
             try:
-                resp = self._session.post(
-                    self.base_url, json=body, headers=headers, timeout=self.timeout_s
-                )
-            except requests.RequestException as exc:
-                last_failure = f"network error: {exc}"
+                status, data = self._client.post(body, headers)
+            except NETWORK_ERRORS as exc:
+                last_failure = f"network error: {type(exc).__name__}: {exc}"
                 logger.warning("attempt %d failed: %s", attempt + 1, last_failure)
                 continue
-            if resp.status_code == 429 or 500 <= resp.status_code < 600:
-                last_failure = f"HTTP {resp.status_code}"
+            if status == 429 or 500 <= status < 600:
+                last_failure = f"HTTP {status}"
                 logger.warning("attempt %d failed: %s", attempt + 1, last_failure)
                 continue
-            if resp.status_code != 200:
-                raise BackendUnavailable(f"HTTP {resp.status_code} from {self.base_url}")
+            if status != 200:
+                raise BackendUnavailable(f"HTTP {status} from {self.base_url}")
             latency_ms = int((time.perf_counter() - start) * 1000)
-            return self._parse(resp, latency_ms)
+            return self._parse(data, latency_ms)
         raise BackendUnavailable(f"giving up after {self.max_retries} attempts: {last_failure}")
 
-    def _parse(self, resp, latency_ms: int) -> GenerationResponse:
+    def _parse(self, raw: bytes, latency_ms: int) -> GenerationResponse:
         try:
-            data = resp.json()
+            data = json.loads(raw)
         except ValueError as exc:
             raise MalformedResponse(f"response body is not JSON: {exc}") from exc
         try:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import logging
 import math
 from dataclasses import dataclass, fields
 
-import requests
-
 from .jsonl import write_jsonl
-from .llm import GenerationRequest, generate_batch, prompt_key
+from .llm import NETWORK_ERRORS, GenerationRequest, JsonClient, generate_batch, prompt_key
 from .problems import Problem
 from .rules import VerdictStatus, verify_trajectory
 from .semantics import Label
@@ -295,25 +294,31 @@ class SymbolicScorer:
 class RemoteScorer:
     """Step probabilities from an HTTP service: POST {steps:[...]} -> {probs:[...]}."""
 
-    def __init__(self, url: str, timeout_s: float = 60.0, session=None):
+    def __init__(self, url: str):
         self.url = url
-        self.timeout_s = timeout_s
-        self._session = session if session is not None else requests.Session()
+        self._client = JsonClient(url)
+
+    def close(self) -> None:
+        self._client.close()
 
     def step_probs(self, traj: Trajectory) -> list[float]:
         payload = {"steps": [render_step(s) for s in traj.steps]}
         try:
-            resp = self._session.post(self.url, json=payload, timeout=self.timeout_s)
-        except requests.RequestException as exc:
+            status, raw = self._client.post(payload)
+        except NETWORK_ERRORS as exc:
             raise ScorerUnavailable(f"scorer request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise ScorerUnavailable(f"scorer answered HTTP {resp.status_code}")
+        if status != 200:
+            raise ScorerUnavailable(f"scorer answered HTTP {status}")
         try:
-            probs = resp.json()["probs"]
+            probs = json.loads(raw)["probs"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ScorerUnavailable(f"scorer response malformed: {exc}") from exc
         if not isinstance(probs, list) or len(probs) != len(traj.steps):
             raise ScorerUnavailable("scorer returned a wrong-length probability list")
+        for p in probs:
+            # JSON true and false are not numbers; NaN fails both comparisons.
+            if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+                raise ScorerUnavailable(f"scorer returned {p!r}, not a probability in [0, 1]")
         return [float(p) for p in probs]
 
 

@@ -1,7 +1,14 @@
-"""Shared generators for property tests. All randomness is seeded per test."""
+"""Shared generators for property tests, and a local HTTP server for the
+HTTP client's tests. All randomness is seeded per test."""
 
+import json
 import random
+import socket
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
 
 from symtraj.fol import (
     And,
@@ -54,6 +61,115 @@ def random_formula(rng: random.Random, depth: int, bound: tuple[str, ...] = ()) 
 def random_closed_formula(rng: random.Random, depth: int) -> Formula:
     """Random formula with no free variables."""
     return random_formula(rng, depth, bound=())
+
+
+# A scripted reply that closes the connection without answering.
+DROP = "drop"
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+class LocalServer:
+    """An HTTP/1.1 endpoint on 127.0.0.1 that answers POSTs from a script.
+
+    Each entry of `script` answers one request, in order: a (status, body)
+    pair, or (status, body, "close") to announce Connection: close, or DROP.
+    A body is raw bytes or a JSON value. Once the script runs out,
+    `default(json_body)` answers. With close_after_reply the server closes
+    each connection after its reply without announcing it, as a server
+    dropping idle connections does. It grants every CONNECT. It records every
+    request (`method`, `path`, the `headers` and a POST's `json` body) and
+    counts the connections it accepted.
+    """
+
+    def __init__(self):
+        self.script = []
+        self.default = None
+        self.close_after_reply = False
+        self.requests = []
+        self.connections = 0
+        self.lock = threading.Lock()
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), self._handler())
+        self._httpd.daemon_threads = True
+        self.url = f"http://127.0.0.1:{self._httpd.server_address[1]}"
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        self._thread.start()
+
+    def _handler(self):
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # Headers and body go out in two writes; without this the second
+            # waits for the client's delayed ACK.
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with server.lock:
+                    server.connections += 1
+
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with server.lock:
+                    server.requests.append(
+                        {"method": "POST", "path": self.path, "headers": self.headers, "json": body}
+                    )
+                    reply = server.script.pop(0) if server.script else None
+                if reply is None:
+                    reply = server.default(body)
+                if reply == DROP:
+                    self.close_connection = True
+                    return
+                status, payload, *close = reply
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                if close:
+                    self.send_header("Connection", "close")
+                self.end_headers()
+                self.wfile.write(data)
+                if server.close_after_reply:
+                    self.close_connection = True
+
+            def do_CONNECT(self):
+                # Grants the tunnel, then reads what comes through it as HTTP:
+                # enough to see a client ask for one, not to carry TLS.
+                with server.lock:
+                    server.requests.append({"method": "CONNECT", "path": self.path, "headers": self.headers})
+                self.send_response(200)
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        return Handler
+
+    def close(self):
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+def closed_port() -> int:
+    """A local port that nothing listens on (it was free a moment ago)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.fixture
+def local_server(monkeypatch):
+    """A LocalServer, reached directly whatever proxies the environment names."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = LocalServer()
+    yield server
+    server.close()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,9 +1,12 @@
 """End-to-end tests for the command line interface."""
 
-import functools
 import json
 import logging
+import os
+import subprocess
+import sys
 from argparse import Namespace
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,6 @@ from symtraj.cli import (
 )
 from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl, write_jsonl
-from symtraj.llm import HttpBackend
 from symtraj.problems import Problem, Statement, load_problems
 from symtraj.semantics import Label
 from symtraj.supervision import mc_label, step_label_to_dict
@@ -28,6 +30,15 @@ from symtraj.trajectory import parse_trajectory, trajectory_from_dict
 
 # An http backend that no test sends a request to.
 HTTP = {"kind": "http", "base_url": "http://localhost:1"}
+
+
+def test_cli_imports_no_third_party_http_client():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, symtraj.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def _write_json(path, payload):
@@ -363,32 +374,23 @@ def test_label_matches_per_trajectory_mc_label_byte_for_byte(workspace):
     assert labels.read_bytes() == expected.read_bytes()
 
 
-class _ChatSession:
-    """A chat-completions endpoint that finishes every trace with True."""
-
-    def __init__(self):
-        self.models = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.models.append(json["model"])
-        reply = {"choices": [{"message": {"content": "Thought: done.\nAction: Finish [True]"}}]}
-        return Namespace(status_code=200, json=lambda: reply)
-
-
-def test_sample_and_label_ask_for_the_same_model(workspace, monkeypatch):
-    session = _ChatSession()
-    monkeypatch.setattr(cli, "HttpBackend", functools.partial(HttpBackend, session=session))
+def test_sample_and_label_ask_for_the_same_model(workspace, local_server):
+    # A chat-completions endpoint that finishes every trace with True.
+    reply = {"choices": [{"message": {"content": "Thought: done.\nAction: Finish [True]"}}]}
+    local_server.default = lambda body: (200, reply)
     d, problems = workspace["dir"], str(workspace["problems"])
-    config = _write_json(d / "http.json", {"backend": HTTP, "n_samples": 2})
+    backend = dict(HTTP, base_url=local_server.url)
+    config = _write_json(d / "http.json", {"backend": backend, "n_samples": 2})
     traces = d / "traces.jsonl"
     assert main(["sample", "--problems", problems, "--backend", config, "--n", "1", "--out", str(traces)]) == 0
-    sampled = session.models
-    session.models = []
+    sampled = [r["json"]["model"] for r in local_server.requests]
+    local_server.requests.clear()
     argv = ["label", "--traces", str(traces), "--problems", problems, "--backend", config]
     assert main(argv + ["--out", str(d / "labels.jsonl")]) == 0
+    labelled = [r["json"]["model"] for r in local_server.requests]
     # Neither stage names a model; the backend sends its configured one.
-    assert len(sampled) == 4 and session.models
-    assert set(sampled) == set(session.models) == {""}
+    assert len(sampled) == 4 and labelled
+    assert set(sampled) == set(labelled) == {""}
     assert {r["generator"] for r in read_jsonl(traces)} == {"http"}
 
 
@@ -509,7 +511,7 @@ def _fails_with_one_config_line(argv, capsys, name):
         ({"backend": {"kind": "oracle-mock"}, "step_threshold": 0.9}, "'step_threshold'"),
         ({"backend": {"kind": "oracle-mock", "sloppyness": 1.0}}, "'sloppyness'"),
         ({"backend": dict(HTTP, timeout=1)}, "'timeout'"),
-        ({"backend": dict(HTTP, session=None)}, "'session'"),  # a test hook, not an option
+        ({"backend": dict(HTTP, session=None)}, "'session'"),
     ],
 )
 def test_config_setting_nothing_reads_fails(workspace, tmp_path, capsys, config, name):
@@ -684,6 +686,31 @@ def test_remote_scorer_ignores_max_domain(artifacts, tmp_path, capsys):
     # Only the symbolic scorer uses --max-domain; the remote one fails on its own URL.
     argv = _argv("score", dict(artifacts, out=str(tmp_path / "out.jsonl")))
     _fails_with_one_config_line(argv + ["--scorer", "remote", "--max-domain", "0"], capsys, "--remote-url")
+
+
+def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(artifacts, tmp_path, local_server, caplog):
+    traces = read_jsonl(artifacts["traces"])
+    reply = lambda probs: (200, {"probs": probs})  # noqa: E731
+    # The first trace gets an answer that is not a probability; the rest get 0.5s.
+    local_server.script = [reply(["x"] * len(traces[0]["steps"]))]
+    local_server.default = lambda body: reply([0.5] * len(body["steps"]))
+    out = tmp_path / "scores.jsonl"
+    argv = _argv("score", dict(artifacts, out=str(out)))
+    with caplog.at_level(logging.WARNING):
+        assert main(argv + ["--scorer", "remote", "--remote-url", local_server.url]) == 0
+    assert len(read_jsonl(out)) == len(traces) - 1
+    assert "not a probability" in caplog.text
+
+
+def test_remote_url_that_is_not_http_is_a_config_error(artifacts, tmp_path, capsys):
+    argv = _argv("score", dict(artifacts, out=str(tmp_path / "out.jsonl")))
+    _fails_with_one_config_line(argv + ["--scorer", "remote", "--remote-url", "scorer:8000"], capsys, "--remote-url")
+
+
+def test_http_base_url_that_is_not_http_is_a_config_error(workspace, tmp_path, capsys):
+    cfg = _write_json(tmp_path / "cfg.json", {"backend": dict(HTTP, base_url="localhost:8000/v1")})
+    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg]
+    _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, "localhost:8000/v1")
 
 
 @pytest.mark.parametrize("stage", TRACE_READERS)

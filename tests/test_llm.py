@@ -1,10 +1,12 @@
 """Generation requests, HTTP backend retry behavior, and batch fan-out."""
 
+import base64
 import random
+import sys
 import threading
 
 import pytest
-import requests
+from conftest import DROP, closed_port
 
 from symtraj.llm import (
     BackendUnavailable,
@@ -23,33 +25,6 @@ from symtraj.mock import OracleMockBackend
 MESSAGES = ({"role": "system", "content": "be brief"}, {"role": "user", "content": "hi"})
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
-
-
-class FakeSession:
-    """Yields queued outcomes; an Exception instance is raised instead."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
 def _ok_payload(text="fine", finish="stop"):
     return {
         "choices": [{"message": {"content": text}, "finish_reason": finish}],
@@ -57,17 +32,29 @@ def _ok_payload(text="fine", finish="stop"):
     }
 
 
-def _backend(outcomes, **kwargs):
-    session = FakeSession(outcomes)
-    backend = HttpBackend(
-        "http://unit.test/v1/chat",
-        model="m1",
-        session=session,
-        sleep=lambda s: None,
-        rng=random.Random(0),
-        **kwargs,
-    )
-    return backend, session
+def _echo(body):
+    """A reply that repeats the last message, so each answer names its request."""
+    return 200, _ok_payload(text=body["messages"][-1]["content"])
+
+
+@pytest.fixture
+def http_backend(local_server):
+    """Builds HttpBackends on the local server; each records its backoff sleeps."""
+    made = []
+
+    def build(url=None, **kwargs):
+        sleeps = []
+        kwargs.setdefault("sleep", sleeps.append)
+        backend = HttpBackend(
+            url or local_server.url + "/v1/chat", model="m1", rng=random.Random(0), **kwargs
+        )
+        backend.sleeps = sleeps
+        made.append(backend)
+        return backend
+
+    yield build
+    for backend in made:
+        backend.close()
 
 
 def test_generation_request_validation():
@@ -93,94 +80,193 @@ def test_prompt_key_is_stable_and_content_sensitive():
     assert len(a) == 64
 
 
-def test_http_backend_success_and_headers(monkeypatch):
+def test_http_backend_success_and_headers(monkeypatch, local_server, http_backend):
     monkeypatch.setenv("UNIT_KEY", "sekrit")
-    backend, session = _backend([FakeResponse(payload=_ok_payload())], api_key_env="UNIT_KEY")
+    local_server.script = [(200, _ok_payload())]
+    backend = http_backend(api_key_env="UNIT_KEY")
     resp = backend.generate(GenerationRequest(messages=MESSAGES, seed=7))
     assert resp.text == "fine"
     assert resp.finish_reason == "stop"
     assert resp.usage == Usage(5, 2)
-    call = session.calls[0]
+    [call] = local_server.requests
+    assert call["path"] == "/v1/chat"
     assert call["headers"]["Authorization"] == "Bearer sekrit"
+    assert call["headers"]["Content-Type"] == "application/json"
     assert call["json"]["model"] == "m1"
     assert call["json"]["seed"] == 7
+    assert call["json"]["messages"] == list(MESSAGES)
 
 
-def test_http_backend_reads_key_at_request_time(monkeypatch):
+def test_http_backend_reads_key_at_request_time(monkeypatch, local_server, http_backend):
     monkeypatch.delenv("UNIT_KEY", raising=False)
-    backend, session = _backend([FakeResponse(payload=_ok_payload())], api_key_env="UNIT_KEY")
+    local_server.script = [(200, _ok_payload())]
+    backend = http_backend(api_key_env="UNIT_KEY")
     monkeypatch.setenv("UNIT_KEY", "late")
     backend.generate(GenerationRequest(messages=MESSAGES))
-    assert session.calls[0]["headers"]["Authorization"] == "Bearer late"
+    assert local_server.requests[0]["headers"]["Authorization"] == "Bearer late"
 
 
-def test_http_backend_no_key_no_header():
-    backend, session = _backend([FakeResponse(payload=_ok_payload())])
-    backend.generate(GenerationRequest(messages=MESSAGES))
-    assert "Authorization" not in session.calls[0]["headers"]
+def test_http_backend_no_key_no_header(local_server, http_backend):
+    local_server.script = [(200, _ok_payload())]
+    http_backend().generate(GenerationRequest(messages=MESSAGES))
+    assert "Authorization" not in local_server.requests[0]["headers"]
 
 
-def test_http_backend_retries_429_and_5xx():
-    backend, session = _backend(
-        [
-            FakeResponse(status_code=429),
-            FakeResponse(status_code=503),
-            requests.ConnectionError("boom"),
-            FakeResponse(payload=_ok_payload("eventually")),
-        ]
-    )
+def test_http_backend_retries_429_and_5xx(local_server, http_backend):
+    # The 503 announces Connection: close, so the dropped request that
+    # follows goes out on a fresh connection and counts as a network error.
+    local_server.script = [(429, {}), (503, {}, "close"), DROP, (200, _ok_payload("eventually"))]
+    backend = http_backend()
     resp = backend.generate(GenerationRequest(messages=MESSAGES))
     assert resp.text == "eventually"
-    assert len(session.calls) == 4
+    assert len(local_server.requests) == 4
+    assert len(backend.sleeps) == 3
 
 
-def test_http_backend_gives_up_after_max_retries():
-    backend, session = _backend([FakeResponse(status_code=500)] * 3, max_retries=3)
+def test_http_backend_gives_up_after_max_retries(local_server, http_backend):
+    local_server.script = [(500, {})] * 3
+    backend = http_backend(max_retries=3)
+    with pytest.raises(BackendUnavailable, match="HTTP 500"):
+        backend.generate(GenerationRequest(messages=MESSAGES))
+    assert len(local_server.requests) == 3
+    assert len(backend.sleeps) == 2
+    # A refused connection is a network error like any other.
+    backend = http_backend(f"http://127.0.0.1:{closed_port()}/v1/chat", max_retries=2)
+    with pytest.raises(BackendUnavailable, match="network error"):
+        backend.generate(GenerationRequest(messages=MESSAGES))
+    assert len(backend.sleeps) == 1
+
+
+def test_http_backend_client_error_fails_fast(local_server, http_backend):
+    local_server.script = [(403, {})]
+    backend = http_backend()
     with pytest.raises(BackendUnavailable):
         backend.generate(GenerationRequest(messages=MESSAGES))
-    assert len(session.calls) == 3
+    assert len(local_server.requests) == 1
+    assert backend.sleeps == []
 
 
-def test_http_backend_client_error_fails_fast():
-    backend, session = _backend([FakeResponse(status_code=403)])
-    with pytest.raises(BackendUnavailable):
-        backend.generate(GenerationRequest(messages=MESSAGES))
-    assert len(session.calls) == 1
-
-
-def test_http_backend_malformed_payloads():
-    backend, _ = _backend([FakeResponse(payload={"choices": []})])
-    with pytest.raises(MalformedResponse):
-        backend.generate(GenerationRequest(messages=MESSAGES))
-    backend, _ = _backend([FakeResponse(payload=None)])
-    with pytest.raises(MalformedResponse):
-        backend.generate(GenerationRequest(messages=MESSAGES))
-    backend, _ = _backend(
-        [FakeResponse(payload={"choices": [{"message": {"content": ""}, "finish_reason": "stop"}]})]
-    )
-    with pytest.raises(MalformedResponse):
-        backend.generate(GenerationRequest(messages=MESSAGES))
+def test_http_backend_malformed_payloads(local_server, http_backend):
+    bodies = [
+        {"choices": []},
+        b"not json",
+        {"choices": [{"message": {"content": ""}, "finish_reason": "stop"}]},
+    ]
+    local_server.script = [(200, body) for body in bodies]
+    backend = http_backend()
+    for _ in bodies:
+        with pytest.raises(MalformedResponse):
+            backend.generate(GenerationRequest(messages=MESSAGES))
+    assert len(local_server.requests) == len(bodies)
 
 
 @pytest.mark.parametrize("usage", [None, "absent", {"prompt_tokens": None}])
-def test_http_backend_reads_missing_usage_as_zero(usage):
+def test_http_backend_reads_missing_usage_as_zero(local_server, http_backend, usage):
     payload = {"choices": [{"message": {"content": "fine"}, "finish_reason": "stop"}]}
     if usage != "absent":
         payload["usage"] = usage
-    backend, _ = _backend([FakeResponse(payload=payload)])
+    local_server.script = [(200, payload)] * 2
+    backend = http_backend()
     resp = backend.generate(GenerationRequest(messages=MESSAGES))
     assert resp.text == "fine" and resp.usage == Usage(0, 0)
     # Nor does a batch turn such a completion into an error response.
-    backend, _ = _backend([FakeResponse(payload=payload)])
     [resp] = generate_batch(backend, [GenerationRequest(messages=MESSAGES)], parallelism=1)
     assert resp.error is None and resp.text == "fine"
 
 
-def test_http_backend_prompt_too_long():
-    backend, session = _backend([], max_prompt_chars=3)
+def test_http_backend_prompt_too_long(local_server, http_backend):
+    backend = http_backend(max_prompt_chars=3)
     with pytest.raises(PromptTooLong):
         backend.generate(GenerationRequest(messages=MESSAGES))
-    assert session.calls == []
+    assert local_server.requests == [] and local_server.connections == 0
+
+
+@pytest.mark.parametrize(
+    "url, kwargs",
+    [
+        ("http://127.0.0.1:1/v1", {"max_retries": 0}),
+        ("http://127.0.0.1:1/v1", {"max_retries": -1}),
+        ("http://127.0.0.1:1/v1", {"timeout_s": 0}),
+        ("http://127.0.0.1:1/v1", {"timeout_s": -1.5}),
+        ("127.0.0.1:1/v1", {}),
+        ("ftp://127.0.0.1/v1", {}),
+    ],
+)
+def test_http_backend_rejects_settings_that_fail_every_request(url, kwargs):
+    with pytest.raises(ValueError):
+        HttpBackend(url, **kwargs)
+
+
+def test_http_backend_keeps_connections_across_batches(local_server, http_backend):
+    local_server.default = _echo
+    backend = http_backend()
+    for batch in range(2):
+        contents = [f"b{batch}q{i}" for i in range(20)]
+        reqs = [GenerationRequest(messages=({"role": "user", "content": c},)) for c in contents]
+        responses = generate_batch(backend, reqs, parallelism=2)
+        assert [r.text for r in responses] == contents
+    assert len(local_server.requests) == 40
+    assert 1 <= local_server.connections <= 2
+
+
+def test_http_backend_shares_idle_connections_between_threads(local_server, http_backend):
+    # Eight threads, switching as often as the interpreter allows: a lost
+    # update on the idle list would drop a connection or hand one to two
+    # threads at once, which garbles their exchanges.
+    local_server.default = _echo
+    backend = http_backend()
+    contents = [f"q{i}" for i in range(200)]
+    reqs = [GenerationRequest(messages=({"role": "user", "content": c},)) for c in contents]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        responses = generate_batch(backend, reqs, parallelism=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.text for r in responses] == contents
+    assert len(local_server.requests) == 200
+    assert len(backend._client._idle) == local_server.connections <= 8
+
+
+def test_http_backend_reconnects_to_a_dropped_connection_without_backoff(local_server, http_backend):
+    local_server.default = _echo
+    local_server.close_after_reply = True
+
+    def no_sleep(seconds):
+        raise AssertionError(f"backed off {seconds} s for a closed idle connection")
+
+    backend = http_backend(sleep=no_sleep)
+    for i in range(3):
+        resp = backend.generate(GenerationRequest(messages=({"role": "user", "content": f"q{i}"},)))
+        assert resp.text == f"q{i}"
+    # The server read no request on a connection it had closed.
+    assert [r["json"]["messages"][0]["content"] for r in local_server.requests] == ["q0", "q1", "q2"]
+    assert local_server.connections == 3
+
+
+def test_http_backend_sends_absolute_target_through_proxy(monkeypatch, local_server, http_backend):
+    proxy = local_server.url.replace("http://", "http://user:p%40ss@")
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    local_server.script = [(200, _ok_payload())]
+    resp = http_backend("http://chat.invalid:8080/v1/chat?v=2").generate(
+        GenerationRequest(messages=MESSAGES)
+    )
+    assert resp.text == "fine"
+    [call] = local_server.requests
+    assert call["path"] == "http://chat.invalid:8080/v1/chat?v=2"
+    assert call["headers"]["Host"] == "chat.invalid:8080"
+    assert call["headers"]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_http_backend_tunnels_https_through_proxy(monkeypatch, local_server, http_backend):
+    monkeypatch.setenv("HTTPS_PROXY", local_server.url.replace("http://", "http://user:p%40ss@"))
+    backend = http_backend("https://chat.invalid/v1/chat", max_retries=1)
+    # The local server is no TLS endpoint, so the handshake through the tunnel fails.
+    with pytest.raises(BackendUnavailable, match="network error"):
+        backend.generate(GenerationRequest(messages=MESSAGES))
+    [call] = local_server.requests
+    assert (call["method"], call["path"]) == ("CONNECT", "chat.invalid:443")
+    assert call["headers"]["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
 
 
 def test_scripted_mock_replays_script():
@@ -218,24 +304,14 @@ def test_generate_batch_preserves_order_and_wraps_errors():
     assert responses[1].error.startswith("BackendUnavailable")
 
 
-class BarrierSession(FakeSession):
-    """Answers only once `parties` requests are in flight at the same time."""
-
-    def __init__(self, parties):
-        super().__init__([])
-        self.barrier = threading.Barrier(parties, timeout=5)
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.barrier.wait()  # BrokenBarrierError, an error response, unless all arrive
-        return FakeResponse(payload=_ok_payload(text=json["messages"][-1]["content"]))
-
-
-def test_generate_batch_runs_parallelism_requests_at_once():
-    backend = HttpBackend("http://unit.test/v1/chat", session=BarrierSession(2))
+def test_generate_batch_runs_parallelism_requests_at_once(local_server, http_backend):
+    # The server answers only once two requests are in flight at the same time.
+    barrier = threading.Barrier(2, timeout=5)
+    local_server.default = lambda body: (barrier.wait(), _echo(body))[1]
     reqs = [
         GenerationRequest(messages=({"role": "user", "content": f"q{i}"},)) for i in range(4)
     ]
-    responses = generate_batch(backend, reqs, parallelism=2)
+    responses = generate_batch(http_backend(), reqs, parallelism=2)
     assert [r.error for r in responses] == [None] * 4
     assert [r.text for r in responses] == ["q0", "q1", "q2", "q3"]
 

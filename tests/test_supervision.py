@@ -8,6 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import DROP, closed_port
 
 from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl
@@ -419,56 +420,47 @@ def test_score_trajectory_wraps_probs():
     assert score.trajectory_prob == pytest.approx(math.prod(score.step_probs))
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
-
-
-class _FakeSession:
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def post(self, url, json=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def test_remote_scorer_round_trip():
+def test_remote_scorer_round_trip(local_server):
     problem, traj = _mc_fixture()
     probs = [0.9] * len(traj.steps)
-    session = _FakeSession([_FakeResponse(payload={"probs": probs})])
-    scorer = RemoteScorer("http://scorer.local/probs", session=session)
+    local_server.script = [(200, {"probs": probs})]
+    scorer = RemoteScorer(local_server.url + "/probs")
     assert scorer.step_probs(traj) == probs
-    sent = session.requests[0]["json"]
-    assert len(sent["steps"]) == len(traj.steps)
-    assert sent["steps"][0].startswith("Thought:")
+    scorer.close()
+    [call] = local_server.requests
+    assert call["path"] == "/probs"
+    assert len(call["json"]["steps"]) == len(traj.steps)
+    assert call["json"]["steps"][0].startswith("Thought:")
 
 
-def test_remote_scorer_failures():
-    import requests as requests_lib
-
+def test_remote_scorer_failures(local_server):
     problem, traj = _mc_fixture()
-    cases = [
-        _FakeResponse(status_code=503),
-        _FakeResponse(payload={"wrong": []}),
-        _FakeResponse(payload={"probs": [0.5]}),
-        _FakeResponse(payload=ValueError("not json")),
-        requests_lib.ConnectionError("down"),
+    rest = [0.5] * (len(traj.steps) - 1)
+    replies = [
+        (503, {}),
+        (200, {"wrong": []}),
+        (200, {"probs": [0.5]}),
+        (200, b"not json"),
+        DROP,
+        # Not a probability: a string, null, out of range, NaN, a JSON boolean.
+        (200, {"probs": ["x"] + rest}),
+        (200, {"probs": [None] + rest}),
+        (200, {"probs": [1.5] + rest}),
+        (200, {"probs": [-0.1] + rest}),
+        (200, ('{"probs": [NaN' + ", 0.5" * len(rest) + "]}").encode()),
+        (200, {"probs": [True] + rest}),
     ]
-    for outcome in cases:
-        scorer = RemoteScorer("http://scorer.local/probs", session=_FakeSession([outcome]))
+    for reply in replies:
+        # A new scorer each time, so a dropped request is not retried on a
+        # second connection.
+        local_server.script = [reply]
+        scorer = RemoteScorer(local_server.url + "/probs")
         with pytest.raises(ScorerUnavailable):
             scorer.step_probs(traj)
+        scorer.close()
+    assert len(local_server.requests) == len(replies)
+    with pytest.raises(ScorerUnavailable, match="request failed"):
+        RemoteScorer(f"http://127.0.0.1:{closed_port()}/probs").step_probs(traj)
 
 
 # ---------------------------------------------------------------------------
