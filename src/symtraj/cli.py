@@ -18,6 +18,7 @@ from .fol import clear_parse_cache
 from .jsonl import FormatError, read_jsonl, write_jsonl
 from .llm import (
     DEFAULT_MAX_TOKENS,
+    DEFAULT_PARALLELISM,
     DEFAULT_TEMPERATURE,
     DEFAULT_TIMEOUT_S,
     MAX_ATTEMPTS,
@@ -39,6 +40,7 @@ from .problems import (
     split_even,
 )
 from .rules import verify_trajectory
+from .semantics import DEFAULT_MAX_DOMAIN
 from .supervision import (
     DEFAULT_DPO_THRESHOLD,
     DEFAULT_K,
@@ -95,7 +97,7 @@ class ConfigError(ValueError):
 class PipelineConfig:
     backend_kind: str = "http"
     backend_options: dict = field(default_factory=dict)
-    parallelism: int = 4
+    parallelism: int = DEFAULT_PARALLELISM
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
     n_shots: int = 1
@@ -350,7 +352,7 @@ def cmd_score(args) -> int:
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     if args.scorer == "symbolic":
-        scorer = SymbolicScorer(problems, max_domain=_max_domain(args))
+        scorer = SymbolicScorer(max_domain=_max_domain(args))
     else:
         if not args.remote_url:
             raise ConfigError("--scorer remote needs --remote-url")
@@ -360,9 +362,9 @@ def cmd_score(args) -> int:
             raise ConfigError(f"--remote-url: {exc}") from None
     records = []
     try:
-        for _, traj in with_problems(trajectories, problems):
+        for problem, traj in with_problems(trajectories, problems):
             try:
-                records.append(prm_score_to_dict(score_trajectory(traj, scorer)))
+                records.append(prm_score_to_dict(score_trajectory(problem, traj, scorer)))
             except ScorerUnavailable as exc:
                 logger.warning("scoring %s failed: %s", traj.problem_id, exc)
     finally:
@@ -502,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="rule and semantic step verdicts")
     p.add_argument("--traces", required=True)
     p.add_argument("--problems", required=True)
-    p.add_argument("--max-domain", dest="max_domain", type=int, default=3)
+    p.add_argument("--max-domain", dest="max_domain", type=int, default=DEFAULT_MAX_DOMAIN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify)
 
@@ -511,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True)
     p.add_argument("--scorer", choices=("symbolic", "remote"), default="symbolic")
     p.add_argument("--remote-url", dest="remote_url", default=None)
-    p.add_argument("--max-domain", dest="max_domain", type=int, default=3)
+    p.add_argument("--max-domain", dest="max_domain", type=int, default=DEFAULT_MAX_DOMAIN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 

@@ -7,7 +7,7 @@ in_process = True computes its answers in this interpreter, so its requests
 run inline: threads would only hand the interpreter lock back and forth.
 
 JsonClient is the one HTTP client, shared by HttpBackend and the remote
-scorer; it uses the standard library alone.
+scorer, and holds their one retry policy; it uses the standard library alone.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_TEMPERATURE = 0.7
 DEFAULT_MAX_TOKENS = 1024
 DEFAULT_TIMEOUT_S = 60.0
+DEFAULT_PARALLELISM = 4
 RETRY_BASE_DELAY_S = 1.0
 RETRY_FACTOR = 2.0
 MAX_ATTEMPTS = 5
@@ -98,17 +99,24 @@ def prompt_key(messages) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-def _prompt_chars(messages) -> int:
-    return sum(len(m.get("content", "")) for m in messages)
+def check_prompt_length(messages, max_prompt_chars: int | None) -> int:
+    """The prompt's length in characters; PromptTooLong above max_prompt_chars, if set."""
+    chars = sum(len(m.get("content", "")) for m in messages)
+    if max_prompt_chars is not None and chars > max_prompt_chars:
+        raise PromptTooLong(f"prompt is {chars} chars, limit {max_prompt_chars}")
+    return chars
 
 
-def _truncate(text: str, max_tokens: int) -> tuple[str, str]:
+def _mock_reply(text: str, max_tokens: int, prompt_chars: int) -> GenerationResponse:
+    """A mock backend's answer: text cut after max_tokens words, word-count usage."""
     # Words stand in for tokens; good enough to exercise length handling.
     # The text is cut after the last kept word, so line breaks survive.
     words = list(re.finditer(r"\S+", text))
+    finish = "stop"
     if len(words) > max_tokens:
-        return text[: words[max_tokens - 1].end()], "length"
-    return text, "stop"
+        text, finish = text[: words[max_tokens - 1].end()], "length"
+    usage = Usage(prompt_tokens=prompt_chars // 4, completion_tokens=len(text.split()))
+    return GenerationResponse(text=text, finish_reason=finish, usage=usage)
 
 
 def check_retry_limits(max_retries: int, timeout_s: float) -> None:
@@ -123,6 +131,8 @@ def check_retry_limits(max_retries: int, timeout_s: float) -> None:
 class JsonClient:
     """POSTs JSON to one http(s) URL over kept-alive connections.
 
+    A 429, a 5xx or a network failure is retried with exponential backoff
+    (base 1 s, factor 2, jittered by 0.5-1.5) up to max_attempts attempts.
     Idle connections wait in a lock-guarded list, not one per thread, so they
     outlive any thread pool, and there are never more of them than requests
     that were in flight at once. The proxy environment (HTTP_PROXY,
@@ -132,12 +142,22 @@ class JsonClient:
     SSL_CERT_FILE).
     """
 
-    def __init__(self, url: str, timeout_s: float = DEFAULT_TIMEOUT_S):
+    def __init__(
+        self,
+        url: str,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
+        max_attempts: int = MAX_ATTEMPTS,
+        sleep=time.sleep,
+        rng: random.Random | None = None,
+    ):
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"not an http or https URL: {url!r}")
         self.url = url
         self._timeout_s = timeout_s
+        self._max_attempts = max_attempts
+        self._sleep = sleep
+        self._rng = rng if rng is not None else random.Random()
         https = parts.scheme == "https"
         self._context = ssl.create_default_context() if https else None
         # An explicit port: http.client would read one off a bare IPv6 host.
@@ -165,15 +185,35 @@ class JsonClient:
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
 
-    def post(self, body, headers: dict | None = None) -> tuple[int, bytes]:
-        """Send body as JSON; return the status and the raw response body.
+    def post(self, body, headers: dict | None = None) -> bytes:
+        """Send body as JSON; return the body of the 200 reply.
 
-        Raises one of NETWORK_ERRORS when no answer arrives. A kept-alive
-        connection that the server has closed meanwhile is reconnected once,
-        at once.
+        Raises BackendUnavailable at once on a status other than 429 or 5xx,
+        else once max_attempts attempts have failed. A kept-alive connection
+        that the server closed meanwhile is reopened at once, at no attempt.
         """
         payload = json.dumps(body, allow_nan=False).encode("utf-8")
         headers = {**self._headers, **headers} if headers else self._headers
+        last_failure = "no attempt made"
+        for attempt in range(self._max_attempts):
+            if attempt:
+                delay = RETRY_BASE_DELAY_S * RETRY_FACTOR ** (attempt - 1)
+                self._sleep(delay * self._rng.uniform(0.5, 1.5))
+            try:
+                status, data = self._send(payload, headers)
+            except NETWORK_ERRORS as exc:
+                last_failure = f"network error: {type(exc).__name__}: {exc}"
+            else:
+                if status == 200:
+                    return data
+                if status != 429 and not 500 <= status < 600:
+                    raise BackendUnavailable(f"HTTP {status} from {self.url}")
+                last_failure = f"HTTP {status}"
+            logger.warning("attempt %d failed: %s", attempt + 1, last_failure)
+        raise BackendUnavailable(f"giving up after {self._max_attempts} attempts: {last_failure}")
+
+    def _send(self, payload: bytes, headers: dict) -> tuple[int, bytes]:
+        # One attempt: the status and raw body, or one of NETWORK_ERRORS.
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is None:
@@ -220,10 +260,9 @@ class HttpBackend:
     """Chat-completions client: POST {model, messages, temperature, max_tokens, seed}
     to base_url, the whole endpoint URL (nothing is appended to it).
 
-    Retries 429/5xx/network failures with exponential backoff (base 1s,
-    factor 2, up to 5 attempts, jittered). The API key is read from the
-    environment variable named by api_key_env at request time and is never
-    logged.
+    Requests are retried as JsonClient retries them, up to max_retries
+    attempts. The API key is read from the environment variable named by
+    api_key_env at request time and is never logged.
     """
 
     in_process = False
@@ -240,24 +279,17 @@ class HttpBackend:
         rng: random.Random | None = None,
     ):
         check_retry_limits(max_retries, timeout_s)
-        self.base_url = base_url
         self.model = model
         self.timeout_s = timeout_s
-        self.max_retries = max_retries
         self.max_prompt_chars = max_prompt_chars
         self.api_key_env = api_key_env
-        self._client = JsonClient(base_url, timeout_s)
-        self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
+        self._client = JsonClient(base_url, timeout_s, max_retries, sleep, rng)
 
     def close(self) -> None:
         self._client.close()
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        if self.max_prompt_chars is not None and _prompt_chars(req.messages) > self.max_prompt_chars:
-            raise PromptTooLong(
-                f"prompt is {_prompt_chars(req.messages)} chars, limit {self.max_prompt_chars}"
-            )
+        check_prompt_length(req.messages, self.max_prompt_chars)
         body = {
             "model": req.model or self.model,
             "messages": list(req.messages),
@@ -268,28 +300,8 @@ class HttpBackend:
         api_key = os.environ.get(self.api_key_env) if self.api_key_env else None
         headers = {"Authorization": f"Bearer {api_key}"} if api_key else None
         start = time.perf_counter()
-        last_failure = "no attempt made"
-        for attempt in range(self.max_retries):
-            if attempt:
-                delay = RETRY_BASE_DELAY_S * RETRY_FACTOR ** (attempt - 1)
-                self._sleep(delay * self._rng.uniform(0.5, 1.5))
-            try:
-                status, data = self._client.post(body, headers)
-            except NETWORK_ERRORS as exc:
-                last_failure = f"network error: {type(exc).__name__}: {exc}"
-                logger.warning("attempt %d failed: %s", attempt + 1, last_failure)
-                continue
-            if status == 429 or 500 <= status < 600:
-                last_failure = f"HTTP {status}"
-                logger.warning("attempt %d failed: %s", attempt + 1, last_failure)
-                continue
-            if status != 200:
-                raise BackendUnavailable(f"HTTP {status} from {self.base_url}")
-            latency_ms = int((time.perf_counter() - start) * 1000)
-            return self._parse(data, latency_ms)
-        raise BackendUnavailable(f"giving up after {self.max_retries} attempts: {last_failure}")
-
-    def _parse(self, raw: bytes, latency_ms: int) -> GenerationResponse:
+        raw = self._client.post(body, headers)
+        latency_ms = int((time.perf_counter() - start) * 1000)
         try:
             data = json.loads(raw)
         except ValueError as exc:
@@ -337,22 +349,15 @@ class ScriptedMockBackend:
         self.max_prompt_chars = max_prompt_chars
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        chars = _prompt_chars(req.messages)
-        if self.max_prompt_chars is not None and chars > self.max_prompt_chars:
-            raise PromptTooLong(f"prompt is {chars} chars, limit {self.max_prompt_chars}")
+        chars = check_prompt_length(req.messages, self.max_prompt_chars)
         key = prompt_key(req.messages)
         text = self.script.get(key, self.default_text)
         if text is None:
             raise BackendUnavailable(f"no scripted response for prompt {key[:12]}")
-        text, finish = _truncate(text, req.max_tokens)
-        return GenerationResponse(
-            text=text,
-            finish_reason=finish,
-            usage=Usage(prompt_tokens=chars // 4, completion_tokens=len(text.split())),
-        )
+        return _mock_reply(text, req.max_tokens, chars)
 
 
-def generate_batch(backend, reqs, parallelism: int = 4) -> list[GenerationResponse]:
+def generate_batch(backend, reqs, parallelism: int = DEFAULT_PARALLELISM) -> list[GenerationResponse]:
     """Run requests through the backend, at most `parallelism` in flight
     (one at a time, in the calling thread, for an in-process backend).
 

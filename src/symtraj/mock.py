@@ -18,10 +18,8 @@ from .llm import (
     BackendUnavailable,
     GenerationRequest,
     GenerationResponse,
-    PromptTooLong,
-    Usage,
-    _prompt_chars,
-    _truncate,
+    _mock_reply,
+    check_prompt_length,
     prompt_key,
 )
 from .problems import Problem
@@ -83,9 +81,7 @@ class OracleMockBackend:
         return best[1]
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
-        chars = _prompt_chars(req.messages)
-        if self.max_prompt_chars is not None and chars > self.max_prompt_chars:
-            raise PromptTooLong(f"prompt is {chars} chars, limit {self.max_prompt_chars}")
+        chars = check_prompt_length(req.messages, self.max_prompt_chars)
         user_text = "\n".join(m.get("content", "") for m in req.messages)
         problem = self._match_problem(user_text)
         rng = random.Random(f"{self.seed}|{req.seed}|{prompt_key(req.messages)}|{req.temperature}")
@@ -94,12 +90,7 @@ class OracleMockBackend:
             text = self._completion_text(problem, answer)
         else:
             text = self._trajectory_text(problem, rng, answer)
-        text, finish = _truncate(text, req.max_tokens)
-        return GenerationResponse(
-            text=text,
-            finish_reason=finish,
-            usage=Usage(prompt_tokens=chars // 4, completion_tokens=len(text.split())),
-        )
+        return _mock_reply(text, req.max_tokens, chars)
 
     def _conclusion(self, problem: Problem) -> Formula | None:
         meta = problem.meta

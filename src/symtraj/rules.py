@@ -29,7 +29,7 @@ from .fol import (
     Term,
     substitute,
 )
-from .semantics import BudgetExceeded, Label, entails
+from .semantics import DEFAULT_MAX_DOMAIN, BudgetExceeded, Label, entails
 from .trajectory import StepKind
 
 
@@ -257,7 +257,7 @@ def verify_step(
     context,
     claimed: Formula,
     hint: Rule | None = None,
-    max_domain: int = 3,
+    max_domain: int = DEFAULT_MAX_DOMAIN,
 ) -> StepVerdict:
     """Justify one claimed formula against the context.
 
@@ -365,7 +365,7 @@ def _is_signature_stub(f: Formula) -> bool:
     )
 
 
-def verify_trajectory(problem, traj, max_domain: int = 3) -> list[StepVerdict]:
+def verify_trajectory(problem, traj, max_domain: int = DEFAULT_MAX_DOMAIN) -> list[StepVerdict]:
     """One StepVerdict per step.
 
     The working context starts from the problem's premise formulas.

@@ -40,6 +40,8 @@ from .fol import (
     free_vars,
 )
 
+DEFAULT_MAX_DOMAIN = 3
+
 
 class Label(enum.Enum):
     TRUE = "True"
@@ -395,7 +397,7 @@ def entails(
     sig = collect_signature([*premises, hypothesis])
     const_names = sorted(sig.constants)
     if max_domain is None:
-        max_domain = max(3, len(const_names))
+        max_domain = max(DEFAULT_MAX_DOMAIN, len(const_names))
     if max_domain < 1:
         raise ValueError(f"max_domain must be at least 1, got {max_domain}")
 

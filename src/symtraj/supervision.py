@@ -17,10 +17,19 @@ import math
 from dataclasses import dataclass, fields
 
 from .jsonl import write_jsonl
-from .llm import NETWORK_ERRORS, GenerationRequest, JsonClient, generate_batch, prompt_key
+from .llm import (
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_PARALLELISM,
+    DEFAULT_TEMPERATURE,
+    BackendUnavailable,
+    GenerationRequest,
+    JsonClient,
+    generate_batch,
+    prompt_key,
+)
 from .problems import Problem
 from .rules import VerdictStatus, verify_trajectory
-from .semantics import Label
+from .semantics import DEFAULT_MAX_DOMAIN, Label
 from .trajectory import (
     Trajectory,
     _final_answer,
@@ -176,9 +185,9 @@ def mc_label_all(
     backend,
     n_samples: int = DEFAULT_N_SAMPLES,
     k: int = DEFAULT_K,
-    temperature: float = 0.7,
-    max_tokens: int = 512,
-    parallelism: int = 4,
+    temperature: float = DEFAULT_TEMPERATURE,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
+    parallelism: int = DEFAULT_PARALLELISM,
     n_shots: int = 1,
 ) -> list[list[StepLabel]]:
     """StepLabels for each (problem, trajectory) of items, one list per item.
@@ -279,36 +288,23 @@ def prm_loss(labels, scores: PrmScore) -> float:
 class SymbolicScorer:
     """Step probabilities from the rule verifier's verdicts."""
 
-    def __init__(self, problems, max_domain: int = 3):
-        self._by_id = {p.id: p for p in problems}
+    def __init__(self, max_domain: int = DEFAULT_MAX_DOMAIN):
         self.max_domain = max_domain
 
-    def step_probs(self, traj: Trajectory) -> list[float]:
-        problem = self._by_id.get(traj.problem_id)
-        if problem is None:
-            raise ScorerUnavailable(f"no problem on record for {traj.problem_id!r}")
+    def step_probs(self, problem: Problem, traj: Trajectory) -> list[float]:
         verdicts = verify_trajectory(problem, traj, max_domain=self.max_domain)
         return [VERDICT_PROBS[v.status] for v in verdicts]
 
 
-class RemoteScorer:
+class RemoteScorer(JsonClient):
     """Step probabilities from an HTTP service: POST {steps:[...]} -> {probs:[...]}."""
 
-    def __init__(self, url: str):
-        self.url = url
-        self._client = JsonClient(url)
-
-    def close(self) -> None:
-        self._client.close()
-
-    def step_probs(self, traj: Trajectory) -> list[float]:
+    def step_probs(self, problem: Problem, traj: Trajectory) -> list[float]:
         payload = {"steps": [render_step(s) for s in traj.steps]}
         try:
-            status, raw = self._client.post(payload)
-        except NETWORK_ERRORS as exc:
+            raw = self.post(payload)
+        except BackendUnavailable as exc:
             raise ScorerUnavailable(f"scorer request failed: {exc}") from exc
-        if status != 200:
-            raise ScorerUnavailable(f"scorer answered HTTP {status}")
         try:
             probs = json.loads(raw)["probs"]
         except (ValueError, KeyError, TypeError) as exc:
@@ -322,10 +318,10 @@ class RemoteScorer:
         return [float(p) for p in probs]
 
 
-def score_trajectory(traj: Trajectory, scorer) -> PrmScore:
+def score_trajectory(problem: Problem, traj: Trajectory, scorer) -> PrmScore:
     return PrmScore(
         trajectory_id=trajectory_id_of(traj),
-        step_probs=tuple(scorer.step_probs(traj)),
+        step_probs=tuple(scorer.step_probs(problem, traj)),
         problem_id=traj.problem_id,
     )
 

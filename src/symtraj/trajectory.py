@@ -81,7 +81,7 @@ def _prose_artifact(f: Formula, source: str) -> bool:
     return any(isinstance(g, Pred) and not g.args for g in subformulas(f))
 
 
-def extract_formulas(text: str, variables: frozenset = frozenset()) -> tuple[Formula, ...]:
+def extract_formulas(text: str) -> tuple[Formula, ...]:
     """Formulas found in free-form text.
 
     Each line is tried whole first; otherwise likely start points (quantifier
@@ -100,7 +100,7 @@ def extract_formulas(text: str, variables: frozenset = frozenset()) -> tuple[For
         if not line:
             continue
         try:
-            whole = parse_formula(line, variables)
+            whole = parse_formula(line)
         except FormulaSyntaxError:
             whole = None
         if whole is not None:
@@ -113,7 +113,7 @@ def extract_formulas(text: str, variables: frozenset = frozenset()) -> tuple[For
             if m is None:
                 break
             try:
-                formula, consumed = parse_prefix(line[m.start() :], variables)
+                formula, consumed = parse_prefix(line[m.start() :])
             except FormulaSyntaxError:
                 pos = m.start() + 1
                 continue
@@ -151,7 +151,7 @@ def _final_answer(text: str) -> Label | None:
     return Label.from_text(word.group(1))
 
 
-def _marker_steps(text: str, matches, variables) -> list[Step]:
+def _marker_steps(text: str, matches) -> list[Step]:
     steps: list[Step] = []
     pre = text[: matches[0].start()].strip()
     if pre:
@@ -160,12 +160,12 @@ def _marker_steps(text: str, matches, variables) -> list[Step]:
         end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
         body = text[m.end() : end].strip()
         kind = StepKind[m.group(1).upper()]
-        formulas = extract_formulas(body, variables) if kind is StepKind.OBSERVATION else ()
+        formulas = extract_formulas(body) if kind is StepKind.OBSERVATION else ()
         steps.append(Step(kind, body, formulas))
     return steps
 
 
-def _numbered_steps(text: str, variables) -> list[Step]:
+def _numbered_steps(text: str) -> list[Step]:
     steps: list[Step] = []
     preamble: list[str] = []
     current: list[str] | None = None
@@ -174,7 +174,7 @@ def _numbered_steps(text: str, variables) -> list[Step]:
         if current:
             body = "\n".join(current).strip()
             if body:
-                steps.append(Step(StepKind.THOUGHT, body, extract_formulas(body, variables)))
+                steps.append(Step(StepKind.THOUGHT, body, extract_formulas(body)))
 
     for line in text.splitlines():
         if _NUMBERED_RE.match(line):
@@ -193,7 +193,6 @@ def _numbered_steps(text: str, variables) -> list[Step]:
 def parse_trajectory(
     raw: str,
     problem_id: str = "",
-    variables: frozenset = frozenset(),
     generator: str = "",
     seed_meta: dict | None = None,
 ) -> Trajectory:
@@ -205,9 +204,9 @@ def parse_trajectory(
     answer = _final_answer(raw)
     matches = list(_MARKER_RE.finditer(raw))
     if matches:
-        steps = _marker_steps(raw, matches, variables)
+        steps = _marker_steps(raw, matches)
     elif any(_NUMBERED_RE.match(line) for line in raw.splitlines()):
-        steps = _numbered_steps(raw, variables)
+        steps = _numbered_steps(raw)
     elif answer is not None or _FINISH_RE.search(raw):
         steps = [Step(StepKind.THOUGHT, raw.strip())]
     else:

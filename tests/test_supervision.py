@@ -13,6 +13,9 @@ from conftest import DROP, closed_port
 from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl
 from symtraj.llm import (
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_TEMPERATURE,
+    MAX_ATTEMPTS,
     GenerationResponse,
     PromptTooLong,
     ScriptedMockBackend,
@@ -311,7 +314,7 @@ def test_mc_label_all_resends_a_failed_request_for_a_later_trajectory():
     problem, trajs = _dedup_fixture()
     traj, twin = trajs[:2]
     messages = build_completion_prompt(problem, traj, 2).to_messages()
-    flaky = (prompt_key(messages), 1, 0.7, 512, "")
+    flaky = (prompt_key(messages), 1, DEFAULT_TEMPERATURE, DEFAULT_MAX_TOKENS, "")
     backend = RecordingBackend(fail_once={flaky})
     first, second = mc_label_all([(problem, traj), (problem, twin)], backend, n_samples=3)
     assert first[1].completions == (("True", True), (None, False), ("True", True))
@@ -397,27 +400,26 @@ def test_prm_loss_length_mismatch():
 
 def test_symbolic_scorer_probabilities():
     problem, traj = _mc_fixture()
-    scorer = SymbolicScorer([problem])
-    probs = scorer.step_probs(traj)
+    probs = SymbolicScorer().step_probs(problem, traj)
     assert len(probs) == len(traj.steps)
     assert all(p in (0.99, 0.90, 0.50, 0.01) for p in probs)
     # The fixture derivation is clean: nothing below the semantic tier.
     assert all(p >= 0.90 for p in probs)
 
 
-def test_symbolic_scorer_unknown_problem():
-    problem, traj = _mc_fixture()
-    scorer = SymbolicScorer([problem])
-    stray = parse_trajectory(MC_TRACE, problem_id="nobody-home")
-    with pytest.raises(ScorerUnavailable):
-        scorer.step_probs(stray)
-
-
 def test_score_trajectory_wraps_probs():
     problem, traj = _mc_fixture()
-    score = score_trajectory(traj, SymbolicScorer([problem]))
+    score = score_trajectory(problem, traj, SymbolicScorer())
     assert score.trajectory_id == trajectory_id_of(traj)
     assert score.trajectory_prob == pytest.approx(math.prod(score.step_probs))
+
+
+def _remote_scorer(url):
+    """A RemoteScorer that records its backoff sleeps instead of sleeping."""
+    sleeps = []
+    scorer = RemoteScorer(url, sleep=sleeps.append, rng=random.Random(0))
+    scorer.sleeps = sleeps
+    return scorer
 
 
 def test_remote_scorer_round_trip(local_server):
@@ -425,7 +427,7 @@ def test_remote_scorer_round_trip(local_server):
     probs = [0.9] * len(traj.steps)
     local_server.script = [(200, {"probs": probs})]
     scorer = RemoteScorer(local_server.url + "/probs")
-    assert scorer.step_probs(traj) == probs
+    assert scorer.step_probs(problem, traj) == probs
     scorer.close()
     [call] = local_server.requests
     assert call["path"] == "/probs"
@@ -433,34 +435,72 @@ def test_remote_scorer_round_trip(local_server):
     assert call["json"]["steps"][0].startswith("Thought:")
 
 
+def test_remote_scorer_retries_a_503_then_scores(local_server):
+    problem, traj = _mc_fixture()
+    probs = [0.9] * len(traj.steps)
+    # The 503 announces Connection: close, so the dropped request that
+    # follows goes out on a fresh connection and counts as a network error.
+    local_server.script = [(503, {}, "close"), DROP, (200, {"probs": probs})]
+    scorer = _remote_scorer(local_server.url + "/probs")
+    assert scorer.step_probs(problem, traj) == probs
+    scorer.close()
+    assert len(local_server.requests) == 3
+    assert len(scorer.sleeps) == 2
+
+
+def test_remote_scorer_gives_up_after_max_attempts(local_server):
+    problem, traj = _mc_fixture()
+    local_server.script = [(503, {})] * MAX_ATTEMPTS
+    scorer = _remote_scorer(local_server.url + "/probs")
+    with pytest.raises(ScorerUnavailable, match=f"giving up after {MAX_ATTEMPTS} attempts: HTTP 503"):
+        scorer.step_probs(problem, traj)
+    scorer.close()
+    assert len(local_server.requests) == MAX_ATTEMPTS
+    assert len(scorer.sleeps) == MAX_ATTEMPTS - 1
+    # A refused connection is retried like any other network error.
+    scorer = _remote_scorer(f"http://127.0.0.1:{closed_port()}/probs")
+    with pytest.raises(ScorerUnavailable, match="request failed: .*network error"):
+        scorer.step_probs(problem, traj)
+    assert len(scorer.sleeps) == MAX_ATTEMPTS - 1
+
+
+def test_remote_scorer_does_not_retry_a_client_error(local_server):
+    problem, traj = _mc_fixture()
+    local_server.script = [(404, {})]
+    scorer = _remote_scorer(local_server.url + "/probs")
+    with pytest.raises(ScorerUnavailable, match="HTTP 404"):
+        scorer.step_probs(problem, traj)
+    scorer.close()
+    assert len(local_server.requests) == 1
+    assert scorer.sleeps == []
+
+
 def test_remote_scorer_failures(local_server):
     problem, traj = _mc_fixture()
     rest = [0.5] * (len(traj.steps) - 1)
     replies = [
-        (503, {}),
-        (200, {"wrong": []}),
-        (200, {"probs": [0.5]}),
-        (200, b"not json"),
-        DROP,
+        [(200, {"wrong": []})],
+        [(200, {"probs": [0.5]})],
+        [(200, b"not json")],
+        [DROP] * MAX_ATTEMPTS,
         # Not a probability: a string, null, out of range, NaN, a JSON boolean.
-        (200, {"probs": ["x"] + rest}),
-        (200, {"probs": [None] + rest}),
-        (200, {"probs": [1.5] + rest}),
-        (200, {"probs": [-0.1] + rest}),
-        (200, ('{"probs": [NaN' + ", 0.5" * len(rest) + "]}").encode()),
-        (200, {"probs": [True] + rest}),
+        [(200, {"probs": ["x"] + rest})],
+        [(200, {"probs": [None] + rest})],
+        [(200, {"probs": [1.5] + rest})],
+        [(200, {"probs": [-0.1] + rest})],
+        [(200, ('{"probs": [NaN' + ", 0.5" * len(rest) + "]}").encode())],
+        [(200, {"probs": [True] + rest})],
     ]
-    for reply in replies:
-        # A new scorer each time, so a dropped request is not retried on a
-        # second connection.
-        local_server.script = [reply]
-        scorer = RemoteScorer(local_server.url + "/probs")
+    for script in replies:
+        # A new scorer each time, so no request goes out on a connection kept
+        # from the last reply, where a drop would pass for a closed idle one.
+        local_server.script = list(script)
+        scorer = _remote_scorer(local_server.url + "/probs")
         with pytest.raises(ScorerUnavailable):
-            scorer.step_probs(traj)
+            scorer.step_probs(problem, traj)
         scorer.close()
-    assert len(local_server.requests) == len(replies)
-    with pytest.raises(ScorerUnavailable, match="request failed"):
-        RemoteScorer(f"http://127.0.0.1:{closed_port()}/probs").step_probs(traj)
+        assert local_server.script == []
+    assert len(local_server.requests) == sum(map(len, replies))
 
 
 # ---------------------------------------------------------------------------
