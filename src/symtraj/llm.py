@@ -313,9 +313,7 @@ class HttpBackend:
             raise MalformedResponse(f"missing choices[0].message.content: {exc}") from exc
         if not isinstance(text, str) or not text:
             raise MalformedResponse("empty or non-string completion text")
-        finish = choice.get("finish_reason", "stop")
-        if finish not in ("stop", "length"):
-            finish = "stop"
+        finish = "length" if choice.get("finish_reason") == "length" else "stop"
         usage = data.get("usage") or {}  # some endpoints send "usage": null
         return GenerationResponse(
             text=text,

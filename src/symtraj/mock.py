@@ -14,14 +14,7 @@ import os
 import random
 
 from .fol import And, Constant, Exists, Formula, Implies, Not, Or, Pred, Variable, print_formula
-from .llm import (
-    BackendUnavailable,
-    GenerationRequest,
-    GenerationResponse,
-    _mock_reply,
-    check_prompt_length,
-    prompt_key,
-)
+from .llm import BackendUnavailable, GenerationRequest, GenerationResponse, _mock_reply, check_prompt_length, prompt_key
 from .problems import Problem
 from .semantics import Label
 from .trajectory import CONTINUATION_REQUEST, build_sampling_prompt

@@ -14,6 +14,7 @@ import itertools
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass, fields
 
 from .jsonl import write_jsonl
@@ -296,13 +297,20 @@ class SymbolicScorer:
         return [VERDICT_PROBS[v.status] for v in verdicts]
 
 
-class RemoteScorer(JsonClient):
+class RemoteScorer:
     """Step probabilities from an HTTP service: POST {steps:[...]} -> {probs:[...]}."""
+
+    def __init__(self, url: str, sleep=time.sleep, rng=None):
+        # Test hooks for the client's backoff; its timeout and attempt limit are fixed.
+        self._client = JsonClient(url, sleep=sleep, rng=rng)
+
+    def close(self) -> None:
+        self._client.close()
 
     def step_probs(self, problem: Problem, traj: Trajectory) -> list[float]:
         payload = {"steps": [render_step(s) for s in traj.steps]}
         try:
-            raw = self.post(payload)
+            raw = self._client.post(payload)
         except BackendUnavailable as exc:
             raise ScorerUnavailable(f"scorer request failed: {exc}") from exc
         try:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import functools
 import json
 import logging
 import os
@@ -22,9 +23,10 @@ from symtraj.cli import (
 )
 from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl, write_jsonl
+from symtraj.llm import MAX_ATTEMPTS
 from symtraj.problems import Problem, Statement, load_problems
 from symtraj.semantics import Label
-from symtraj.supervision import mc_label, step_label_to_dict
+from symtraj.supervision import RemoteScorer, mc_label, step_label_to_dict
 from symtraj.trajectory import parse_trajectory, trajectory_from_dict
 
 
@@ -688,18 +690,31 @@ def test_remote_scorer_ignores_max_domain(artifacts, tmp_path, capsys):
     _fails_with_one_config_line(argv + ["--scorer", "remote", "--max-domain", "0"], capsys, "--remote-url")
 
 
-def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(artifacts, tmp_path, local_server, caplog):
+def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(
+    artifacts, tmp_path, local_server, caplog, monkeypatch
+):
     traces = read_jsonl(artifacts["traces"])
     reply = lambda probs: (200, {"probs": probs})  # noqa: E731
-    # The first trace gets an answer that is not a probability; the rest get 0.5s.
-    local_server.script = [reply(["x"] * len(traces[0]["steps"]))]
     local_server.default = lambda body: reply([0.5] * len(body["steps"]))
+    # Record the backoff sleeps instead of sleeping through them.
+    sleeps = []
+    monkeypatch.setattr(cli, "RemoteScorer", functools.partial(RemoteScorer, sleep=sleeps.append))
     out = tmp_path / "scores.jsonl"
-    argv = _argv("score", dict(artifacts, out=str(out)))
-    with caplog.at_level(logging.WARNING):
-        assert main(argv + ["--scorer", "remote", "--remote-url", local_server.url]) == 0
-    assert len(read_jsonl(out)) == len(traces) - 1
-    assert "not a probability" in caplog.text
+    argv = _argv("score", dict(artifacts, out=str(out))) + ["--scorer", "remote", "--remote-url", local_server.url]
+    # The first trace gets an answer that is not a probability, or only 503s;
+    # the rest get 0.5s.
+    for script, warning in (
+        ([reply(["x"] * len(traces[0]["steps"]))], "not a probability"),
+        ([(503, {})] * MAX_ATTEMPTS, f"scorer request failed: giving up after {MAX_ATTEMPTS} attempts"),
+    ):
+        local_server.script = script
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert main(argv) == 0
+        assert local_server.script == []
+        assert len(read_jsonl(out)) == len(traces) - 1
+        assert warning in caplog.text
+    assert len(sleeps) == MAX_ATTEMPTS - 1
 
 
 def test_remote_url_that_is_not_http_is_a_config_error(artifacts, tmp_path, capsys):
