@@ -40,7 +40,6 @@ from .problems import (
     split_even,
 )
 from .rules import verify_trajectory
-from .semantics import DEFAULT_MAX_DOMAIN
 from .supervision import (
     DEFAULT_DPO_THRESHOLD,
     DEFAULT_K,
@@ -219,6 +218,11 @@ def _parse_lengths(text: str) -> list[int]:
     return lengths
 
 
+def _check_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -226,6 +230,7 @@ def _parse_lengths(text: str) -> list[int]:
 
 def cmd_gen_problems(args) -> int:
     lengths = _parse_lengths(args.lengths)
+    _check_count("--count", args.count)
     problems = generate_logicasker(args.count, lengths, seed=args.seed)
     if args.no_split:
         ordered = problems
@@ -240,6 +245,7 @@ def cmd_gen_problems(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _check_count("--n", args.n)
     cfg = _overlay_flags(load_config(args.backend), args)
     problems = load_problems(args.problems, format=args.format)
     backend = build_backend(cfg, problems)
@@ -319,20 +325,13 @@ def cmd_label(args) -> int:
     return 0
 
 
-def _max_domain(args) -> int:
-    if args.max_domain < 1:
-        raise ConfigError(f"--max-domain must be at least 1, got {args.max_domain}")
-    return args.max_domain
-
-
 def cmd_verify(args) -> int:
-    max_domain = _max_domain(args)
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     records = []
     for problem, traj in with_problems(trajectories, problems):
         tid = trajectory_id_of(traj)
-        for i, verdict in enumerate(verify_trajectory(problem, traj, max_domain=max_domain)):
+        for i, verdict in enumerate(verify_trajectory(problem, traj)):
             records.append(
                 {
                     "problem_id": problem.id,
@@ -352,7 +351,7 @@ def cmd_score(args) -> int:
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     if args.scorer == "symbolic":
-        scorer = SymbolicScorer(max_domain=_max_domain(args))
+        scorer = SymbolicScorer()
     else:
         if not args.remote_url:
             raise ConfigError("--scorer remote needs --remote-url")
@@ -366,7 +365,7 @@ def cmd_score(args) -> int:
             try:
                 records.append(prm_score_to_dict(score_trajectory(problem, traj, scorer)))
             except ScorerUnavailable as exc:
-                logger.warning("scoring %s failed: %s", traj.problem_id, exc)
+                logger.warning("scoring %s failed: %s", trajectory_id_of(traj), exc)
     finally:
         _close(scorer)
     write_jsonl(args.out, records)
@@ -504,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="rule and semantic step verdicts")
     p.add_argument("--traces", required=True)
     p.add_argument("--problems", required=True)
-    p.add_argument("--max-domain", dest="max_domain", type=int, default=DEFAULT_MAX_DOMAIN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify)
 
@@ -513,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True)
     p.add_argument("--scorer", choices=("symbolic", "remote"), default="symbolic")
     p.add_argument("--remote-url", dest="remote_url", default=None)
-    p.add_argument("--max-domain", dest="max_domain", type=int, default=DEFAULT_MAX_DOMAIN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 

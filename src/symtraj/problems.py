@@ -29,7 +29,7 @@ from .fol import (
     print_formula,
 )
 from .jsonl import FormatError, read_jsonl, write_jsonl
-from .semantics import DEFAULT_MAX_DOMAIN, Label, entails
+from .semantics import Label, entails
 
 SOURCES = ("folio", "logicasker", "custom")
 
@@ -234,7 +234,7 @@ def generate_logicasker(count_per_length: int, lengths, seed: int = 0) -> list[P
             shape = SHAPES[idx % 3]
             for _ in range(MAX_ATTEMPTS_PER_PROBLEM):
                 premises, hypothesis, meta = _build_candidate(rng, length, shape, label)
-                verdict = entails([s.formula for s in premises], hypothesis.formula, DEFAULT_MAX_DOMAIN)
+                verdict = entails([s.formula for s in premises], hypothesis.formula)
                 if verdict.result is label and not verdict.unsatisfiable_premises:
                     break
             else:

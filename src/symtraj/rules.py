@@ -3,8 +3,9 @@
 Each rule is a syntactic schema over at most two premise formulas, defined
 once as a lookup from the claimed formula to the context entries that justify
 it. verify_step first tries to justify a claimed formula by one rule
-application and only then falls back to the finite-model oracle, so a verdict
-says how a step was justified, not merely whether it holds.
+application and only then falls back to the finite-model oracle (exact when
+the context has no ∃ under a ∀, bounded otherwise), so a verdict says how a
+step was justified, not merely whether it holds.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .fol import (
     Term,
     substitute,
 )
-from .semantics import DEFAULT_MAX_DOMAIN, BudgetExceeded, Label, entails
+from .semantics import BudgetExceeded, Label, entails
 from .trajectory import StepKind
 
 
@@ -246,26 +247,17 @@ _RULES = {
 }
 
 
-def _check_max_domain(max_domain: int) -> None:
-    # Checked here, not left to entails: verify_step reports an oracle
-    # ValueError as an INVALID step, which would hide the bad setting.
-    if max_domain < 1:
-        raise ValueError(f"max_domain must be at least 1, got {max_domain}")
-
-
 def verify_step(
     context,
     claimed: Formula,
     hint: Rule | None = None,
-    max_domain: int = DEFAULT_MAX_DOMAIN,
 ) -> StepVerdict:
     """Justify one claimed formula against the context.
 
     Tries one application of each rule (the hinted rule first when given,
-    then the others in catalog order), then the finite-model oracle.
-    Raises ValueError for max_domain below 1.
+    then the others in catalog order), then the finite-model oracle, whose
+    note names the domain size it grounded and whether the check was exact.
     """
-    _check_max_domain(max_domain)
     known: dict[Formula, int] = {}
     for f in context:
         known.setdefault(f, len(known))
@@ -276,13 +268,14 @@ def verify_step(
         if app is not None:
             return StepVerdict(VerdictStatus.VERIFIED_BY_RULE, rule=app, note=rule.value)
     try:
-        verdict = entails(list(known), claimed, max_domain)
+        verdict = entails(list(known), claimed)
     except (BudgetExceeded, ArityConflict, ValueError) as exc:
         return StepVerdict(VerdictStatus.INVALID, note=f"semantic check failed: {exc}")
     if verdict.result is Label.TRUE:
+        kind = "exact" if verdict.exact else "bounded"
         return StepVerdict(
             VerdictStatus.VERIFIED_SEMANTICALLY,
-            note=f"entailed under finite-model check (max_domain={max_domain})",
+            note=f"entailed under finite-model check (domain size {verdict.domain_size}, {kind})",
         )
     return StepVerdict(VerdictStatus.INVALID, note=f"not entailed by the context ({verdict.result})")
 
@@ -365,17 +358,15 @@ def _is_signature_stub(f: Formula) -> bool:
     )
 
 
-def verify_trajectory(problem, traj, max_domain: int = DEFAULT_MAX_DOMAIN) -> list[StepVerdict]:
+def verify_trajectory(problem, traj) -> list[StepVerdict]:
     """One StepVerdict per step.
 
     The working context starts from the problem's premise formulas.
     Observations after formalization-style actions are syntax-checked only;
     later Observation formulas are justified one by one (each earlier line of
     the same observation is visible to the next) and then join the context.
-    Thought and Action steps get neutral verdicts. Raises ValueError for
-    max_domain below 1.
+    Thought and Action steps get neutral verdicts.
     """
-    _check_max_domain(max_domain)
     context: list[Formula] = [s.formula for s in problem.premises if s.formula is not None]
     sig = fol.Signature()
     for f in context:
@@ -406,7 +397,7 @@ def verify_trajectory(problem, traj, max_domain: int = DEFAULT_MAX_DOMAIN) -> li
         parts: list[str] = []
         first_app: RuleApplication | None = None
         for f in step.formulas:
-            v = verify_step(context, f, hint=hint, max_domain=max_domain)
+            v = verify_step(context, f, hint=hint)
             if first_app is None and v.rule is not None:
                 first_app = v.rule
             parts.append(v.note)

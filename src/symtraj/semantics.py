@@ -2,21 +2,27 @@
 
 evaluate() gives the truth of a formula in one explicit interpretation.
 
-entails() decides three-way entailment over domains of size 1..max_domain. For
-each domain size it takes the denotations of the constants up to renaming of
-domain elements (isomorphic interpretations cannot differ in satisfiability)
-and, for each, grounds the premises with the hypothesis, and again with its
-negation, to clauses over the ground atoms. A top-level ∧ and every ∀ instance
-become separate constraints, ¬ moves inward, and a disjunction (∨, →, ∃
-instances) becomes one clause; ⊕, ↔ and a conjunction nested in a disjunction
-get fresh (Tseitin) variables, each operand of ⊕ or ↔ defined once, so the
-clauses stay linear in the size of the ground formulas. A DPLL search with
-unit propagation then decides whether the clauses have a model. The search is
-complete, so the verdict is the one checking every interpretation would give.
+entails() decides three-way entailment by grounding once, at one domain size,
+with constant i denoting element i. fol has no equality and no function
+symbols, so copying a domain element keeps every sentence's truth: a set with
+a model has one of every larger size in which distinct constants denote
+distinct elements. A set with no ∃ under a ∀ once ¬ is pushed inward (the
+Bernays–Schönfinkel class, ∃*∀*) with c constants and k existential witnesses
+has a model of size c + k if it has any, so grounding at max(1, c + k) decides
+it exactly. Any other set is grounded at c + max_domain, which keeps a copy of
+every model of up to max_domain elements, so a countermodel found is real but
+"no model" only means none up to that bound.
 
-budget caps the search: one tick per constant denotation and one per search
-node (each probe's root and each branch). interpretations_explored reports
-the ticks used.
+The premises are grounded with the hypothesis, and again with its negation,
+to clauses over the ground atoms. A top-level ∧ and every ∀ instance become
+separate constraints, ¬ moves inward, and a disjunction (∨, →, ∃ instances)
+becomes one clause; ⊕, ↔ and a conjunction nested in a disjunction get fresh
+(Tseitin) variables, each operand of ⊕ or ↔ defined once, so the clauses stay
+linear in the size of the ground formulas. A complete DPLL search with unit
+propagation then decides whether the clauses have a model.
+
+budget caps the search at one tick per search node (each probe's root and
+each branch). interpretations_explored reports the ticks used.
 """
 
 from __future__ import annotations
@@ -128,13 +134,15 @@ def evaluate(f: Formula, interp: Interpretation, env: dict[str, int] | None = No
 class EntailmentVerdict:
     result: Label
     unsatisfiable_premises: bool
-    max_domain: int
+    domain_size: int
+    exact: bool
     interpretations_explored: int
 
 
 class _Grounder:
-    """Clauses over the ground atoms of one domain size and one denotation of
-    the constants, for the premises and for each probe formula in turn.
+    """Clauses over the ground atoms of one domain size, each constant
+    denoting the element consts gives it, for the premises and for each probe
+    formula in turn.
 
     A clause is a list of literals; literal v (or -v) says variable v is true
     (or false). Variables number the ground atoms P(e1, ..., ek) and the fresh
@@ -353,71 +361,68 @@ def _satisfiable(clauses: list[list[int]], n_vars: int, budget: _Budget) -> bool
     return search()
 
 
-def _constant_assignments(n: int, size: int):
-    """Denotations for n constants over a size-element domain, one per
-    renaming class: each constant maps at most one element past the largest
-    element used so far, so the first always maps to 0."""
-    if n == 0:
-        yield ()
-        return
-    stack = [0]
-    while stack:
-        if len(stack) == n:
-            yield tuple(stack)
-        else:
-            stack.append(0)
-            continue
-        while stack:
-            top = stack.pop()
-            bound = min(max(stack, default=-1) + 1, size - 1)
-            if top < bound:
-                stack.append(top + 1)
-                break
+def _existentials(f: Formula) -> tuple[tuple[int, bool], tuple[int, bool]]:
+    """(count, nested) for f and then for ¬f, with ¬ pushed inward: count is
+    the number of existential quantifiers (∃, or ∀ under a negation), each
+    operand of ⊕ or ↔ counted in both polarities, and nested says one of them
+    sits inside a universal. One pass, so linear in the size of f."""
+    if isinstance(f, Pred):
+        return (0, False), (0, False)
+    if isinstance(f, Not):
+        pos, neg = _existentials(f.body)
+        return neg, pos
+    if isinstance(f, (ForAll, Exists)):
+        pos, neg = _existentials(f.body)
+        if isinstance(f, Exists):  # ∃x φ, and ¬∃x φ is ∀x ¬φ
+            return (pos[0] + 1, pos[1]), (neg[0], neg[1] or neg[0] > 0)
+        return (pos[0], pos[1] or pos[0] > 0), (neg[0] + 1, neg[1])  # ¬∀x φ is ∃x ¬φ
+    left, right = _existentials(f.left), _existentials(f.right)
+    if isinstance(f, (Xor, Iff)):
+        both = (*left, *right)
+        count = (sum(n for n, _ in both), any(nested for _, nested in both))
+        return count, count
+    if isinstance(f, Implies):
+        left = left[::-1]
+    return tuple((a[0] + b[0], a[1] or b[1]) for a, b in zip(left, right))
 
 
 def entails(
     premises,
     hypothesis: Formula,
-    max_domain: int | None = None,
+    max_domain: int = DEFAULT_MAX_DOMAIN,
     budget: int = 10_000_000,
 ) -> EntailmentVerdict:
-    """Three-way finite-model entailment.
+    """Three-way finite-model entailment at one domain size.
 
-    TRUE: hypothesis holds in every model of the premises (all checked domain
-    sizes); FALSE: its negation does; UNCERTAIN otherwise, including when the
-    premises have no model at all (flagged). Deterministic for fixed inputs.
-    Raises ValueError for an open formula or max_domain below 1, and
-    BudgetExceeded when the search needs more than budget ticks.
+    TRUE: hypothesis holds in every model of the premises of that size;
+    FALSE: its negation does; UNCERTAIN otherwise, including when the premises
+    have no model of that size (flagged). The size is max(1, c + k), exact,
+    for a set with no ∃ under a ∀ (c constants, k existential witnesses over
+    both probes), else c + max_domain (see the module docstring).
+    Deterministic for fixed inputs. Raises ValueError for an open formula or
+    max_domain below 1, and BudgetExceeded when the search needs more than
+    budget ticks.
     """
     premises = list(premises)
     for f in [*premises, hypothesis]:
         fv = free_vars(f)
         if fv:
             raise ValueError(f"formula is not closed, free variables {sorted(fv)}: {f}")
-    sig = collect_signature([*premises, hypothesis])
-    const_names = sorted(sig.constants)
-    if max_domain is None:
-        max_domain = max(DEFAULT_MAX_DOMAIN, len(const_names))
     if max_domain < 1:
         raise ValueError(f"max_domain must be at least 1, got {max_domain}")
+    const_names = sorted(collect_signature([*premises, hypothesis]).constants)
+    prem = [_existentials(f)[0] for f in premises]
+    hyp, neg = _existentials(hypothesis)
+    k = sum(n for n, _ in prem) + max(hyp[0], neg[0])
+    exact = not any(nested for _, nested in [*prem, hyp, neg])
+    size = max(1, len(const_names) + k) if exact else len(const_names) + max_domain
 
     tracker = _Budget(budget)
-    sat_with_hyp = False
-    sat_with_neg = False
-    for size in range(1, max_domain + 1):
-        for combo in _constant_assignments(len(const_names), size):
-            if sat_with_hyp and sat_with_neg:
-                break
-            tracker.tick()
-            ground = _Grounder(size, dict(zip(const_names, combo)), premises)
-            if not sat_with_neg:
-                clauses = ground.with_premises(Not(hypothesis))
-                sat_with_neg = _satisfiable(clauses, ground.n_vars, tracker)
-            if not sat_with_hyp:
-                clauses = ground.with_premises(hypothesis)
-                sat_with_hyp = _satisfiable(clauses, ground.n_vars, tracker)
-        if sat_with_hyp and sat_with_neg:
-            break
+    ground = _Grounder(size, {name: i for i, name in enumerate(const_names)}, premises)
+    clauses = ground.with_premises(Not(hypothesis))
+    sat_with_neg = _satisfiable(clauses, ground.n_vars, tracker)
+    clauses = ground.with_premises(hypothesis)
+    sat_with_hyp = _satisfiable(clauses, ground.n_vars, tracker)
 
     # Every model of the premises satisfies the hypothesis or its negation,
     # so the premises are satisfiable iff one of the two probes succeeded.
@@ -433,6 +438,7 @@ def entails(
     return EntailmentVerdict(
         result=result,
         unsatisfiable_premises=unsat,
-        max_domain=max_domain,
+        domain_size=size,
+        exact=exact,
         interpretations_explored=tracker.used,
     )

@@ -30,7 +30,7 @@ from .llm import (
 )
 from .problems import Problem
 from .rules import VerdictStatus, verify_trajectory
-from .semantics import DEFAULT_MAX_DOMAIN, Label
+from .semantics import Label
 from .trajectory import (
     Trajectory,
     _final_answer,
@@ -289,11 +289,8 @@ def prm_loss(labels, scores: PrmScore) -> float:
 class SymbolicScorer:
     """Step probabilities from the rule verifier's verdicts."""
 
-    def __init__(self, max_domain: int = DEFAULT_MAX_DOMAIN):
-        self.max_domain = max_domain
-
     def step_probs(self, problem: Problem, traj: Trajectory) -> list[float]:
-        verdicts = verify_trajectory(problem, traj, max_domain=self.max_domain)
+        verdicts = verify_trajectory(problem, traj)
         return [VERDICT_PROBS[v.status] for v in verdicts]
 
 

@@ -4,6 +4,7 @@ import functools
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from argparse import Namespace
@@ -26,7 +27,7 @@ from symtraj.jsonl import read_jsonl, write_jsonl
 from symtraj.llm import MAX_ATTEMPTS
 from symtraj.problems import Problem, Statement, load_problems
 from symtraj.semantics import Label
-from symtraj.supervision import RemoteScorer, mc_label, step_label_to_dict
+from symtraj.supervision import RemoteScorer, mc_label, step_label_to_dict, trajectory_id_of
 from symtraj.trajectory import parse_trajectory, trajectory_from_dict
 
 
@@ -677,19 +678,6 @@ def test_unparseable_problem_formula_is_one_error_line(artifacts, tmp_path, caps
     assert err.startswith(f"error: {bad}: record 0: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("stage", ["verify", "score"])
-def test_max_domain_below_one_fails(artifacts, tmp_path, capsys, stage):
-    argv = _argv(stage, dict(artifacts, out=str(tmp_path / "out.jsonl"))) + ["--max-domain", "0"]
-    _fails_with_one_config_line(argv, capsys, "--max-domain")
-    assert not (tmp_path / "out.jsonl").exists()
-
-
-def test_remote_scorer_ignores_max_domain(artifacts, tmp_path, capsys):
-    # Only the symbolic scorer uses --max-domain; the remote one fails on its own URL.
-    argv = _argv("score", dict(artifacts, out=str(tmp_path / "out.jsonl")))
-    _fails_with_one_config_line(argv + ["--scorer", "remote", "--max-domain", "0"], capsys, "--remote-url")
-
-
 def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(
     artifacts, tmp_path, local_server, caplog, monkeypatch
 ):
@@ -714,6 +702,8 @@ def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(
         assert local_server.script == []
         assert len(read_jsonl(out)) == len(traces) - 1
         assert warning in caplog.text
+        # The warning names the dropped trace, not only its problem.
+        assert f"scoring {trajectory_id_of(trajectory_from_dict(traces[0]))} failed" in caplog.text
     assert len(sleeps) == MAX_ATTEMPTS - 1
 
 
@@ -726,6 +716,32 @@ def test_http_base_url_that_is_not_http_is_a_config_error(workspace, tmp_path, c
     cfg = _write_json(tmp_path / "cfg.json", {"backend": dict(HTTP, base_url="localhost:8000/v1")})
     argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg]
     _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, "localhost:8000/v1")
+
+
+@pytest.mark.parametrize("command, flag", [("gen-problems", "--count"), ("sample", "--n")])
+def test_count_below_one_is_a_config_error(workspace, tmp_path, capsys, command, flag):
+    argv = {
+        "gen-problems": ["gen-problems", "--lengths", "3"],
+        "sample": ["sample", "--problems", str(workspace["problems"]), "--backend", str(workspace["config"])],
+    }[command]
+    out = tmp_path / "out.jsonl"
+    _fails_with_one_config_line(argv + [flag, "0", "--out", str(out)], capsys, flag)
+    assert not out.exists()
+
+
+def test_every_flag_the_readme_names_is_accepted(capsys):
+    flag = re.compile(r"--[a-z][a-z0-9-]*")
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = set(flag.findall(readme.read_text(encoding="utf-8")))
+    parser = cli.build_parser()
+    commands = re.search(r"\{([a-z,-]+)\}", parser.format_help()).group(1).split(",")
+    accepted = set()
+    for command in commands:
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        accepted.update(flag.findall(capsys.readouterr().out))
+    assert "verify" in commands and "--out" in named
+    assert named <= accepted, sorted(named - accepted)
 
 
 @pytest.mark.parametrize("stage", TRACE_READERS)

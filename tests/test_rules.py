@@ -369,6 +369,15 @@ def test_verify_step_semantic_fallback():
     verdict = verify_step(context, parse_formula("R(a, b) | S(c)"))
     assert verdict.status is VerdictStatus.VERIFIED_SEMANTICALLY
     assert "finite-model" in verdict.note
+    assert verdict.note.endswith("(domain size 3, exact)")
+
+
+def test_verify_step_keeps_more_constants_apart_than_three():
+    # a-d are pairwise told apart; a domain of three elements would merge two
+    # of them and entail ¬A(d).
+    context = [parse_formula(t) for t in ("A(a)", "~A(b)", "~A(c)", "B(b)", "~B(c)", "C(d)", "~C(a)", "~C(b)")]
+    verdict = verify_step(context, parse_formula("~A(d)"))
+    assert verdict.status is VerdictStatus.INVALID
 
 
 def test_verify_step_invalid():
@@ -473,16 +482,6 @@ def test_verify_trajectory_rule_chain():
     ]
     assert verdicts[2].rule.rule is Rule.UNIVERSAL_INSTANTIATION
     assert verdicts[4].rule.rule is Rule.MODUS_PONENS
-
-
-def test_verify_rejects_domain_below_one():
-    # Raised before any step is tried: reported per step it would mark every
-    # step the oracle decides INVALID.
-    with pytest.raises(ValueError, match="max_domain"):
-        verify_step([P_a], Q_a, max_domain=0)
-    traj = _traj([Step(StepKind.ACTION, "Apply modus ponens"), Step(StepKind.OBSERVATION, "Q(a)", (Q_a,))])
-    with pytest.raises(ValueError, match="max_domain"):
-        verify_trajectory(_chain_problem(), traj, max_domain=0)
 
 
 def test_verify_trajectory_empty_observation_is_unparseable():

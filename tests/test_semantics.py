@@ -18,10 +18,12 @@ from symtraj.fol import (
     Pred,
     Variable,
     Xor,
+    collect_signature,
     parse_formula,
     subformulas,
 )
 from symtraj.semantics import (
+    DEFAULT_MAX_DOMAIN,
     BudgetExceeded,
     Interpretation,
     Label,
@@ -115,15 +117,25 @@ def test_entails_existential_hypothesis():
 
 
 def test_entails_respects_max_domain_default():
-    verdict = entails([parse_formula("P(a)")], parse_formula("P(a)"))
-    assert verdict.max_domain >= 1
+    # ∃*∀*: exact at one element per constant and witness, whatever the bound.
+    premises = [parse_formula("exists x P(x)"), parse_formula("forall x (P(x) -> Q(x))")]
+    for max_domain in (DEFAULT_MAX_DOMAIN, 1):
+        verdict = entails(premises, parse_formula("Q(a) | Q(b)"), max_domain)
+        assert (verdict.domain_size, verdict.exact) == (3, True)
     assert verdict.interpretations_explored > 0
+    # An ∃ under a ∀: one element per constant plus the bound.
+    premises = [parse_formula("forall x exists y R(x, y)")]
+    verdict = entails(premises, parse_formula("R(a, a)"))
+    assert (verdict.domain_size, verdict.exact) == (1 + DEFAULT_MAX_DOMAIN, False)
+    assert entails(premises, parse_formula("R(a, a)"), 2).domain_size == 3
 
 
 def test_entails_budget_exhaustion():
-    premises = [parse_formula("forall x (P(x) -> Q(x))"), parse_formula("P(a)")]
+    # Each probe branches once per disjunction before it finds a model.
+    premises = [parse_formula(f"P{i}(a) | Q{i}(a)") for i in range(3)]
+    assert entails(premises, parse_formula("R(a)")).interpretations_explored > 3
     with pytest.raises(BudgetExceeded):
-        entails(premises, parse_formula("Q(a)"), max_domain=3, budget=3)
+        entails(premises, parse_formula("R(a)"), budget=3)
 
 
 def test_entails_rejects_open_formulas():
@@ -257,6 +269,53 @@ def test_entails_matches_exhaustive_evaluation(preds, consts, max_domain, seed):
     assert seen >= {Not, And, Or, Xor, Implies, Iff, ForAll, Exists, "exists under forall"}
 
 
+def _monadic_models(preds, consts):
+    # Without equality, elements satisfying the same unary predicates cannot be
+    # told apart, so every finite model, of any size, agrees on every formula
+    # with one of these: one element per type it realizes, and a type for each
+    # constant.
+    types = list(itertools.product((False, True), repeat=len(preds)))
+    for n in range(1, len(types) + 1):
+        for realized in itertools.combinations(types, n):
+            domain = tuple(range(n))
+            predicates = {
+                name: frozenset((e,) for e, t in enumerate(realized) if t[i]) for i, (name, _) in enumerate(preds)
+            }
+            for denotation in itertools.product(domain, repeat=len(consts)):
+                yield Interpretation(domain, predicates, dict(zip(consts, denotation)))
+
+
+def _probes(result, unsat):
+    """Which of premises + hypothesis and premises + its negation have a model."""
+    if unsat:
+        return False, False
+    return result is not Label.FALSE, result is not Label.TRUE
+
+
+@pytest.mark.parametrize("consts, seed", [(("a", "b", "c", "d"), 13), (("a", "b", "c", "d", "e"), 14)])
+def test_entails_is_exact_without_an_exists_under_a_forall(consts, seed):
+    # More constants than the default bound, against every model of any size.
+    preds = (("P", 1), ("Q", 1))
+    rng = random.Random(seed)
+    models = list(_monadic_models(preds, consts))
+    witnesses, most_constants = set(), 0
+    for _ in range(60):
+        premises = [_random_formula(rng, 3, preds, consts) for _ in range(rng.randint(1, 3))]
+        hypothesis = _random_formula(rng, 3, preds, consts)
+        verdict = entails(premises, hypothesis)
+        expected = _brute_force(premises, hypothesis, models)
+        if verdict.exact:
+            n_consts = len(collect_signature([*premises, hypothesis]).constants)
+            witnesses.add(verdict.domain_size - n_consts)
+            most_constants = max(most_constants, n_consts)
+            assert (verdict.result, verdict.unsatisfiable_premises) == expected, (premises, hypothesis)
+        else:
+            # Outside the exact class a model found is still a real one.
+            found, real = _probes(verdict.result, verdict.unsatisfiable_premises), _probes(*expected)
+            assert all(r for f, r in zip(found, real) if f), (premises, hypothesis)
+    assert {0, 1, 2} <= witnesses and most_constants == len(consts)
+
+
 @pytest.mark.parametrize("op", ["^", "<->"])
 def test_entails_nested_xor_and_iff_chains_ground_linearly(op):
     # The parser nests a chain of n operands n - 1 deep; defining each
@@ -281,6 +340,24 @@ def test_entails_keeps_every_existential_witness():
     # R(a), ¬R(b) keep a and b apart, so only a third element can witness the ∃;
     # its ground form is a disjunction of three conjunctions.
     premises = [parse_formula(t) for t in ("exists x (P(x) & Q(x))", "~(P(a) & Q(a))", "~(P(b) & Q(b))", "R(a)", "~R(b)")]
-    assert entails(premises, parse_formula("P(a)"), max_domain=2).unsatisfiable_premises
-    verdict = entails(premises, parse_formula("P(a)"), max_domain=3)
+    verdict = entails(premises, parse_formula("P(a)"))
     assert (verdict.result, verdict.unsatisfiable_premises) == (Label.UNCERTAIN, False)
+    assert (verdict.domain_size, verdict.exact) == (3, True)
+
+
+def test_entails_keeps_more_constants_apart_than_the_bound():
+    # Under a cap of 3 elements two of a-d had to share one, and ¬A(d) came out entailed.
+    premises = [parse_formula(t) for t in ("A(a)", "~A(b)", "~A(c)", "B(b)", "~B(c)", "C(d)", "~C(a)", "~C(b)")]
+    verdict = entails(premises, parse_formula("~A(d)"), 3)
+    assert (verdict.result, verdict.unsatisfiable_premises) == (Label.UNCERTAIN, False)
+    assert (verdict.domain_size, verdict.exact) == (4, True)
+
+
+def test_entails_bound_keeps_countermodels_outside_the_exact_class():
+    # ∀x∃y R(x, y) forces R(0, 0) on one element; the two-element cycle is a
+    # countermodel to ∃x R(x, x), and the bound must still find it.
+    premises = [parse_formula("forall x exists y R(x, y)")]
+    verdict = entails(premises, parse_formula("exists x R(x, x)"))
+    assert (verdict.result, verdict.exact) == (Label.UNCERTAIN, False)
+    verdict = entails([*premises, parse_formula("forall x ~R(x, x)")], parse_formula("exists x R(x, x)"))
+    assert (verdict.result, verdict.unsatisfiable_premises) == (Label.FALSE, False)
