@@ -140,8 +140,8 @@ class EntailmentVerdict:
 
 
 class _Grounder:
-    """Clauses over the ground atoms of one domain size, each constant
-    denoting the element consts gives it, for the premises and for each probe
+    """Clauses over the ground atoms of one domain size, constant i of
+    const_names denoting element i, for the premises and for each probe
     formula in turn.
 
     A clause is a list of literals; literal v (or -v) says variable v is true
@@ -156,9 +156,9 @@ class _Grounder:
     binding and the definition reused, so nested ⊕/↔ ground in linear size.
     """
 
-    def __init__(self, size: int, consts: dict[str, int], premises):
+    def __init__(self, size: int, const_names, premises):
         self.size = size
-        self.consts = consts
+        self.consts = {name: i for i, name in enumerate(const_names)}
         self.atoms: dict[tuple[str, tuple[int, ...]], int] = {}
         self.defined: dict[tuple[Formula, tuple], int] = {}
         self.n_vars = 0
@@ -363,9 +363,10 @@ def _satisfiable(clauses: list[list[int]], n_vars: int, budget: _Budget) -> bool
 
 def _existentials(f: Formula) -> tuple[tuple[int, bool], tuple[int, bool]]:
     """(count, nested) for f and then for ¬f, with ¬ pushed inward: count is
-    the number of existential quantifiers (∃, or ∀ under a negation), each
-    operand of ⊕ or ↔ counted in both polarities, and nested says one of them
-    sits inside a universal. One pass, so linear in the size of f."""
+    the number of existential witnesses (∃, or ∀ under a negation) a model
+    needs, an operand of ⊕ or ↔ counted in the polarity it takes, and nested
+    says one of them sits inside a universal. count never exceeds the number
+    of quantifiers in f, and one pass keeps this linear in the size of f."""
     if isinstance(f, Pred):
         return (0, False), (0, False)
     if isinstance(f, Not):
@@ -378,9 +379,14 @@ def _existentials(f: Formula) -> tuple[tuple[int, bool], tuple[int, bool]]:
         return (pos[0], pos[1] or pos[0] > 0), (neg[0] + 1, neg[1])  # ¬∀x φ is ∃x ¬φ
     left, right = _existentials(f.left), _existentials(f.right)
     if isinstance(f, (Xor, Iff)):
-        both = (*left, *right)
-        count = (sum(n for n, _ in both), any(nested for _, nested in both))
-        return count, count
+        # In a model each operand is true or false: the operands differ or
+        # agree, one of two ways each, and the count is the larger way's.
+        (lp, ln), (rp, rn) = left, right
+        differ = max(lp[0] + rn[0], ln[0] + rp[0])
+        agree = max(lp[0] + rp[0], ln[0] + rn[0])
+        nested = lp[1] or ln[1] or rp[1] or rn[1]
+        pos, neg = (differ, agree) if isinstance(f, Xor) else (agree, differ)
+        return (pos, nested), (neg, nested)
     if isinstance(f, Implies):
         left = left[::-1]
     return tuple((a[0] + b[0], a[1] or b[1]) for a, b in zip(left, right))
@@ -418,7 +424,7 @@ def entails(
     size = max(1, len(const_names) + k) if exact else len(const_names) + max_domain
 
     tracker = _Budget(budget)
-    ground = _Grounder(size, {name: i for i, name in enumerate(const_names)}, premises)
+    ground = _Grounder(size, const_names, premises)
     clauses = ground.with_premises(Not(hypothesis))
     sat_with_neg = _satisfiable(clauses, ground.n_vars, tracker)
     clauses = ground.with_premises(hypothesis)

@@ -248,27 +248,6 @@ def _has_exists_under_forall(f):
     )
 
 
-@pytest.mark.parametrize(
-    "preds, consts, max_domain, seed",
-    [((("P", 1), ("R", 2)), ("a", "b"), 2, 11), ((("P", 1), ("Q", 1)), ("a",), 3, 12)],
-)
-def test_entails_matches_exhaustive_evaluation(preds, consts, max_domain, seed):
-    rng = random.Random(seed)
-    models = list(_interpretations(preds, consts, max_domain))
-    seen = set()
-    for _ in range(100):
-        premises = [_random_formula(rng, 3, preds, consts) for _ in range(rng.randint(1, 2))]
-        hypothesis = _random_formula(rng, 3, preds, consts)
-        for f in [*premises, hypothesis]:
-            seen.update(type(g) for g in subformulas(f))
-            if _has_exists_under_forall(f):
-                seen.add("exists under forall")
-        verdict = entails(premises, hypothesis, max_domain=max_domain)
-        expected = _brute_force(premises, hypothesis, models)
-        assert (verdict.result, verdict.unsatisfiable_premises) == expected, (premises, hypothesis)
-    assert seen >= {Not, And, Or, Xor, Implies, Iff, ForAll, Exists, "exists under forall"}
-
-
 def _monadic_models(preds, consts):
     # Without equality, elements satisfying the same unary predicates cannot be
     # told apart, so every finite model, of any size, agrees on every formula
@@ -292,27 +271,48 @@ def _probes(result, unsat):
     return result is not Label.FALSE, result is not Label.TRUE
 
 
-@pytest.mark.parametrize("consts, seed", [(("a", "b", "c", "d"), 13), (("a", "b", "c", "d", "e"), 14)])
-def test_entails_is_exact_without_an_exists_under_a_forall(consts, seed):
-    # More constants than the default bound, against every model of any size.
-    preds = (("P", 1), ("Q", 1))
+@pytest.mark.parametrize(
+    "preds, consts, max_domain, seed",
+    [
+        ((("P", 1), ("R", 2)), ("a", "b"), 2, 11),
+        ((("P", 1), ("Q", 1)), ("a",), 3, 12),
+        # More constants than the default bound, against every model of any size.
+        ((("P", 1), ("Q", 1)), ("a", "b", "c", "d"), None, 13),
+        ((("P", 1), ("Q", 1)), ("a", "b", "c", "d", "e"), None, 14),
+    ],
+)
+def test_entails_matches_exhaustive_evaluation(preds, consts, max_domain, seed):
+    # With a max_domain, against every model of up to that many elements;
+    # without one, against the monadic models, which stand for every model.
     rng = random.Random(seed)
-    models = list(_monadic_models(preds, consts))
-    witnesses, most_constants = set(), 0
-    for _ in range(60):
+    if max_domain is None:
+        models, bound = list(_monadic_models(preds, consts)), {}
+    else:
+        models, bound = list(_interpretations(preds, consts, max_domain)), {"max_domain": max_domain}
+    seen, witnesses, most_constants = set(), set(), 0
+    for _ in range(80):
         premises = [_random_formula(rng, 3, preds, consts) for _ in range(rng.randint(1, 3))]
         hypothesis = _random_formula(rng, 3, preds, consts)
-        verdict = entails(premises, hypothesis)
-        expected = _brute_force(premises, hypothesis, models)
+        for f in [*premises, hypothesis]:
+            seen.update(type(g) for g in subformulas(f))
+            if _has_exists_under_forall(f):
+                seen.add("exists under forall")
+        verdict = entails(premises, hypothesis, **bound)
+        found = _probes(verdict.result, verdict.unsatisfiable_premises)
+        real = _probes(*_brute_force(premises, hypothesis, models))
         if verdict.exact:
             n_consts = len(collect_signature([*premises, hypothesis]).constants)
             witnesses.add(verdict.domain_size - n_consts)
             most_constants = max(most_constants, n_consts)
-            assert (verdict.result, verdict.unsatisfiable_premises) == expected, (premises, hypothesis)
-        else:
+        if max_domain is None and verdict.exact:
+            assert found == real, (premises, hypothesis)
+        elif max_domain is None:
             # Outside the exact class a model found is still a real one.
-            found, real = _probes(verdict.result, verdict.unsatisfiable_premises), _probes(*expected)
             assert all(r for f, r in zip(found, real) if f), (premises, hypothesis)
+        else:
+            # Exact or bounded, the grounding keeps a copy of every small model.
+            assert all(f for f, r in zip(found, real) if r), (premises, hypothesis)
+    assert seen >= {Not, And, Or, Xor, Implies, Iff, ForAll, Exists, "exists under forall"}
     assert {0, 1, 2} <= witnesses and most_constants == len(consts)
 
 
@@ -329,6 +329,26 @@ def test_entails_nested_xor_and_iff_chains_ground_linearly(op):
     verdict = entails([chain, *(parse_formula(a) for a in atoms[1:])], parse_formula(atoms[0]), max_domain=1)
     # Every other operand true: the ⊕ chain forces P0 false (odd parity), the ↔ chain true.
     assert verdict.result is (Label.FALSE if op == "^" else Label.TRUE)
+    # One ∃ at the deep end, with or without a ∧ at every level, needs one
+    # witness besides a: its count must not grow with the nesting.
+    binop = Xor if op == "^" else Iff
+    plain = interleaved = parse_formula("exists x Q(x)")
+    for atom in map(parse_formula, atoms[1:]):
+        plain = binop(plain, atom)
+        interleaved = And(binop(interleaved, atom), parse_formula("P(a)"))
+    for chain in (plain, interleaved):
+        verdict = entails([chain], parse_formula("Q(a)"))
+        assert (verdict.result, verdict.domain_size, verdict.exact) == (Label.UNCERTAIN, 2, True)
+
+
+@pytest.mark.parametrize("equiv", ["(exists x P(x)) ^ (forall y Q(y))", "(exists x P(x)) <-> (exists y ~Q(y))"])
+def test_entails_counts_the_witnesses_of_the_way_xor_or_iff_holds(equiv):
+    # With P and Q alike, either holds only with ∃x P(x) and ∃y ¬Q(y) both
+    # true: two witnesses, and no model of one element.
+    premises = [parse_formula("forall x (P(x) <-> Q(x))"), parse_formula(equiv)]
+    verdict = entails(premises, parse_formula("R"))
+    assert (verdict.result, verdict.unsatisfiable_premises) == (Label.UNCERTAIN, False)
+    assert (verdict.domain_size, verdict.exact) == (2, True)
 
 
 def test_entails_rejects_domain_below_one():
