@@ -62,6 +62,7 @@ from .problems import (
     validate_problem,
 )
 from .rules import (
+    Context,
     Rule,
     RuleApplication,
     StepVerdict,
@@ -73,6 +74,7 @@ from .rules import (
 from .semantics import (
     BudgetExceeded,
     EntailmentVerdict,
+    Grounding,
     Interpretation,
     Label,
     MissingSymbol,

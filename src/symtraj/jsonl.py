@@ -7,6 +7,10 @@ import os
 from pathlib import Path
 
 
+# json.dumps builds a new encoder on every call unless called with defaults.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 class FormatError(ValueError):
     """A JSONL file (or one of its records) is malformed."""
 
@@ -51,7 +55,7 @@ def write_jsonl(path, records) -> None:
     try:
         with tmp.open("w", encoding="utf-8") as fh:
             for rec in records:
-                fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True))
+                fh.write(_ENCODER.encode(rec))
                 fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

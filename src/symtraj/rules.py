@@ -6,6 +6,13 @@ it. verify_step first tries to justify a claimed formula by one rule
 application and only then falls back to the finite-model oracle (exact when
 the context has no ∃ under a ∀, bounded otherwise), so a verdict says how a
 step was justified, not merely whether it holds.
+
+A Context holds the formulas a step may draw on, indexed by what the rules
+look up (∀ and ∃ by the shape of their body, → by consequent, ∧ by conjunct,
+every ∨), so a rule reads its candidates instead of scanning the context.
+verify_trajectory grows one Context step by step, and the oracle calls on it
+reuse its grounding: only the formulas added since the last call are
+grounded, as long as the domain size and the constants stay the same.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .fol import (
     Term,
     substitute,
 )
-from .semantics import BudgetExceeded, Label, entails
+from .semantics import BudgetExceeded, Grounding, Label, entails
 from .trajectory import StepKind
 
 
@@ -83,28 +90,82 @@ class StepVerdict:
 
 
 # ---------------------------------------------------------------------------
+# The context a step is checked against
+# ---------------------------------------------------------------------------
+
+
+def _skeleton(f: Formula):
+    """f with its terms erased. Substituting a term for a variable keeps it."""
+    if isinstance(f, Pred):
+        return f.name, len(f.args)
+    if isinstance(f, (Not, ForAll, Exists)):
+        return type(f), _skeleton(f.body)
+    return type(f), _skeleton(f.left), _skeleton(f.right)
+
+
+class Context:
+    """The formulas a step may draw on, in order, grown one at a time.
+
+    positions maps each distinct formula to its position. The indexes list,
+    in that order, the formulas a rule can use: each ∀ and ∃ under its
+    quantifier and the skeleton of its body, each → under its consequent,
+    each ∧ under each conjunct, and every ∨. constants holds every constant
+    name, and grounding what the oracle grounded for the formulas so far.
+    """
+
+    def __init__(self, formulas=()):
+        self.positions: dict[Formula, int] = {}
+        self.quantified: dict[tuple, list[Formula]] = {}
+        self.by_consequent: dict[Formula, list[Formula]] = {}
+        self.by_conjunct: dict[Formula, list[Formula]] = {}
+        self.disjunctions: list[Formula] = []
+        self.constants: set[str] = set()
+        self.grounding = Grounding()
+        for f in formulas:
+            self.add(f)
+
+    def __contains__(self, f) -> bool:
+        return f in self.positions
+
+    def __iter__(self):
+        return iter(self.positions)
+
+    def add(self, f: Formula) -> None:
+        if f in self.positions:
+            return
+        self.positions[f] = len(self.positions)
+        if isinstance(f, (ForAll, Exists)):
+            self.quantified.setdefault((type(f), _skeleton(f.body)), []).append(f)
+        elif isinstance(f, Implies):
+            self.by_consequent.setdefault(f.right, []).append(f)
+        elif isinstance(f, And):
+            for conjunct in dict.fromkeys((f.left, f.right)):
+                self.by_conjunct.setdefault(conjunct, []).append(f)
+        elif isinstance(f, Or):
+            self.disjunctions.append(f)
+        self.constants |= fol.constants(f)
+
+
+# ---------------------------------------------------------------------------
 # The rule catalog: one definition per rule
 # ---------------------------------------------------------------------------
 #
 # _RULES maps each rule to a function of the context and the claimed formula.
 # It looks up the context entries that justify the claim by one application of
-# the rule and returns that application, or None. The context maps each
-# distinct formula to its position; where several entries would do, the
-# earliest wins.
+# the rule and returns that application, or None. Where several entries would
+# do, the earliest wins.
 
 
-def _earliest(context: dict[Formula, int], candidates) -> Formula | None:
-    return min((f for f in candidates if f in context), key=context.__getitem__, default=None)
+def _earliest(context: Context, candidates) -> Formula | None:
+    positions = context.positions
+    return min((f for f in candidates if f in positions), key=positions.__getitem__, default=None)
 
 
-def _instantiation(rule: Rule, quantifier, context, claimed) -> RuleApplication | None:
+def _instantiation(rule: Rule, quantifier, context: Context, claimed) -> RuleApplication | None:
     """From ∀x.B, or from ∃x.B, infer B[x:=c]; an existential's witness c
     must not occur anywhere in the context."""
     names = sorted(fol.constants(claimed))
-    used: set[str] | None = None
-    for f in context:
-        if not isinstance(f, quantifier):
-            continue
+    for f in context.quantified.get((quantifier, _skeleton(claimed)), ()):
         if f.var not in fol.free_vars(f.body):
             if f.body == claimed:
                 return RuleApplication(rule, (f,), claimed)
@@ -112,11 +173,8 @@ def _instantiation(rule: Rule, quantifier, context, claimed) -> RuleApplication 
         for name in names:
             if substitute(f.body, f.var, Constant(name)) != claimed:
                 continue
-            if quantifier is Exists:
-                if used is None:
-                    used = set().union(*map(fol.constants, context))
-                if name in used:
-                    continue
+            if quantifier is Exists and name in context.constants:
+                continue
             return RuleApplication(rule, (f,), claimed, {f.var: Constant(name)})
     return None
 
@@ -195,18 +253,16 @@ def _disjunction_introduction(context, claimed):
 
 def _modus_ponens(context, claimed):
     """From A → B and A infer B."""
-    for f in context:
-        if isinstance(f, Implies) and f.right == claimed and f.left in context:
+    for f in context.by_consequent.get(claimed, ()):
+        if f.left in context:
             return RuleApplication(Rule.MODUS_PONENS, (f, f.left), claimed)
     return None
 
 
 def _conjunction_elim(context, claimed):
     """From A ∧ B infer A, or B."""
-    for f in context:
-        if isinstance(f, And) and claimed in (f.left, f.right):
-            return RuleApplication(Rule.CONJUNCTION_ELIM, (f,), claimed)
-    return None
+    conjunctions = context.by_conjunct.get(claimed)
+    return RuleApplication(Rule.CONJUNCTION_ELIM, conjunctions[:1], claimed) if conjunctions else None
 
 
 def _conjunction_intro(context, claimed):
@@ -219,12 +275,11 @@ def _conjunction_intro(context, claimed):
 
 def _case_analysis(context, claimed):
     """From A ∨ B and (A → C) ∧ (B → C), the conjuncts in either order, infer C."""
-    for f in context:
-        if isinstance(f, Or):
-            a, b = Implies(f.left, claimed), Implies(f.right, claimed)
-            branches = _earliest(context, (And(a, b), And(b, a)))
-            if branches is not None:
-                return RuleApplication(Rule.CASE_ANALYSIS, (f, branches), claimed)
+    for f in context.disjunctions:
+        a, b = Implies(f.left, claimed), Implies(f.right, claimed)
+        branches = _earliest(context, (And(a, b), And(b, a)))
+        if branches is not None:
+            return RuleApplication(Rule.CASE_ANALYSIS, (f, branches), claimed)
     return None
 
 
@@ -252,23 +307,23 @@ def verify_step(
     claimed: Formula,
     hint: Rule | None = None,
 ) -> StepVerdict:
-    """Justify one claimed formula against the context.
+    """Justify one claimed formula against the context, a Context or any
+    iterable of formulas.
 
     Tries one application of each rule (the hinted rule first when given,
     then the others in catalog order), then the finite-model oracle, whose
     note names the domain size it grounded and whether the check was exact.
     """
-    known: dict[Formula, int] = {}
-    for f in context:
-        known.setdefault(f, len(known))
-    if claimed in known:
+    if not isinstance(context, Context):
+        context = Context(context)
+    if claimed in context:
         return StepVerdict(VerdictStatus.VERIFIED_SEMANTICALLY, note="restates an earlier formula")
     for rule in ([hint] if hint is not None else []) + [r for r in Rule if r is not hint]:
-        app = _RULES[rule](known, claimed)
+        app = _RULES[rule](context, claimed)
         if app is not None:
             return StepVerdict(VerdictStatus.VERIFIED_BY_RULE, rule=app, note=rule.value)
     try:
-        verdict = entails(list(known), claimed)
+        verdict = entails(context, claimed, grounding=context.grounding)
     except (BudgetExceeded, ArityConflict, ValueError) as exc:
         return StepVerdict(VerdictStatus.INVALID, note=f"semantic check failed: {exc}")
     if verdict.result is Label.TRUE:
@@ -365,12 +420,12 @@ def verify_trajectory(problem, traj) -> list[StepVerdict]:
     Observations after formalization-style actions are syntax-checked only;
     later Observation formulas are justified one by one (each earlier line of
     the same observation is visible to the next) and then join the context.
-    Thought and Action steps get neutral verdicts.
+    Thought and Action steps get neutral verdicts. One Context serves the
+    whole trajectory, so an oracle call grounds only the formulas that joined
+    it since the last call, while the domain size and constants stay the same.
     """
-    context: list[Formula] = [s.formula for s in problem.premises if s.formula is not None]
-    sig = fol.Signature()
-    for f in context:
-        sig.add_formula(f)
+    context = Context(s.formula for s in problem.premises if s.formula is not None)
+    sig = fol.collect_signature(context)
     verdicts: list[StepVerdict] = []
     last_action = None
     for step in traj.steps:
@@ -389,8 +444,8 @@ def verify_trajectory(problem, traj) -> list[StepVerdict]:
             verdicts.append(StepVerdict(status, note=note))
             if not is_definition_action(last_action.text):
                 for f in step.formulas:
-                    if fol.is_closed(f) and not _is_signature_stub(f) and f not in context:
-                        context.append(f)
+                    if fol.is_closed(f) and not _is_signature_stub(f):
+                        context.add(f)
             continue
         hint = hint_from_text(last_action.text) if last_action is not None else None
         status = VerdictStatus.VERIFIED_BY_RULE
@@ -406,8 +461,7 @@ def verify_trajectory(problem, traj) -> list[StepVerdict]:
                 sig.add_formula(f)
             except ArityConflict:
                 pass
-            if f not in context:
-                context.append(f)
+            context.add(f)
         note = "; ".join(parts)
         rule_app = first_app if status is VerdictStatus.VERIFIED_BY_RULE else None
         verdicts.append(StepVerdict(status, rule=rule_app, note=note))

@@ -23,6 +23,10 @@ propagation then decides whether the clauses have a model.
 
 budget caps the search at one tick per search node (each probe's root and
 each branch). interpretations_explored reports the ticks used.
+
+A caller that asks about a growing premise list can keep a Grounding across
+calls: the premise clauses are then extended by the new premises' clauses
+instead of grounded again, while the size and the constants stay the same.
 """
 
 from __future__ import annotations
@@ -162,10 +166,17 @@ class _Grounder:
         self.atoms: dict[tuple[str, tuple[int, ...]], int] = {}
         self.defined: dict[tuple[Formula, tuple], int] = {}
         self.n_vars = 0
-        self.clauses: list[list[int]] = []
+        self.premise_clauses: list[list[int]] = []
+        self.add_premises(premises)
+
+    def add_premises(self, premises) -> None:
+        """Append the clauses of more premises to the premise clauses. Atoms a
+        probe made keep their variables and its forgotten definitions' stay
+        unused, so the clauses are those of grounding every premise afresh,
+        in the same order, up to a renaming of variables."""
+        self.clauses = self.premise_clauses
         for f in premises:
             self._add(f, True, {}, ())
-        self.premise_clauses = self.clauses
 
     def with_premises(self, f: Formula) -> list[list[int]]:
         """The premise clauses and those of f. Definitions made for f are
@@ -392,11 +403,23 @@ def _existentials(f: Formula) -> tuple[tuple[int, bool], tuple[int, bool]]:
     return tuple((a[0] + b[0], a[1] or b[1]) for a, b in zip(left, right))
 
 
+class Grounding:
+    """The premise list entails() last grounded, the (size, constant names)
+    it grounded them at, and the _Grounder holding their clauses; kept by a
+    caller that asks again about that list extended (see entails)."""
+
+    def __init__(self):
+        self.premises: list[Formula] = []
+        self.key: tuple[int, tuple[str, ...]] | None = None
+        self.grounder: _Grounder | None = None
+
+
 def entails(
     premises,
     hypothesis: Formula,
     max_domain: int = DEFAULT_MAX_DOMAIN,
     budget: int = 10_000_000,
+    grounding: Grounding | None = None,
 ) -> EntailmentVerdict:
     """Three-way finite-model entailment at one domain size.
 
@@ -408,6 +431,12 @@ def entails(
     Deterministic for fixed inputs. Raises ValueError for an open formula or
     max_domain below 1, and BudgetExceeded when the search needs more than
     budget ticks.
+
+    A caller that asks about a growing premise list passes the same grounding
+    each time. When premises extend the list it holds, at the same size and
+    constants, only the new premises are grounded; any other call grounds
+    afresh. Either way grounding then holds this call's premises, and the
+    verdict is that of a call without it.
     """
     premises = list(premises)
     for f in [*premises, hypothesis]:
@@ -416,15 +445,24 @@ def entails(
             raise ValueError(f"formula is not closed, free variables {sorted(fv)}: {f}")
     if max_domain < 1:
         raise ValueError(f"max_domain must be at least 1, got {max_domain}")
-    const_names = sorted(collect_signature([*premises, hypothesis]).constants)
+    const_names = tuple(sorted(collect_signature([*premises, hypothesis]).constants))
     prem = [_existentials(f)[0] for f in premises]
     hyp, neg = _existentials(hypothesis)
     k = sum(n for n, _ in prem) + max(hyp[0], neg[0])
     exact = not any(nested for _, nested in [*prem, hyp, neg])
     size = max(1, len(const_names) + k) if exact else len(const_names) + max_domain
+    key = (size, const_names)
+    if grounding is None:
+        ground = _Grounder(size, const_names, premises)
+    else:
+        held = grounding.premises
+        if grounding.key == key and premises[: len(held)] == held:
+            grounding.grounder.add_premises(premises[len(held) :])
+        else:
+            grounding.key, grounding.grounder = key, _Grounder(size, const_names, premises)
+        grounding.premises, ground = premises, grounding.grounder
 
     tracker = _Budget(budget)
-    ground = _Grounder(size, const_names, premises)
     clauses = ground.with_premises(Not(hypothesis))
     sat_with_neg = _satisfiable(clauses, ground.n_vars, tracker)
     clauses = ground.with_premises(hypothesis)

@@ -22,6 +22,7 @@ from symtraj.fol import (
     subformulas,
     substitute,
 )
+from symtraj.demos import RINA_DEMO, SQUASH_DEMO, rina_problem, squash_problem
 from symtraj.problems import Problem, Statement
 from symtraj.rules import (
     Rule,
@@ -34,7 +35,7 @@ from symtraj.rules import (
     verify_trajectory,
 )
 from symtraj.semantics import Label, entails
-from symtraj.trajectory import Step, StepKind, Trajectory
+from symtraj.trajectory import Step, StepKind, Trajectory, parse_trajectory
 
 from conftest import random_closed_formula, random_formula
 
@@ -217,6 +218,30 @@ def test_earliest_justification_wins():
     first, second = parse_formula("P(a) & Q(a)"), parse_formula("S(b) & P(a)")
     assert _check_rule_step((first, second), P_a, Rule.CONJUNCTION_ELIM).inputs == (first,)
     assert _check_rule_step((second, first), P_a, Rule.CONJUNCTION_ELIM).inputs == (second,)
+    # Two universals that both instantiate to the claim, after one of the
+    # same shape that does not.
+    other = parse_formula("forall x (P(x) -> Q(b))")
+    first, second = parse_formula("forall x (P(x) -> Q(x))"), parse_formula("forall y (P(y) -> Q(y))")
+    claim = parse_formula("P(a) -> Q(a)")
+    for a, b in ((first, second), (second, first)):
+        assert _check_rule_step((other, a, b), claim, Rule.UNIVERSAL_INSTANTIATION).inputs == (a,)
+    # Two implications with one consequent, after one whose antecedent is missing.
+    other = parse_formula("S(b) -> R(a, b)")
+    first, second = parse_formula("P(a) -> R(a, b)"), parse_formula("Q(a) -> R(a, b)")
+    for a, b in ((first, second), (second, first)):
+        inputs = (other, a, b, P_a, Q_a)
+        assert _check_rule_step(inputs, R_ab, Rule.MODUS_PONENS).inputs == (a, a.left)
+
+
+def test_existential_witness_must_be_fresh_for_what_joined_the_context_later():
+    # w is fresh when ∃x P(x) is all there is, and not once Q(w) has joined
+    # the same context, as a later step's formula does.
+    context = rules.Context([parse_formula("exists x P(x)")])
+    claim, hint = parse_formula("P(w)"), Rule.EXISTENTIAL_INSTANTIATION
+    assert verify_step(context, claim, hint=hint).rule.rule is hint
+    context.add(parse_formula("Q(w)"))
+    verdict = verify_step(context, claim, hint=hint)
+    assert (verdict.status, verdict.rule) == (VerdictStatus.INVALID, None)
 
 
 # ---------------------------------------------------------------------------
@@ -540,3 +565,50 @@ def test_verify_trajectory_arity_conflict_in_formalization():
     verdicts = verify_trajectory(_chain_problem(), traj)
     assert verdicts[1].status is VerdictStatus.INVALID
     assert "arity" in verdicts[1].note
+
+
+def _random_rule_chain(rng: random.Random):
+    """A problem and a trajectory that translates the inputs of random rule
+    instances and then claims each conclusion next to a random formula, most
+    of which the rules do not justify."""
+    premises = tuple(Statement(nl="p", formula=random_closed_formula(rng, 2)) for _ in range(2))
+    steps = []
+    for rule in rng.sample(list(Rule), 6):
+        inputs, claim = _random_instance(rule, rng)
+        steps += [
+            Step(StepKind.ACTION, "Translate the statements"),
+            Step(StepKind.OBSERVATION, "inputs", tuple(inputs)),
+            Step(StepKind.ACTION, f"Apply {rule.value}"),
+            Step(StepKind.OBSERVATION, "claims", (claim, random_closed_formula(rng, 2))),
+        ]
+    problem = Problem(id="t-chain", premises=premises, hypothesis=Statement(nl="h", formula=P_a), label=Label.TRUE)
+    return problem, _traj(steps)
+
+
+def test_verify_trajectory_equals_verifying_each_formula_from_scratch(monkeypatch):
+    # verify_trajectory grows one context, with its indexes and grounding,
+    # step by step; each formula's verdict must be the one verify_step gives
+    # on a plain list of the formulas before it.
+    cases = [
+        (rina_problem(), parse_trajectory(RINA_DEMO.trajectory, problem_id="rina")),
+        (squash_problem(), parse_trajectory(SQUASH_DEMO.trajectory, problem_id="squash")),
+    ]
+    rng = random.Random("rule-chains")
+    cases += [_random_rule_chain(rng) for _ in range(12)]
+    calls = []
+
+    def recording(context, claimed, hint=None):
+        verdict = verify_step(context, claimed, hint)
+        calls.append((list(context), claimed, hint, verdict))
+        return verdict
+
+    monkeypatch.setattr(rules, "verify_step", recording)
+    for problem, traj in cases:
+        rules.verify_trajectory(problem, traj)
+    monkeypatch.undo()
+    statuses = set()
+    for context, claimed, hint, verdict in calls:
+        assert verify_step(context, claimed, hint) == verdict, (context, claimed, hint)
+        statuses.add(verdict.status)
+    assert len(calls) > 100
+    assert statuses == {VerdictStatus.VERIFIED_BY_RULE, VerdictStatus.VERIFIED_SEMANTICALLY, VerdictStatus.INVALID}

@@ -25,6 +25,7 @@ from symtraj.fol import (
 from symtraj.semantics import (
     DEFAULT_MAX_DOMAIN,
     BudgetExceeded,
+    Grounding,
     Interpretation,
     Label,
     MissingSymbol,
@@ -381,3 +382,49 @@ def test_entails_bound_keeps_countermodels_outside_the_exact_class():
     assert (verdict.result, verdict.exact) == (Label.UNCERTAIN, False)
     verdict = entails([*premises, parse_formula("forall x ~R(x, x)")], parse_formula("exists x R(x, x)"))
     assert (verdict.result, verdict.unsatisfiable_premises) == (Label.FALSE, False)
+
+
+# ---------------------------------------------------------------------------
+# Grounding reuse: a growing premise list against fresh calls
+# ---------------------------------------------------------------------------
+
+
+def test_entails_with_a_kept_grounding_equals_a_fresh_call():
+    # Premise lists grow one formula at a time, as a verified trajectory's
+    # context does: ∃*∀* formulas, ones with an ∃ under a ∀, ⊕ and ↔. Every
+    # call with the kept grounding, whether it extends the grounded clauses,
+    # rebuilds them at a new size or starts over on another list, must give
+    # the fresh call's verdict in every field, interpretations included.
+    preds, consts = (("P", 1), ("Q", 1), ("R", 2)), ("a", "b")
+    rng = random.Random(31)
+    new_constant = Pred("P", (Constant("d"),))
+    seen, extended, rebuilt = set(), 0, 0
+    for _ in range(30):
+        premises, grounding = [], Grounding()
+        for i in range(8):
+            hypothesis = _random_formula(rng, 2, preds, consts)
+            grounder = grounding.grounder
+            verdict = entails(premises, hypothesis, max_domain=2, grounding=grounding)
+            assert verdict == entails(premises, hypothesis, max_domain=2), (premises, hypothesis)
+            assert grounding.premises == premises
+            if premises[-1:] == [new_constant]:
+                assert grounding.grounder is not grounder
+                rebuilt += 1
+            elif premises:
+                extended += grounding.grounder is grounder
+            if i == 5:
+                added = new_constant
+            else:
+                added = hypothesis if rng.random() < 0.5 else _random_formula(rng, 2, preds, consts)
+            for g in subformulas(added):
+                seen.add(type(g))
+            if _has_exists_under_forall(added):
+                seen.add("exists under forall")
+            premises.append(added)
+        hypothesis = _random_formula(rng, 2, preds, consts)
+        other = premises[1:]
+        verdict = entails(other, hypothesis, max_domain=2, grounding=grounding)
+        assert verdict == entails(other, hypothesis, max_domain=2)
+        assert grounding.premises == other
+    assert seen >= {Xor, Iff, ForAll, Exists, "exists under forall"}
+    assert rebuilt == 30 and extended >= 50, (rebuilt, extended)
