@@ -62,7 +62,6 @@ from .problems import (
     validate_problem,
 )
 from .rules import (
-    Context,
     Rule,
     RuleApplication,
     StepVerdict,
@@ -74,7 +73,6 @@ from .rules import (
 from .semantics import (
     BudgetExceeded,
     EntailmentVerdict,
-    Grounding,
     Interpretation,
     Label,
     MissingSymbol,

@@ -7,12 +7,12 @@ application and only then falls back to the finite-model oracle (exact when
 the context has no ∃ under a ∀, bounded otherwise), so a verdict says how a
 step was justified, not merely whether it holds.
 
-A Context holds the formulas a step may draw on, indexed by what the rules
-look up (∀ and ∃ by the shape of their body, → by consequent, ∧ by conjunct,
-every ∨), so a rule reads its candidates instead of scanning the context.
-verify_trajectory grows one Context step by step, and the oracle calls on it
-reuse its grounding: only the formulas added since the last call are
-grounded, as long as the domain size and the constants stay the same.
+A Context holds the formulas a step may draw on and indexes its ∀ and ∃
+formulas by the shape of their body, so instantiation substitutes only into
+those that can match the claim. verify_trajectory grows one Context step by
+step, and the oracle calls on it reuse its grounding: only the formulas added
+since the last call are grounded, as long as the domain size and the
+constants stay the same.
 """
 
 from __future__ import annotations
@@ -106,19 +106,16 @@ def _skeleton(f: Formula):
 class Context:
     """The formulas a step may draw on, in order, grown one at a time.
 
-    positions maps each distinct formula to its position. The indexes list,
-    in that order, the formulas a rule can use: each ∀ and ∃ under its
-    quantifier and the skeleton of its body, each → under its consequent,
-    each ∧ under each conjunct, and every ∨. constants holds every constant
-    name, and grounding what the oracle grounded for the formulas so far.
+    positions maps each distinct formula to its position; iterating yields
+    the formulas in that order. quantified lists, in that order, each ∀ and
+    ∃ under its quantifier and the skeleton of its body. constants holds
+    every constant name, and grounding what the oracle grounded for the
+    formulas so far.
     """
 
     def __init__(self, formulas=()):
         self.positions: dict[Formula, int] = {}
         self.quantified: dict[tuple, list[Formula]] = {}
-        self.by_consequent: dict[Formula, list[Formula]] = {}
-        self.by_conjunct: dict[Formula, list[Formula]] = {}
-        self.disjunctions: list[Formula] = []
         self.constants: set[str] = set()
         self.grounding = Grounding()
         for f in formulas:
@@ -136,13 +133,6 @@ class Context:
         self.positions[f] = len(self.positions)
         if isinstance(f, (ForAll, Exists)):
             self.quantified.setdefault((type(f), _skeleton(f.body)), []).append(f)
-        elif isinstance(f, Implies):
-            self.by_consequent.setdefault(f.right, []).append(f)
-        elif isinstance(f, And):
-            for conjunct in dict.fromkeys((f.left, f.right)):
-                self.by_conjunct.setdefault(conjunct, []).append(f)
-        elif isinstance(f, Or):
-            self.disjunctions.append(f)
         self.constants |= fol.constants(f)
 
 
@@ -253,16 +243,18 @@ def _disjunction_introduction(context, claimed):
 
 def _modus_ponens(context, claimed):
     """From A → B and A infer B."""
-    for f in context.by_consequent.get(claimed, ()):
-        if f.left in context:
+    for f in context:
+        if isinstance(f, Implies) and f.right == claimed and f.left in context:
             return RuleApplication(Rule.MODUS_PONENS, (f, f.left), claimed)
     return None
 
 
 def _conjunction_elim(context, claimed):
     """From A ∧ B infer A, or B."""
-    conjunctions = context.by_conjunct.get(claimed)
-    return RuleApplication(Rule.CONJUNCTION_ELIM, conjunctions[:1], claimed) if conjunctions else None
+    for f in context:
+        if isinstance(f, And) and claimed in (f.left, f.right):
+            return RuleApplication(Rule.CONJUNCTION_ELIM, (f,), claimed)
+    return None
 
 
 def _conjunction_intro(context, claimed):
@@ -275,11 +267,12 @@ def _conjunction_intro(context, claimed):
 
 def _case_analysis(context, claimed):
     """From A ∨ B and (A → C) ∧ (B → C), the conjuncts in either order, infer C."""
-    for f in context.disjunctions:
-        a, b = Implies(f.left, claimed), Implies(f.right, claimed)
-        branches = _earliest(context, (And(a, b), And(b, a)))
-        if branches is not None:
-            return RuleApplication(Rule.CASE_ANALYSIS, (f, branches), claimed)
+    for f in context:
+        if isinstance(f, Or):
+            a, b = Implies(f.left, claimed), Implies(f.right, claimed)
+            branches = _earliest(context, (And(a, b), And(b, a)))
+            if branches is not None:
+                return RuleApplication(Rule.CASE_ANALYSIS, (f, branches), claimed)
     return None
 
 

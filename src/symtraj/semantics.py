@@ -453,14 +453,13 @@ def entails(
     size = max(1, len(const_names) + k) if exact else len(const_names) + max_domain
     key = (size, const_names)
     if grounding is None:
-        ground = _Grounder(size, const_names, premises)
+        grounding = Grounding()
+    held = grounding.premises
+    if grounding.key == key and premises[: len(held)] == held:
+        grounding.grounder.add_premises(premises[len(held) :])
     else:
-        held = grounding.premises
-        if grounding.key == key and premises[: len(held)] == held:
-            grounding.grounder.add_premises(premises[len(held) :])
-        else:
-            grounding.key, grounding.grounder = key, _Grounder(size, const_names, premises)
-        grounding.premises, ground = premises, grounding.grounder
+        grounding.key, grounding.grounder = key, _Grounder(size, const_names, premises)
+    grounding.premises, ground = premises, grounding.grounder
 
     tracker = _Budget(budget)
     clauses = ground.with_premises(Not(hypothesis))
