@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NoReturn
 
 
 class FormulaSyntaxError(ValueError):
@@ -140,7 +140,8 @@ class Exists(_Quantified):
 # ---------------------------------------------------------------------------
 
 # Binding strength, tightest last. Negation and quantifiers sit above all
-# binary connectives; quantifier scope extends maximally to the right.
+# binary connectives; quantifier scope extends maximally to the right. The
+# parser reads by these tables too (_INFIX).
 _BIN_PREC: dict[type, int] = {Iff: 1, Implies: 2, Xor: 3, Or: 4, And: 5}
 _BIN_SYM: dict[type, str] = {And: "∧", Or: "∨", Xor: "⊕", Implies: "→", Iff: "↔"}
 _RIGHT_ASSOC = (Implies, Iff)
@@ -205,189 +206,147 @@ def print_formula(f: Formula) -> str:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<comma>,)
-      | (?P<iff><->|↔|⇔)
-      | (?P<implies>->|→|⇒)
-      | (?P<and>∧|&)
-      | (?P<or>∨|\|)
-      | (?P<xor>⊕|\^)
-      | (?P<not>¬|~|!)
-      | (?P<forall>∀)
-      | (?P<exists>∃)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+# A token: a connective, bracket or comma in any of its spellings, or an
+# identifier. Splitting on it leaves the text between tokens, which must be
+# whitespace.
+_TOKEN_RE = re.compile(r"(<->|->|[A-Za-z_][A-Za-z0-9_]*|[(),↔⇔→⇒∧&∨|⊕^¬~!∀∃])")
 
-_KEYWORDS = {"forall": "forall", "exists": "exists"}
-
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    start: int  # character offset
-    end: int
+# A token's kind is its canonical Unicode spelling; any other identifier is
+# an "ident".
+_KINDS = {s: s for s in "(),↔→∧∨⊕¬∀∃"} | {
+    "<->": "↔", "⇔": "↔", "->": "→", "⇒": "→", "&": "∧", "|": "∨", "^": "⊕",
+    "~": "¬", "!": "¬", "forall": "∀", "exists": "∃",
+}
 
 
 def _byte_offset(text: str, char_pos: int) -> int:
     return len(text[:char_pos].encode("utf-8"))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            exc = FormulaSyntaxError(
-                f"unexpected character {text[pos]!r}", _byte_offset(text, pos)
-            )
-            exc.char_offset = pos
-            raise exc
-        kind = m.lastgroup or ""
-        if kind != "ws":
-            tok_text = m.group()
-            if kind == "ident" and tok_text in _KEYWORDS:
-                kind = _KEYWORDS[tok_text]
-            tokens.append(_Token(kind, tok_text, m.start(), m.end()))
-        pos = m.end()
-    return tokens
+def _tokenize(text: str) -> tuple[list[str | None], list[str], list[str]]:
+    """Split text into tokens up to the first character that starts none.
+
+    Returns the tokens' kinds and texts, each list ending in a sentinel of
+    kind None whose text is what was left unread ("" at the end of text), and
+    the pieces read: the whitespace before each token, the token, and so on,
+    ending with the whitespace before the sentinel.
+    """
+    pieces = _TOKEN_RE.split(text)
+    unread = ""
+    if "".join(pieces[::2]).strip():
+        k = next(k for k in range(0, len(pieces), 2) if pieces[k].strip())
+        gap = pieces[k]
+        del pieces[k:]
+        pieces.append(gap[: len(gap) - len(gap.lstrip())])
+        unread = text[sum(map(len, pieces)) :]
+    texts = pieces[1::2]
+    kinds: list[str | None] = [_KINDS.get(tok, "ident") for tok in texts]
+    kinds.append(None)
+    texts.append(unread)
+    return kinds, texts, pieces
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-# Grammar (quantifier bodies take the whole remaining expression):
-#   iff     := implies ('<->' iff)?
-#   implies := xor ('->' implies)?
-#   xor     := or ('^' or)*
-#   or      := and ('|' and)*
-#   and     := unary ('&' unary)*
-#   unary   := '!' unary | quant | '(' iff ')' | atom
-#   quant   := ('forall' | 'exists') ident iff
-#   atom    := ident ('(' term (',' term)* ')')?
+# Binding strength and associativity come from the printer's _BIN_PREC and
+# _RIGHT_ASSOC, so parsing and printing agree. Per connective kind: its class,
+# its strength, and the least strength the right operand's own connective may
+# have (its own for a right-associative connective, so a chain nests right).
+_INFIX = {
+    _BIN_SYM[cls]: (cls, p, p if cls in _RIGHT_ASSOC else p + 1)
+    for cls, p in _BIN_PREC.items()
+}
 
 
 class _Parser:
     def __init__(self, text: str, variables: frozenset[str]):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.kinds, self.texts, self.pieces = _tokenize(text)
         self.i = 0
         self.declared = variables
         self.bound: list[str] = []
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def _start(self, i: int) -> int:
+        """Character offset of token i; of the sentinel, where reading stopped."""
+        return sum(map(len, self.pieces[: 2 * i + 1]))
 
-    def _error(self, message: str, expected: str | None = None):
-        tok = self._peek()
-        pos = tok.start if tok else len(self.text)
-        raise FormulaSyntaxError(message, _byte_offset(self.text, pos), expected)
+    def _fail(self, expected: str) -> NoReturn:
+        i = self.i
+        got = "end of input" if self.kinds[i] is None else repr(self.texts[i])
+        raise FormulaSyntaxError(f"unexpected {got}", _byte_offset(self.text, self._start(i)), expected)
 
-    def _expect(self, kind: str, expected: str) -> _Token:
-        tok = self._peek()
-        if tok is None or tok.kind != kind:
-            got = f"{tok.text!r}" if tok else "end of input"
-            self._error(f"unexpected {got}", expected)
-        self.i += 1
-        return tok
+    def _expect(self, kind: str, expected: str) -> str:
+        i = self.i
+        if self.kinds[i] != kind:
+            self._fail(expected)
+        self.i = i + 1
+        return self.texts[i]
 
     def parse(self, require_end: bool) -> tuple[Formula, int]:
-        f = self._iff()
-        if require_end and self.i < len(self.tokens):
-            self._error(f"unexpected {self.tokens[self.i].text!r}", "end of input")
-        consumed = self.tokens[self.i - 1].end if self.i > 0 else 0
-        return f, consumed
+        """(formula, characters consumed). With require_end the whole text is
+        one formula; without it, the longest formula at its start, read up to
+        the first unreadable character (which must not be the first one)."""
+        unread = self.texts[-1]
+        stop = len(self.text) - len(unread)
+        if unread and (require_end or stop == 0):
+            raise FormulaSyntaxError(f"unexpected character {unread[0]!r}", _byte_offset(self.text, stop))
+        f = self._expr(1)
+        if require_end and self.kinds[self.i] is not None:
+            self._fail("end of input")
+        return f, self._start(self.i - 1) + len(self.texts[self.i - 1])
 
-    def _iff(self) -> Formula:
-        left = self._implies()
-        tok = self._peek()
-        if tok and tok.kind == "iff":
-            self.i += 1
-            return Iff(left, self._iff())
-        return left
-
-    def _implies(self) -> Formula:
-        left = self._xor()
-        tok = self._peek()
-        if tok and tok.kind == "implies":
-            self.i += 1
-            return Implies(left, self._implies())
-        return left
-
-    def _chain(self, kind: str, sub, node) -> Formula:
-        left = sub()
+    def _expr(self, min_prec: int) -> Formula:
+        left = self._unary()
         while True:
-            tok = self._peek()
-            if tok and tok.kind == kind:
-                self.i += 1
-                left = node(left, sub())
-            else:
+            op = _INFIX.get(self.kinds[self.i])
+            if op is None or op[1] < min_prec:
                 return left
-
-    def _xor(self) -> Formula:
-        return self._chain("xor", self._or, Xor)
-
-    def _or(self) -> Formula:
-        return self._chain("or", self._and, Or)
-
-    def _and(self) -> Formula:
-        return self._chain("and", self._unary, And)
+            self.i += 1
+            left = op[0](left, self._expr(op[2]))
 
     def _unary(self) -> Formula:
-        tok = self._peek()
-        if tok is None:
-            self._error("unexpected end of input", "a formula")
-        if tok.kind == "not":
+        kind = self.kinds[self.i]
+        if kind == "ident":
+            return self._atom()
+        if kind == "¬":
             self.i += 1
             return Not(self._unary())
-        if tok.kind in ("forall", "exists"):
+        if kind == "(":
             self.i += 1
-            var = self._expect("ident", "a variable name").text
-            self.bound.append(var)
-            try:
-                body = self._iff()
-            finally:
-                self.bound.pop()
-            return ForAll(var, body) if tok.kind == "forall" else Exists(var, body)
-        if tok.kind == "lparen":
-            self.i += 1
-            f = self._iff()
-            self._expect("rparen", "')'")
+            f = self._expr(1)
+            self._expect(")", "')'")
             return f
-        if tok.kind == "ident":
-            return self._atom()
-        self._error(f"unexpected {tok.text!r}", "a predicate, ¬, ∀, ∃, or '('")
-        raise AssertionError  # unreachable
+        if kind == "∀" or kind == "∃":
+            self.i += 1
+            var = self._expect("ident", "a variable name")
+            self.bound.append(var)
+            body = self._expr(1)
+            self.bound.pop()
+            return ForAll(var, body) if kind == "∀" else Exists(var, body)
+        self._fail("a formula" if kind is None else "a predicate, ¬, ∀, ∃, or '('")
 
     def _atom(self) -> Formula:
-        name = self._expect("ident", "a predicate name").text
-        tok = self._peek()
-        if tok is None or tok.kind != "lparen":
+        kinds = self.kinds
+        name = self.texts[self.i]
+        self.i += 1
+        if kinds[self.i] != "(":
             return Pred(name, ())
         self.i += 1
         args: list[Term] = []
-        tok = self._peek()
-        if tok and tok.kind == "rparen":
-            self.i += 1
-            return Pred(name, ())
-        while True:
-            ident = self._expect("ident", "a term").text
-            if ident in self.bound or ident in self.declared:
-                args.append(Variable(ident))
-            else:
-                args.append(Constant(ident))
-            tok = self._peek()
-            if tok and tok.kind == "comma":
+        if kinds[self.i] != ")":
+            while True:
+                ident = self._expect("ident", "a term")
+                if ident in self.bound or ident in self.declared:
+                    args.append(Variable(ident))
+                else:
+                    args.append(Constant(ident))
+                if kinds[self.i] != ",":
+                    break
                 self.i += 1
-                continue
-            self._expect("rparen", "',' or ')'")
-            return Pred(name, tuple(args))
+        self._expect(")", "',' or ')'")
+        return Pred(name, tuple(args))
 
 
 # Distinct (text, variables) pairs whose parse is kept. Traces restate their
@@ -429,13 +388,7 @@ def parse_prefix(text: str, variables: frozenset[str] | set[str] = frozenset()) 
     Returns (formula, consumed_chars); trailing input is left alone, and a
     character the tokenizer cannot read merely bounds the prefix.
     """
-    try:
-        return _Parser(text, frozenset(variables)).parse(require_end=False)
-    except FormulaSyntaxError as exc:
-        cut = getattr(exc, "char_offset", None)
-        if not cut:
-            raise
-        return _Parser(text[:cut], frozenset(variables)).parse(require_end=False)
+    return _Parser(text, frozenset(variables)).parse(require_end=False)
 
 
 # ---------------------------------------------------------------------------
