@@ -49,7 +49,6 @@ from .llm import (
 )
 from .mock import OracleMockBackend
 from .problems import (
-    GenerationBudgetExceeded,
     InvariantViolation,
     Problem,
     Statement,

@@ -31,7 +31,6 @@ from .llm import (
 )
 from .mock import OracleMockBackend
 from .problems import (
-    GenerationBudgetExceeded,
     InvariantViolation,
     Problem,
     generate_logicasker,
@@ -571,7 +570,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    except (InvariantViolation, GenerationBudgetExceeded) as exc:
+    except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
 

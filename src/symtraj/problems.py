@@ -1,10 +1,11 @@
 """Entailment problem model, dataset ingestion, and a synthetic generator.
 
 A problem is a set of premises (natural language, formula, or both) plus a
-hypothesis and a gold label. The generator builds implication-chain problems
-over fresh unary predicates in three shapes (grounded fact chain, existential
-chain, disjunctive seed resolved by cases) and checks every emitted label
-against the finite-model oracle.
+hypothesis and a gold label. The generator builds one implication-chain
+problem per request over fresh unary predicates, in three shapes (grounded
+fact chain, existential chain, disjunctive seed resolved by cases), and checks
+its label against the finite-model oracle. The shapes are built to hold, so a
+disagreement is a bug and raises InvariantViolation; nothing is resampled.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .fol import (
+    ArityConflict,
     Constant,
     Exists,
     ForAll,
@@ -25,6 +27,7 @@ from .fol import (
     Or,
     Pred,
     Variable,
+    collect_signature,
     parse_formula,
     print_formula,
 )
@@ -32,10 +35,6 @@ from .jsonl import FormatError, read_jsonl, write_jsonl
 from .semantics import Label, entails
 
 SOURCES = ("folio", "logicasker", "custom")
-
-
-class GenerationBudgetExceeded(RuntimeError):
-    """Rejection sampling could not produce a problem within the attempt cap."""
 
 
 class InvariantViolation(ValueError):
@@ -96,6 +95,11 @@ def validate_problem(p: Problem) -> None:
         missing = [s for s in (*p.premises, p.hypothesis) if s.formula is None]
         if missing:
             raise InvariantViolation(f"{p.id}: formulas required for every statement")
+    formulas = [s.formula for s in (*p.premises, p.hypothesis) if s.formula is not None]
+    try:
+        collect_signature(formulas)
+    except ArityConflict as exc:
+        raise InvariantViolation(f"{p.id}: {exc}") from exc
 
 
 # Activity vocabulary: predicate name plus the verb phrase used in prose.
@@ -135,8 +139,6 @@ ACTIVITIES = [
 PERSON_NAMES = ["alice", "bob", "carol", "david", "erin", "frank", "grace", "henry", "iris", "judy"]
 
 SHAPES = ("grounded", "existential", "disjunctive")
-
-MAX_ATTEMPTS_PER_PROBLEM = 1000
 
 
 def _link(var: str, a: str, b: str, negated: bool = False) -> Formula:
@@ -218,7 +220,11 @@ def _build_candidate(rng: random.Random, length: int, shape: str, label: Label):
 
 
 def generate_logicasker(count_per_length: int, lengths, seed: int = 0) -> list[Problem]:
-    """Label-balanced implication-chain problems, oracle-checked per emission."""
+    """Label-balanced implication-chain problems, each label checked by the oracle.
+
+    Raises InvariantViolation if the oracle disagrees with a label or finds the
+    premises unsatisfiable.
+    """
     if count_per_length < 1:
         raise ValueError(f"count_per_length must be >= 1, got {count_per_length}")
     lengths = list(lengths)
@@ -232,15 +238,12 @@ def generate_logicasker(count_per_length: int, lengths, seed: int = 0) -> list[P
         for idx in range(count_per_length):
             label = Label.TRUE if idx % 2 == 0 else Label.FALSE
             shape = SHAPES[idx % 3]
-            for _ in range(MAX_ATTEMPTS_PER_PROBLEM):
-                premises, hypothesis, meta = _build_candidate(rng, length, shape, label)
-                verdict = entails([s.formula for s in premises], hypothesis.formula)
-                if verdict.result is label and not verdict.unsatisfiable_premises:
-                    break
-            else:
-                raise GenerationBudgetExceeded(
-                    f"no valid problem for length={length} shape={shape} label={label}"
-                    f" after {MAX_ATTEMPTS_PER_PROBLEM} attempts"
+            premises, hypothesis, meta = _build_candidate(rng, length, shape, label)
+            verdict = entails([s.formula for s in premises], hypothesis.formula)
+            if verdict.result is not label or verdict.unsatisfiable_premises:
+                raise InvariantViolation(
+                    f"{shape} problem of length {length}: oracle verdict {verdict.result}"
+                    f" (unsatisfiable premises: {verdict.unsatisfiable_premises}), label {label}"
                 )
             problems.append(
                 Problem(

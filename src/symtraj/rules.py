@@ -417,7 +417,7 @@ def verify_trajectory(problem, traj) -> list[StepVerdict]:
     whole trajectory, so an oracle call grounds only the formulas that joined
     it since the last call, while the domain size and constants stay the same.
     """
-    context = Context(s.formula for s in problem.premises if s.formula is not None)
+    context = Context(problem.premise_formulas)
     sig = fol.collect_signature(context)
     verdicts: list[StepVerdict] = []
     last_action = None

@@ -199,58 +199,49 @@ def mc_label_all(
     prefix with a logged reason.
 
     A trajectory's requests go out in one batch. Identical requests get
-    identical answers, so a request answered earlier in the run is not sent
-    again; a failed one is, when a later trajectory needs it.
+    identical outcomes: each distinct request is sent at most once per call,
+    and a failed one counts as failed for every trajectory that needs it.
     """
     if not 1 <= k <= n_samples:
         raise ValueError(f"need 1 <= k <= n_samples, got k={k} n_samples={n_samples}")
-    # Request content (prompt digest, seed, temperature, max_tokens, model)
-    # -> final answer of its successful completion.
-    answered: dict[tuple, Label | None] = {}
+    # (prompt digest, seed) -> (error, final answer) of every request sent so
+    # far; temperature, max_tokens and model are the same for all of them.
+    outcomes: dict[tuple[str, int], tuple[str | None, Label | None]] = {}
     out = []
     for problem, traj in items:
         if not traj.steps:
             raise ValueError("trajectory has no steps to label")
-        tid = make_trajectory_id(traj.problem_id or problem.id, traj.raw_text)
+        tid = trajectory_id_of(traj)
         prefix_keys = []
-        pending: dict[tuple, GenerationRequest] = {}
+        pending: dict[tuple[str, int], GenerationRequest] = {}
         for prefix_len in range(1, len(traj.steps) + 1):
             prompt = build_completion_prompt(problem, traj, prefix_len, n_shots)
             messages = tuple(prompt.to_messages())
             digest = prompt_key(messages)
-            keys = []
-            for i in range(n_samples):
-                req = GenerationRequest(
-                    messages=messages, temperature=temperature, max_tokens=max_tokens, seed=i
-                )
-                key = (digest, req.seed, req.temperature, req.max_tokens, req.model)
-                if key not in answered:
-                    pending.setdefault(key, req)
-                keys.append(key)
+            keys = [(digest, seed) for seed in range(n_samples)]
+            for key in keys:
+                if key not in outcomes and key not in pending:
+                    pending[key] = GenerationRequest(
+                        messages=messages, temperature=temperature, max_tokens=max_tokens, seed=key[1]
+                    )
             prefix_keys.append(keys)
-        failed: dict[tuple, str] = {}
         if pending:
             responses = generate_batch(backend, list(pending.values()), parallelism)
             for key, r in zip(pending, responses):
-                if r.error:
-                    failed[key] = r.error
-                else:
-                    answered[key] = _final_answer(r.text)
+                outcomes[key] = (r.error, None) if r.error else (None, _final_answer(r.text))
         labels: list[StepLabel] = []
         for prefix_len, keys in enumerate(prefix_keys, start=1):
-            if any(failed.get(key, "").startswith("PromptTooLong") for key in keys):
+            results = [outcomes[key] for key in keys]
+            if any(error and error.startswith("PromptTooLong") for error, _ in results):
                 logger.warning("%s: prefix %d skipped: prompt too long", tid, prefix_len)
                 continue
             completions: list[tuple[str | None, bool]] = []
             n_success = 0
-            for key in keys:
-                if key in failed:
-                    logger.warning(
-                        "%s: completion failed, counted as non-matching: %s", tid, failed[key]
-                    )
+            for error, answer in results:
+                if error:
+                    logger.warning("%s: completion failed, counted as non-matching: %s", tid, error)
                     completions.append((None, False))
                     continue
-                answer = answered[key]
                 matched = answer is problem.label
                 n_success += matched
                 completions.append((str(answer) if answer is not None else None, matched))

@@ -257,6 +257,8 @@ def trajectory_from_dict(d: dict) -> Trajectory:
     answer = None if word is None else Label.from_text(word)
     if word is not None and answer is None:
         raise ValueError(f"final_answer {word!r} names no label")
+    if not steps:
+        raise EmptyTrajectory("trace has no steps")
     return Trajectory(
         steps=steps,
         final_answer=answer,

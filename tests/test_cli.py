@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from argparse import Namespace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl, write_jsonl
 from symtraj.llm import MAX_ATTEMPTS
 from symtraj.problems import Problem, Statement, load_problems
-from symtraj.semantics import Label
+from symtraj.semantics import Label, entails
 from symtraj.supervision import RemoteScorer, mc_label, step_label_to_dict, trajectory_id_of
 from symtraj.trajectory import parse_trajectory, trajectory_from_dict
 
@@ -581,6 +582,20 @@ def test_invalid_problem_record_fails_with_code_2(tmp_path):
     assert rc == 2
 
 
+def test_gen_problems_label_the_oracle_rejects_is_one_invariant_line(tmp_path, capsys, monkeypatch):
+    def wrong(premises, hypothesis):
+        verdict = entails(premises, hypothesis)
+        return replace(verdict, result=Label.UNCERTAIN)
+
+    monkeypatch.setattr("symtraj.problems.entails", wrong)
+    out = tmp_path / "problems.jsonl"
+    capsys.readouterr()
+    assert main(["gen-problems", "--lengths", "2", "--count", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: grounded problem of length 2") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Reading artifacts: malformed records and traces of unknown problems
 # ---------------------------------------------------------------------------
@@ -635,6 +650,7 @@ MALFORMED = {
         ),
         "answer not a string": lambda rec: dict(rec, final_answer=5),
         "answer naming no label": lambda rec: dict(rec, final_answer="Maybe"),
+        "no steps": lambda rec: dict(rec, steps=[]),
     },
     "scores": {
         "missing key": _without("trajectory_id"),
@@ -676,6 +692,19 @@ def test_unparseable_problem_formula_is_one_error_line(artifacts, tmp_path, caps
     assert main(_argv(stage, dict(artifacts, problems=str(bad), out=str(tmp_path / "out.jsonl")))) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: record 0: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("stage", [stage for stage, argv in READERS.items() if "{problems}" in argv])
+def test_predicate_at_two_arities_is_one_invariant_line(artifacts, tmp_path, capsys, stage):
+    bad = tmp_path / "bad-problems.jsonl"
+    record = read_jsonl(artifacts["problems"])[0]
+    premises = [{"nl": "a", "fol": "P(a)"}, {"nl": "b", "fol": "P(a, b)"}]
+    write_jsonl(bad, [dict(record, source="custom", premises=premises)])
+    capsys.readouterr()
+    assert main(_argv(stage, dict(artifacts, problems=str(bad), out=str(tmp_path / "out.jsonl")))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invariant violation: {bad}: record 0: ") and err.count("\n") == 1, err
+    assert "predicate 'P' used with arity 1 and 2" in err
 
 
 def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(

@@ -1,10 +1,12 @@
 """Problem model, synthetic generation, splitting, and file formats."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+from symtraj import problems as problems_module
 from symtraj.fol import parse_formula
 from symtraj.jsonl import FormatError, write_jsonl
 from symtraj.problems import (
@@ -65,6 +67,19 @@ def test_validate_problem_rejections():
     validate_problem(_problem(split="train"))
 
 
+@pytest.mark.parametrize(
+    "premises, hypothesis",
+    [(["P(a)", "P(a, b)"], "Q(a)"), (["P(a)"], "P(a, b)")],
+)
+def test_validate_problem_rejects_a_predicate_used_at_two_arities(premises, hypothesis):
+    problem = _problem(
+        premises=tuple(Statement(formula=parse_formula(t)) for t in premises),
+        hypothesis=Statement(formula=parse_formula(hypothesis)),
+    )
+    with pytest.raises(InvariantViolation, match="p1: predicate 'P' used with arity 1 and 2"):
+        validate_problem(problem)
+
+
 def test_generate_counts_ids_and_lengths():
     problems = generate_logicasker(4, [3, 5], seed=1)
     assert len(problems) == 8
@@ -91,6 +106,33 @@ def test_generate_agrees_with_entailment_oracle():
         verdict = entails(list(p.premise_formulas), p.hypothesis.formula, max_domain=3)
         assert verdict.result is p.label, p.id
         assert not verdict.unsatisfiable_premises
+
+
+def test_generate_builds_one_candidate_per_problem(monkeypatch):
+    calls = []
+    build = problems_module._build_candidate
+
+    def counting(rng, length, shape, label):
+        calls.append((length, shape, label))
+        return build(rng, length, shape, label)
+
+    monkeypatch.setattr(problems_module, "_build_candidate", counting)
+    problems = generate_logicasker(6, [1, 8, 15], seed=4)
+    assert len(calls) == len(problems) == 18
+    assert calls == [(p.reasoning_length, p.meta["shape"], p.label) for p in problems]
+
+
+def test_generate_raises_when_the_oracle_disagrees_with_a_label(monkeypatch):
+    entails_ = problems_module.entails
+
+    def flipped(premises, hypothesis):
+        verdict = entails_(premises, hypothesis)
+        wrong = Label.FALSE if verdict.result is Label.TRUE else Label.TRUE
+        return dataclasses.replace(verdict, result=wrong)
+
+    monkeypatch.setattr(problems_module, "entails", flipped)
+    with pytest.raises(InvariantViolation, match="grounded problem of length 3: oracle verdict False"):
+        generate_logicasker(2, [3], seed=0)
 
 
 def test_generate_deterministic_per_seed():
