@@ -59,6 +59,7 @@ class OracleMockBackend:
         self._by_key: dict[str, list[tuple[int, str, Problem]]] = {}
         for order, (task, problem) in enumerate(zip(tasks, problems)):
             self._by_key.setdefault(task[: self._key_len], []).append((order, task, problem))
+        self._last: tuple | None = None
 
     def _match_problem(self, user_text: str) -> Problem:
         """The first problem, in list order, whose task occurs in the prompt."""
@@ -73,17 +74,35 @@ class OracleMockBackend:
             raise BackendUnavailable("prompt does not mention a known problem")
         return best[1]
 
-    def generate(self, req: GenerationRequest) -> GenerationResponse:
-        chars = check_prompt_length(req.messages, self.max_prompt_chars)
-        user_text = "\n".join(m.get("content", "") for m in req.messages)
+    def _read(self, messages: tuple[dict, ...]) -> tuple:
+        """What a reply depends on in the prompt: (messages, char count,
+        prompt_key digest, problem, continuation flag, no replies yet)."""
+        chars = check_prompt_length(messages, self.max_prompt_chars)
+        user_text = "\n".join(m.get("content", "") for m in messages)
         problem = self._match_problem(user_text)
-        rng = random.Random(f"{self.seed}|{req.seed}|{prompt_key(req.messages)}|{req.temperature}")
+        continuation = CONTINUATION_REQUEST in user_text
+        return (messages, chars, prompt_key(messages), problem, continuation, ())
+
+    def generate(self, req: GenerationRequest) -> GenerationResponse:
+        # A label batch sends each prompt n_samples times in a row, so the
+        # last prompt's reading is kept, in one tuple that is replaced and
+        # never changed: a thread holding it sees one prompt's reading whole.
+        reading = self._last
+        if reading is None or reading[0] != req.messages:
+            reading = self._last = self._read(req.messages)
+        _, chars, digest, problem, continuation, replies = reading
+        rng = random.Random(f"{self.seed}|{req.seed}|{digest}|{req.temperature}")
         answer = problem.label if rng.random() < self.accuracy else _flip(problem.label)
-        if CONTINUATION_REQUEST in user_text:
-            text = self._completion_text(problem, answer)
-        else:
-            text = self._trajectory_text(problem, rng, answer)
-        return _mock_reply(text, req.max_tokens, chars)
+        if not continuation:
+            return _mock_reply(self._trajectory_text(problem, rng, answer), req.max_tokens, chars)
+        # A completion reply depends on the prompt, the answer and max_tokens only.
+        key = (answer, req.max_tokens)
+        for known, reply in replies:
+            if known == key:
+                return reply
+        reply = _mock_reply(self._completion_text(problem, answer), req.max_tokens, chars)
+        self._last = (*reading[:-1], replies + ((key, reply),))
+        return reply
 
     def _conclusion(self, problem: Problem) -> Formula | None:
         meta = problem.meta

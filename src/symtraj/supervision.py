@@ -212,10 +212,12 @@ def mc_label_all(
         if not traj.steps:
             raise ValueError("trajectory has no steps to label")
         tid = trajectory_id_of(traj)
+        sampling = build_sampling_prompt(problem, n_shots)
+        rendered = [render_step(s) for s in traj.steps]
         prefix_keys = []
         pending: dict[tuple[str, int], GenerationRequest] = {}
         for prefix_len in range(1, len(traj.steps) + 1):
-            prompt = build_completion_prompt(problem, traj, prefix_len, n_shots)
+            prompt = build_completion_prompt(sampling, rendered, prefix_len)
             messages = tuple(prompt.to_messages())
             digest = prompt_key(messages)
             keys = [(digest, seed) for seed in range(n_samples)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import demos
@@ -354,11 +355,11 @@ def build_sampling_prompt(problem: Problem, n_shots: int = 1) -> PromptBundle:
 
 
 def build_completion_prompt(
-    problem: Problem, traj: Trajectory, prefix_len: int, n_shots: int = 1
+    sampling: PromptBundle, rendered_steps: Sequence[str], prefix_len: int
 ) -> PromptBundle:
-    """Sampling prompt plus the first prefix_len steps and a continuation request."""
-    if not 1 <= prefix_len <= len(traj.steps):
-        raise IndexError(f"prefix_len {prefix_len} out of range 1..{len(traj.steps)}")
-    base = build_sampling_prompt(problem, n_shots)
-    prefix = "\n".join(render_step(s) for s in traj.steps[:prefix_len])
-    return dataclasses.replace(base, continuation_prefix=prefix)
+    """The sampling prompt plus the first prefix_len rendered steps
+    (`render_step` of each) and a continuation request."""
+    if not 1 <= prefix_len <= len(rendered_steps):
+        raise IndexError(f"prefix_len {prefix_len} out of range 1..{len(rendered_steps)}")
+    prefix = "\n".join(rendered_steps[:prefix_len])
+    return dataclasses.replace(sampling, continuation_prefix=prefix)

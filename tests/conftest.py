@@ -1,6 +1,8 @@
-"""Shared generators for property tests, and a local HTTP server for the
-HTTP client's tests. All randomness is seeded per test."""
+"""Shared generators for property tests, a local HTTP server for the HTTP
+client's tests, and the completion prompt built without
+`build_completion_prompt`. All randomness is seeded per test."""
 
+import dataclasses
 import json
 import random
 import socket
@@ -24,6 +26,7 @@ from symtraj.fol import (
     Variable,
     Xor,
 )
+from symtraj.trajectory import build_sampling_prompt, render_step
 
 PRED_POOL = (("P", 1), ("Q", 1), ("R", 2), ("Likes", 2), ("Rain", 0), ("S", 1))
 CONST_POOL = ("a", "b", "c")
@@ -152,6 +155,14 @@ class LocalServer:
         self._httpd.server_close()
         self._thread.join(timeout=5)
         assert not self._thread.is_alive()
+
+
+def completion_messages(problem, traj, prefix_len: int, n_shots: int = 1) -> tuple[dict, ...]:
+    """The messages that ask to finish traj after its first prefix_len steps,
+    built from the sampling prompt alone, as a reference for mc_label_all."""
+    prefix = "\n".join(render_step(s) for s in traj.steps[:prefix_len])
+    sampling = build_sampling_prompt(problem, n_shots)
+    return tuple(dataclasses.replace(sampling, continuation_prefix=prefix).to_messages())
 
 
 def closed_port() -> int:

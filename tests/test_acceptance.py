@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_closed_formula
+from conftest import completion_messages, random_closed_formula
 from test_rules import _check_rule_step, _random_instance
 from test_supervision import MC_TRACE, _mc_fixture
 
@@ -35,7 +35,7 @@ from symtraj.supervision import (
     step_label_to_dict,
     trajectory_id_of,
 )
-from symtraj.trajectory import StepKind, build_completion_prompt, parse_trajectory
+from symtraj.trajectory import StepKind, parse_trajectory
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -173,7 +173,7 @@ def test_criterion_5_mc_labeling_matches_committed_file():
     # Scripted completions succeed exactly for prefixes shorter than 4.
     script = {}
     for prefix_len in range(1, len(traj.steps) + 1):
-        messages = build_completion_prompt(problem, traj, prefix_len).to_messages()
+        messages = completion_messages(problem, traj, prefix_len)
         answer = "True" if prefix_len < 4 else "False"
         script[prompt_key(messages)] = f"Action: Finish [{answer}]"
     labels = mc_label(problem, traj, ScriptedMockBackend(script), n_samples=10, k=1)

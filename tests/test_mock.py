@@ -1,15 +1,18 @@
 """Problem-aware mock backend: determinism, accuracy, sloppiness, completions."""
 
 import dataclasses
+import sys
+import threading
 
 import pytest
+from conftest import completion_messages
 
 from symtraj.llm import BackendUnavailable, GenerationRequest, PromptTooLong
 from symtraj.mock import OracleMockBackend
 from symtraj.problems import generate_logicasker
 from symtraj.rules import VerdictStatus, verify_trajectory
 from symtraj.semantics import Label
-from symtraj.trajectory import build_completion_prompt, build_sampling_prompt, parse_trajectory
+from symtraj.trajectory import build_sampling_prompt, parse_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +83,7 @@ def test_mock_completion_mode(problems):
     backend = OracleMockBackend(problems, seed=0)
     p = problems[0]
     traj = parse_trajectory(backend.generate(_sample_req(p)).text, problem_id=p.id)
-    messages = tuple(build_completion_prompt(p, traj, prefix_len=2).to_messages())
+    messages = completion_messages(p, traj, prefix_len=2)
     text = backend.generate(GenerationRequest(messages=messages, seed=0)).text
     assert "Finish [" in text
     completion = parse_trajectory(text)
@@ -140,7 +143,7 @@ def test_mock_problem_index_agrees_with_a_linear_scan():
         texts.append(user_text(messages))
         traj = parse_trajectory(backend.generate(GenerationRequest(messages=messages)).text)
         for prefix_len in (1, len(traj.steps)):
-            texts.append(user_text(build_completion_prompt(p, traj, prefix_len).to_messages()))
+            texts.append(user_text(completion_messages(p, traj, prefix_len)))
     # Two tasks in one prompt: list order decides, not position in the text.
     texts.append(tasks[5][0] + "\n" + tasks[1][0])
     for text in texts:
@@ -150,3 +153,94 @@ def test_mock_problem_index_agrees_with_a_linear_scan():
     assert backend._match_problem(repeated) is problems[2]
     with pytest.raises(BackendUnavailable):
         backend._match_problem(tasks[0][0][:-1])
+
+
+def _reply(resp):
+    return resp.text, resp.finish_reason, resp.usage
+
+
+MIXED_OPTIONS = dict(seed=9, accuracy=0.5, sloppiness=0.5)
+# Prompt letter, request seed, and max_tokens after a slash (default 1024).
+MIXED_ORDER = "A0 A1 B0 A2 B1 A1/4 A0 C0 A1 A1/4 B0 C1 A2/4 C0 A3 A4 A5 B1/6 A0"
+
+
+def _mixed_requests(problems) -> list[GenerationRequest]:
+    """Interleaved and repeated requests: A and C are continuation prompts of
+    one problem, B the sampling prompt of another."""
+    a, b = problems[0], problems[1]
+    traj = parse_trajectory(OracleMockBackend(problems).generate(_sample_req(a)).text)
+    prompts = {
+        "A": completion_messages(a, traj, 2),
+        "B": tuple(build_sampling_prompt(b).to_messages()),
+        "C": completion_messages(a, traj, 3),
+    }
+    reqs = []
+    for token in MIXED_ORDER.split():
+        head, _, max_tokens = token.partition("/")
+        reqs.append(
+            GenerationRequest(
+                messages=prompts[head[0]], seed=int(head[1:]), max_tokens=int(max_tokens or 1024)
+            )
+        )
+    return reqs
+
+
+def test_mock_answer_does_not_depend_on_the_previous_prompt(problems):
+    reqs = _mixed_requests(problems)
+    backend = OracleMockBackend(problems, **MIXED_OPTIONS)
+    got = [_reply(backend.generate(req)) for req in reqs]
+    alone = [_reply(OracleMockBackend(problems, **MIXED_OPTIONS).generate(req)) for req in reqs]
+    assert got == alone
+    # The draw matters: A's full completions end on both answers, and a
+    # short max_tokens cuts the same prompt's reply.
+    tokens = MIXED_ORDER.split()
+    full_a = [text for (text, _, _), t in zip(got, tokens) if t[0] == "A" and "/" not in t]
+    answers = {parse_trajectory(text).final_answer for text in full_a}
+    assert len(answers) == 2
+    assert {g[1] for g, t in zip(got, tokens) if t.endswith("/4")} == {"length"}
+
+    # A prompt that fails is never kept: it fails again on every call, also
+    # right after a prompt that was read and kept.
+    sampling, too_long = reqs[2], reqs[7]
+    limit = sum(len(m["content"]) for m in sampling.messages)
+    assert sum(len(m["content"]) for m in too_long.messages) > limit
+    unknown = GenerationRequest(messages=({"role": "user", "content": "what is love"},))
+    backend = OracleMockBackend(problems, max_prompt_chars=limit, **MIXED_OPTIONS)
+    for _ in range(2):
+        assert _reply(backend.generate(sampling)) == alone[2]
+        for _ in range(2):
+            with pytest.raises(PromptTooLong):
+                backend.generate(too_long)
+        assert _reply(backend.generate(sampling)) == alone[2]
+        for _ in range(2):
+            with pytest.raises(BackendUnavailable):
+                backend.generate(unknown)
+
+
+def test_mock_threads_sharing_one_backend_get_the_sequential_answers(problems):
+    # perfbench's stand-in endpoint calls generate from its handler threads.
+    # Switching as often as the interpreter allows, a thread that read one
+    # prompt and answered from another's kept reading would get a wrong reply.
+    reqs = _mixed_requests(problems)
+    sequential = OracleMockBackend(problems, **MIXED_OPTIONS)
+    expected = [_reply(sequential.generate(req)) for req in reqs]
+    backend = OracleMockBackend(problems, **MIXED_OPTIONS)
+    orders = [list(range(len(reqs))) * 20, list(reversed(range(len(reqs)))) * 20]
+    got: list[list] = [[], []]
+
+    def run(i):
+        got[i] = [(j, _reply(backend.generate(reqs[j]))) for j in orders[i]]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        assert got[i] == [(j, expected[j]) for j in orders[i]]

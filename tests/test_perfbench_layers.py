@@ -7,13 +7,14 @@ in `perfbench/run.py --trace 1`.
 from pathlib import Path
 
 import pytest
+from conftest import completion_messages
 
 import symtraj
-from symtraj import cli, llm, mock, rules
+from symtraj import cli, llm, mock, rules, supervision
 from symtraj.fol import parse_formula
-from symtraj.problems import Problem, Statement
+from symtraj.problems import Problem, Statement, generate_logicasker
 from symtraj.semantics import Label
-from symtraj.trajectory import Step, StepKind, Trajectory
+from symtraj.trajectory import Step, StepKind, Trajectory, build_sampling_prompt, parse_trajectory
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,3 +64,33 @@ def test_verify_trajectory_calls_the_names_the_traced_run_wraps(monkeypatch):
     traj = Trajectory(steps=steps, final_answer=Label.TRUE, raw_text="t", problem_id="t")
     rules.verify_trajectory(problem, traj)
     assert counts == {"verify_step": 1, "entails": 1}
+
+
+def test_mc_label_all_calls_the_names_the_traced_run_wraps(monkeypatch):
+    # trajectory.prompt_s times supervision.build_completion_prompt, and
+    # llm.generate_calls counts OracleMockBackend.generate: one call per
+    # prefix, and one per distinct request, however much of a prompt's
+    # reading the mock keeps between calls.
+    calls = dict.fromkeys(("build_completion_prompt", "generate"), 0)
+    wrapped = ((supervision, "build_completion_prompt"), (mock.OracleMockBackend, "generate"))
+    for owner, name in wrapped:
+
+        def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    problems = generate_logicasker(2, [3], seed=5)
+    backend = mock.OracleMockBackend(problems, seed=1, sloppiness=0.5)
+    items = []
+    for p in problems:
+        messages = tuple(build_sampling_prompt(p).to_messages())
+        for seed in (0, 1, 0):  # the repeated seed gives a twin trace
+            text = backend.generate(llm.GenerationRequest(messages=messages, seed=seed)).text
+            items.append((p, parse_trajectory(text, problem_id=p.id)))
+    calls.update(generate=0)
+    supervision.mc_label_all(items, backend, n_samples=3)
+    prefixes = [(p, t, n) for p, t in items for n in range(1, len(t.steps) + 1)]
+    distinct = {llm.prompt_key(completion_messages(p, t, n)) for p, t, n in prefixes}
+    assert len(distinct) < len(prefixes)
+    assert calls == {"build_completion_prompt": len(prefixes), "generate": 3 * len(distinct)}

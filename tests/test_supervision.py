@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import DROP, closed_port
+from conftest import DROP, closed_port, completion_messages
 
 from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl
@@ -44,7 +44,7 @@ from symtraj.supervision import (
     step_label_to_dict,
     trajectory_id_of,
 )
-from symtraj.trajectory import build_completion_prompt, parse_trajectory
+from symtraj.trajectory import parse_trajectory
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -99,6 +99,7 @@ class RecordingBackend:
 
     def __init__(self, fail_once=()):
         self.sent: list[tuple] = []
+        self.messages: list[tuple] = []
         self.fail_once = set(fail_once)
 
     @staticmethod
@@ -108,6 +109,7 @@ class RecordingBackend:
     def generate(self, req) -> GenerationResponse:
         key = self.key(req)
         self.sent.append(key)
+        self.messages.append(req.messages)
         if key in self.fail_once:
             self.fail_once.discard(key)
             raise RuntimeError("transient backend failure")
@@ -203,7 +205,7 @@ def test_mc_label_matches_committed_expectations():
     problem, traj = _mc_fixture()
     script = {}
     for prefix_len in range(1, len(traj.steps) + 1):
-        messages = build_completion_prompt(problem, traj, prefix_len).to_messages()
+        messages = completion_messages(problem, traj, prefix_len)
         answer = "True" if prefix_len <= 3 else "False"
         script[prompt_key(messages)] = f"Action: Finish [{answer}]"
     backend = ScriptedMockBackend(script)
@@ -218,7 +220,7 @@ def test_mc_label_boundary_between_success_and_failure():
     problem, traj = _mc_fixture()
     script = {}
     for prefix_len in range(1, len(traj.steps) + 1):
-        messages = build_completion_prompt(problem, traj, prefix_len).to_messages()
+        messages = completion_messages(problem, traj, prefix_len)
         answer = "True" if prefix_len <= 3 else "False"
         script[prompt_key(messages)] = f"Action: Finish [{answer}]"
     labels = mc_label(problem, traj, ScriptedMockBackend(script), n_samples=10, k=1)
@@ -252,7 +254,7 @@ def test_mc_label_counts_backend_errors_as_failures():
 def test_mc_label_skips_prefixes_with_too_long_prompts():
     problem, traj = _mc_fixture()
     sizes = [
-        sum(len(m["content"]) for m in build_completion_prompt(problem, traj, p).to_messages())
+        sum(len(m["content"]) for m in completion_messages(problem, traj, p))
         for p in range(1, len(traj.steps) + 1)
     ]
     assert sizes == sorted(sizes)
@@ -313,7 +315,7 @@ def test_mc_label_all_equals_per_trajectory_mc_label():
 def test_mc_label_all_sends_a_failed_request_once_and_labels_twins_alike():
     problem, trajs = _dedup_fixture()
     traj, twin = trajs[:2]
-    messages = build_completion_prompt(problem, traj, 2).to_messages()
+    messages = completion_messages(problem, traj, 2)
     flaky = (prompt_key(messages), 1, DEFAULT_TEMPERATURE, DEFAULT_MAX_TOKENS, "")
     backend = RecordingBackend(fail_once={flaky})
     first, second = mc_label_all([(problem, traj), (problem, twin)], backend, n_samples=3)
@@ -325,11 +327,32 @@ def test_mc_label_all_sends_a_failed_request_once_and_labels_twins_alike():
     assert set(counts.values()) == {1}
 
 
+@pytest.mark.parametrize("n_shots", [1, 2])
+def test_mc_label_all_sends_the_prompt_of_each_prefix(n_shots):
+    problem, traj = _mc_fixture()
+    # Two identical steps still make two prefixes, each with its own prompt.
+    repeated = parse_trajectory(
+        "Thought: Check the premises.\nThought: Check the premises.\nAction: Finish [True]",
+        problem_id=problem.id,
+    )
+    assert repeated.steps[0] == repeated.steps[1]
+    backend = RecordingBackend()
+    items = [(problem, traj), (problem, repeated)]
+    mc_label_all(items, backend, n_samples=2, parallelism=1, n_shots=n_shots)
+    expected = [
+        completion_messages(problem, t, p, n_shots)
+        for t in (traj, repeated)
+        for p in range(1, len(t.steps) + 1)
+        for _seed in range(2)
+    ]
+    assert backend.messages == expected
+
+
 def test_mc_label_all_skips_only_the_prefixes_with_too_long_prompts():
     problem, trajs = _dedup_fixture()
     traj, _, branch, short = trajs
     sizes = [
-        sum(len(m["content"]) for m in build_completion_prompt(problem, traj, p).to_messages())
+        sum(len(m["content"]) for m in completion_messages(problem, traj, p))
         for p in range(1, len(traj.steps) + 1)
     ]
     cutoff = (sizes[2] + sizes[3]) // 2

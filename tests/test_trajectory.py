@@ -1,6 +1,7 @@
 """Trace parsing, formula harvesting, serialization, and prompt assembly."""
 
 import pytest
+from conftest import completion_messages
 
 from symtraj.demos import DEMOS, RINA_DEMO, SQUASH_DEMO, demos_for, rina_problem, squash_problem
 from symtraj.fol import Exists, Pred, Variable, parse_formula
@@ -125,7 +126,7 @@ def test_final_answer_alone_matches_the_full_parse():
         sample = GenerationRequest(messages=tuple(build_sampling_prompt(p).to_messages()), seed=0)
         traj = parse_trajectory(backend.generate(sample).text, problem_id=p.id)
         for prefix_len in range(1, len(traj.steps) + 1):
-            messages = tuple(build_completion_prompt(p, traj, prefix_len).to_messages())
+            messages = completion_messages(p, traj, prefix_len)
             for seed in range(4):
                 for max_tokens in (1, 3, 1024):
                     req = GenerationRequest(messages=messages, seed=seed, max_tokens=max_tokens)
@@ -257,12 +258,16 @@ def test_sampling_prompt_shot_count():
 def test_completion_prompt_prefix_handling():
     problem = squash_problem()
     traj = parse_trajectory(SQUASH_DEMO.trajectory, problem_id=problem.id)
-    bundle = build_completion_prompt(problem, traj, prefix_len=2)
-    assert bundle.continuation_prefix == "\n".join(render_step(s) for s in traj.steps[:2])
+    sampling = build_sampling_prompt(problem)
+    rendered = [render_step(s) for s in traj.steps]
+    bundle = build_completion_prompt(sampling, rendered, prefix_len=2)
+    assert bundle.continuation_prefix == "\n".join(rendered[:2])
+    assert bundle.to_messages()[0] == sampling.to_messages()[0]
     user = bundle.to_messages()[1]["content"]
+    assert user.startswith(sampling.to_messages()[1]["content"] + "\n")
     assert CONTINUATION_REQUEST in user
     assert user.index(bundle.continuation_prefix) < user.index(CONTINUATION_REQUEST)
     with pytest.raises(IndexError):
-        build_completion_prompt(problem, traj, prefix_len=0)
+        build_completion_prompt(sampling, rendered, prefix_len=0)
     with pytest.raises(IndexError):
-        build_completion_prompt(problem, traj, prefix_len=len(traj.steps) + 1)
+        build_completion_prompt(sampling, rendered, prefix_len=len(rendered) + 1)
