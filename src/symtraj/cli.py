@@ -51,6 +51,7 @@ from .supervision import (
     export_dpo_dataset,
     export_prm_dataset,
     export_sft_dataset,
+    judge_distinct,
     mc_label,  # noqa: F401  (perfbench/layers.py wraps cli.mc_label)
     mc_label_all,
     preference_pair_from_dict,
@@ -327,10 +328,12 @@ def cmd_label(args) -> int:
 def cmd_verify(args) -> int:
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
+    items = with_problems(trajectories, problems)
+    all_verdicts, n_distinct = judge_distinct(items, verify_trajectory)
     records = []
-    for problem, traj in with_problems(trajectories, problems):
+    for (problem, traj), verdicts in zip(items, all_verdicts):
         tid = trajectory_id_of(traj)
-        for i, verdict in enumerate(verify_trajectory(problem, traj)):
+        for i, verdict in enumerate(verdicts):
             records.append(
                 {
                     "problem_id": problem.id,
@@ -342,7 +345,10 @@ def cmd_verify(args) -> int:
                 }
             )
     write_jsonl(args.out, records)
-    print(f"wrote {len(records)} step verdicts to {args.out}")
+    print(
+        f"wrote {len(records)} step verdicts to {args.out}"
+        f" ({n_distinct} distinct of {len(items)} trajectories)"
+    )
     return 0
 
 
@@ -358,17 +364,30 @@ def cmd_score(args) -> int:
             scorer = RemoteScorer(args.remote_url)
         except ValueError as exc:
             raise ConfigError(f"--remote-url: {exc}") from None
-    records = []
+
+    def score(problem, traj):
+        # A failure is the result that twins share: each is skipped below.
+        try:
+            return score_trajectory(problem, traj, scorer)
+        except ScorerUnavailable as exc:
+            return exc
+
+    items = with_problems(trajectories, problems)
     try:
-        for problem, traj in with_problems(trajectories, problems):
-            try:
-                records.append(prm_score_to_dict(score_trajectory(problem, traj, scorer)))
-            except ScorerUnavailable as exc:
-                logger.warning("scoring %s failed: %s", trajectory_id_of(traj), exc)
+        scores, n_distinct = judge_distinct(items, score)
     finally:
         _close(scorer)
+    records = []
+    for (_, traj), result in zip(items, scores):
+        if isinstance(result, ScorerUnavailable):
+            logger.warning("scoring %s failed: %s", trajectory_id_of(traj), result)
+        else:
+            records.append(prm_score_to_dict(result))
     write_jsonl(args.out, records)
-    print(f"wrote {len(records)} trajectory scores to {args.out}")
+    print(
+        f"wrote {len(records)} trajectory scores to {args.out}"
+        f" ({n_distinct} distinct of {len(items)} trajectories)"
+    )
     return 0
 
 

@@ -171,6 +171,28 @@ def with_problems(trajs, problems) -> list[tuple[Problem, Trajectory]]:
     return joined
 
 
+def judge_distinct(items, judge) -> tuple[list, int]:
+    """judge(problem, trajectory) for each (problem, trajectory) of items, in
+    order, and the number of distinct traces judged.
+
+    Twins, records with the same trajectory id and equal steps on record,
+    share one call and its result. Steps are compared only among records of
+    one id, so a file without twins costs one dict lookup per trace.
+    """
+    judged: dict[str, list[tuple[tuple, object]]] = {}
+    results = []
+    for problem, traj in items:
+        twins = judged.setdefault(trajectory_id_of(traj), [])
+        for steps, result in twins:
+            if steps == traj.steps:
+                break
+        else:
+            result = judge(problem, traj)
+            twins.append((traj.steps, result))
+        results.append(result)
+    return results, sum(map(len, judged.values()))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo labeling
 # ---------------------------------------------------------------------------

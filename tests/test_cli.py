@@ -28,7 +28,16 @@ from symtraj.jsonl import read_jsonl, write_jsonl
 from symtraj.llm import MAX_ATTEMPTS
 from symtraj.problems import Problem, Statement, load_problems
 from symtraj.semantics import Label, entails
-from symtraj.supervision import RemoteScorer, mc_label, step_label_to_dict, trajectory_id_of
+from symtraj.rules import verify_trajectory
+from symtraj.supervision import (
+    RemoteScorer,
+    SymbolicScorer,
+    mc_label,
+    prm_score_to_dict,
+    score_trajectory,
+    step_label_to_dict,
+    trajectory_id_of,
+)
 from symtraj.trajectory import parse_trajectory, trajectory_from_dict
 
 
@@ -734,6 +743,75 @@ def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(
         # The warning names the dropped trace, not only its problem.
         assert f"scoring {trajectory_id_of(trajectory_from_dict(traces[0]))} failed" in caplog.text
     assert len(sleeps) == MAX_ATTEMPTS - 1
+
+
+@pytest.fixture()
+def twin_traces(artifacts, tmp_path):
+    """The traces file with every record twice, the twins apart."""
+    records = read_jsonl(artifacts["traces"])
+    path = tmp_path / "twin-traces.jsonl"
+    write_jsonl(path, records + records)
+    return str(path)
+
+
+def test_verify_and_score_write_each_twin_what_it_gets_alone(artifacts, twin_traces, tmp_path, capsys):
+    problems = {p.id: p for p in load_problems(artifacts["problems"])}
+    trajs = [trajectory_from_dict(r) for r in read_jsonl(twin_traces)]
+    files = dict(artifacts, traces=twin_traces, out=str(tmp_path / "out.jsonl"))
+    n = len(trajs)
+
+    capsys.readouterr()
+    assert main(_argv("verify", files)) == 0
+    assert capsys.readouterr().out.endswith(f"({n // 2} distinct of {n} trajectories)\n")
+    verdicts = [
+        {
+            "problem_id": traj.problem_id,
+            "trajectory_id": trajectory_id_of(traj),
+            "step_index": i,
+            "status": v.status.value,
+            "rule": v.rule.rule.value if v.rule else None,
+            "note": v.note,
+        }
+        for traj in trajs
+        for i, v in enumerate(verify_trajectory(problems[traj.problem_id], traj))
+    ]
+    assert read_jsonl(files["out"]) == verdicts
+
+    assert main(_argv("score", files)) == 0
+    assert capsys.readouterr().out.endswith(f"({n // 2} distinct of {n} trajectories)\n")
+    scores = [
+        json.loads(json.dumps(prm_score_to_dict(score_trajectory(problems[t.problem_id], t, SymbolicScorer()))))
+        for t in trajs
+    ]
+    assert read_jsonl(files["out"]) == scores
+
+
+def test_remote_scorer_sends_twins_one_request_and_skips_each_on_failure(
+    artifacts, twin_traces, tmp_path, local_server, caplog, monkeypatch
+):
+    trajs = [trajectory_from_dict(r) for r in read_jsonl(twin_traces)]
+    local_server.default = lambda body: (200, {"probs": [0.5] * len(body["steps"])})
+    sleeps = []
+    monkeypatch.setattr(cli, "RemoteScorer", functools.partial(RemoteScorer, sleep=sleeps.append))
+    out = tmp_path / "scores.jsonl"
+    files = dict(artifacts, traces=twin_traces, out=str(out))
+    argv = _argv("score", files) + ["--scorer", "remote", "--remote-url", local_server.url]
+    # The first trace's one request meets only 503s; every other trace is scored.
+    local_server.script = [(503, {})] * MAX_ATTEMPTS
+    with caplog.at_level(logging.WARNING):
+        assert main(argv) == 0
+    assert local_server.script == []
+    assert len(local_server.requests) == MAX_ATTEMPTS + len(trajs) // 2 - 1
+    assert len(sleeps) == MAX_ATTEMPTS - 1
+    # Both twins are skipped, each with a warning of its own.
+    failed = trajectory_id_of(trajs[0])
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert [w for w in warnings if w.startswith(f"scoring {failed} failed")] == [
+        f"scoring {failed} failed: scorer request failed: giving up after {MAX_ATTEMPTS} attempts: HTTP 503"
+    ] * 2
+    assert [r["trajectory_id"] for r in read_jsonl(out)] == [
+        trajectory_id_of(t) for t in trajs if trajectory_id_of(t) != failed
+    ]
 
 
 def test_remote_url_that_is_not_http_is_a_config_error(artifacts, tmp_path, capsys):

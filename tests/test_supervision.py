@@ -1,5 +1,6 @@
 """Tests for Monte Carlo step labels, PRM scoring, selection, and exports."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from symtraj.llm import (
     prompt_key,
 )
 from symtraj.problems import Problem, Statement
+from symtraj.rules import VerdictStatus, verify_trajectory
 from symtraj.semantics import Label
 from symtraj.supervision import (
     PreferencePair,
@@ -34,6 +36,7 @@ from symtraj.supervision import (
     export_dpo_dataset,
     export_prm_dataset,
     export_sft_dataset,
+    judge_distinct,
     make_trajectory_id,
     mc_label,
     mc_label_all,
@@ -525,6 +528,65 @@ def test_remote_scorer_failures(local_server):
         scorer.close()
         assert local_server.script == []
     assert len(local_server.requests) == sum(map(len, replies))
+
+
+# ---------------------------------------------------------------------------
+# Judging each distinct trace once
+# ---------------------------------------------------------------------------
+
+
+def _twin_items():
+    """Two twins of one trace (parsed apart, as from a file) around a second
+    trace of the same problem and a trace of another problem."""
+    problem, other = _chain_problem(), _chain_problem("other")
+    longer = MC_TRACE.replace("Action: Finish", "Thought: Tea follows.\nAction: Finish")
+    return [
+        (problem, parse_trajectory(MC_TRACE, problem_id=problem.id)),
+        (problem, parse_trajectory(longer, problem_id=problem.id)),
+        (other, parse_trajectory(MC_TRACE, problem_id=other.id)),
+        (problem, parse_trajectory(MC_TRACE, problem_id=problem.id)),
+    ]
+
+
+def test_judge_distinct_keeps_input_order():
+    items = _twin_items()
+    judge = lambda problem, traj: (problem.id, len(traj.steps))  # noqa: E731
+    results, n_distinct = judge_distinct(items, judge)
+    assert results == [judge(p, t) for p, t in items]
+    assert results == [("mc-fixture", 6), ("mc-fixture", 7), ("other", 6), ("mc-fixture", 6)]
+    assert n_distinct == 3
+
+
+def test_judge_distinct_calls_the_judge_once_per_distinct_trace():
+    items = _twin_items() * 2
+    calls = []
+
+    def judge(problem, traj):
+        calls.append(trajectory_id_of(traj))
+        return verify_trajectory(problem, traj)
+
+    results, n_distinct = judge_distinct(items, judge)
+    assert len(calls) == len(set(calls)) == n_distinct == 3
+    assert results == [verify_trajectory(p, t) for p, t in items]
+    # Twins share the one result.
+    assert results[0] is results[3] is results[4] is results[7]
+    assert judge_distinct([], judge) == ([], 0)
+
+
+def test_judge_distinct_judges_twin_ids_with_different_steps_apart():
+    # A hand-edited file: the same trajectory id, but the second record's
+    # last Observation on record claims something the premises do not give.
+    problem, traj = _mc_fixture()
+    steps = list(traj.steps)
+    steps[4] = parse_trajectory("Observation: Cook(bob)").steps[0]
+    edited = dataclasses.replace(traj, steps=tuple(steps))
+    assert trajectory_id_of(edited) == trajectory_id_of(traj)
+    items = [(problem, traj), (problem, edited), (problem, traj), (problem, edited)]
+    results, n_distinct = judge_distinct(items, verify_trajectory)
+    assert n_distinct == 2
+    assert results == [verify_trajectory(p, t) for p, t in items]
+    assert results[0] != results[1]
+    assert results[1][4].status is VerdictStatus.INVALID
 
 
 # ---------------------------------------------------------------------------
