@@ -567,6 +567,64 @@ def test_verify_trajectory_arity_conflict_in_formalization():
     assert "arity" in verdicts[1].note
 
 
+def _observe(*formulas):
+    formulas = tuple(parse_formula(f) if isinstance(f, str) else f for f in formulas)
+    return Step(StepKind.OBSERVATION, "; ".join(map(str, formulas)), formulas)
+
+
+def test_verify_trajectory_pins_every_step_kind():
+    S, V, I, U = (
+        VerdictStatus.VERIFIED_BY_RULE,
+        VerdictStatus.VERIFIED_SEMANTICALLY,
+        VerdictStatus.INVALID,
+        VerdictStatus.UNPARSEABLE,
+    )
+    syntax_only = (V, None, "formalization (syntax check only)")
+    restates = "restates an earlier formula"
+    steps_and_verdicts = [
+        # A claim before any Action is checked with no hint.
+        (_observe("P(a) -> Q(a)"), (S, "UniversalInstantiation", "UniversalInstantiation")),
+        (Step(StepKind.THOUGHT, "Chain the implications."), (V, None, "thought")),
+        (Step(StepKind.ACTION, "Define the predicates"), (V, None, "action")),
+        # A definition admits nothing: neither the stub nor the closed S(c).
+        (_observe(Pred("Z", (Constant("x"),)), "S(c)"), syntax_only),
+        (Step(StepKind.ACTION, "Apply modus ponens"), (V, None, "action")),
+        (_observe("S(c)"), (I, None, "not entailed by the context (Uncertain)")),
+        (Step(StepKind.OBSERVATION, "nothing to see here"), (U, None, "no parseable formulas")),
+        (Step(StepKind.ACTION, "Translate the remaining statements"), (V, None, "action")),
+        # A translation admits its closed non-stub formulas: T(b) only.
+        (_observe("T(b)", Pred("T", (Variable("y"),)), Pred("T", (Constant("x"),))), syntax_only),
+        (Step(StepKind.ACTION, "Apply modus ponens to derive Q(a)"), (V, None, "action")),
+        (
+            _observe("Q(a)", "exists x (P(x) & Q(x))", "W(d)"),
+            (
+                I,
+                None,
+                "ModusPonens; entailed under finite-model check (domain size 4, exact); "
+                "not entailed by the context (Uncertain)",
+            ),
+        ),
+        (Step(StepKind.ACTION, "Restate the facts so far"), (V, None, "action")),
+        # The translated T(b) and the Invalid W(d) both joined the context.
+        (_observe("T(b)", "W(d)"), (V, None, f"{restates}; {restates}")),
+        (Step(StepKind.ACTION, "Translate the premises"), (V, None, "action")),
+        (_observe("P(a, b)"), (I, None, "arity conflict: predicate 'P' used with arity 1 and 2")),
+        # The conflicting arity was not recorded, so arity 1 still passes.
+        (Step(StepKind.ACTION, "Formalize the question"), (V, None, "action")),
+        (_observe("P(c) -> Q(c)"), syntax_only),
+        # The conflicting formalization still joined the context.
+        (Step(StepKind.ACTION, "Apply modus ponens"), (V, None, "action")),
+        (_observe("P(a, b)"), (V, None, restates)),
+        (Step(StepKind.ACTION, "Finish [True]"), (V, None, "action")),
+    ]
+    traj = _traj([step for step, _ in steps_and_verdicts])
+    got = [
+        (v.status, v.rule.rule.value if v.rule else None, v.note)
+        for v in verify_trajectory(_chain_problem(), traj)
+    ]
+    assert got == [want for _, want in steps_and_verdicts]
+
+
 def _random_rule_chain(rng: random.Random):
     """A problem and a trajectory that translates the inputs of random rule
     instances and then claims each conclusion next to a random formula, most
