@@ -9,16 +9,19 @@ step was justified, not merely whether it holds.
 
 A Context holds the formulas a step may draw on and indexes its ∀ and ∃
 formulas by the shape of their body, so instantiation substitutes only into
-those that can match the claim. verify_trajectory grows one Context step by
-step, and the oracle calls on it reuse its grounding: only the formulas added
-since the last call are grounded, as long as the domain size and the
-constants stay the same.
+those that can match the claim. verify_trajectory judges each step once, by
+its kind: Thought and Action steps are neutral, an Observation after a
+formalization action is only syntax-checked, and any other Observation's
+formulas are claims for verify_step. It grows one Context step by step, and
+the oracle calls on it reuse its grounding: only the formulas added since the
+last call are grounded, as long as the domain size and constants stay the same.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -82,7 +85,7 @@ _SEVERITY = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepVerdict:
     status: VerdictStatus
     rule: RuleApplication | None = None
@@ -378,18 +381,6 @@ def hint_from_text(text: str) -> Rule | None:
 # ---------------------------------------------------------------------------
 
 
-def _syntax_check(formulas, sig: fol.Signature) -> tuple[VerdictStatus, str]:
-    probe = fol.Signature(dict(sig.predicates), set(sig.constants))
-    for f in formulas:
-        try:
-            probe.add_formula(f)
-        except ArityConflict as exc:
-            return VerdictStatus.INVALID, f"arity conflict: {exc}"
-    sig.predicates.update(probe.predicates)
-    sig.constants.update(probe.constants)
-    return VerdictStatus.VERIFIED_SEMANTICALLY, "formalization (syntax check only)"
-
-
 _PLACEHOLDER_RE = re.compile(r"[u-z][0-9]*")
 
 
@@ -406,56 +397,65 @@ def _is_signature_stub(f: Formula) -> bool:
     )
 
 
-def verify_trajectory(problem, traj) -> list[StepVerdict]:
-    """One StepVerdict per step.
+def _judge_formalization(formulas, action: str, context: Context, sig: fol.Signature) -> StepVerdict:
+    """Syntax-check an Observation that follows a formalization action.
 
-    The working context starts from the problem's premise formulas.
-    Observations after formalization-style actions are syntax-checked only;
-    later Observation formulas are justified one by one (each earlier line of
-    the same observation is visible to the next) and then join the context.
-    Thought and Action steps get neutral verdicts. One Context serves the
-    whole trajectory, so an oracle call grounds only the formulas that joined
-    it since the last call, while the domain size and constants stay the same.
+    Invalid if it gives a predicate a second arity; otherwise its arities
+    join sig. Either way, unless the action is a definition, its closed
+    formulas that are not signature stubs join the context."""
+    if not is_definition_action(action):
+        for f in formulas:
+            if fol.is_closed(f) and not _is_signature_stub(f):
+                context.add(f)
+    probe = fol.Signature(dict(sig.predicates))
+    try:
+        for f in formulas:
+            probe.add_formula(f)
+    except ArityConflict as exc:
+        return StepVerdict(VerdictStatus.INVALID, note=f"arity conflict: {exc}")
+    sig.predicates = probe.predicates
+    return StepVerdict(VerdictStatus.VERIFIED_SEMANTICALLY, note="formalization (syntax check only)")
+
+
+def _judge_claims(formulas, action: str, context: Context, sig: fol.Signature) -> StepVerdict:
+    """Each formula in turn goes through verify_step, hinted by the action,
+    and then joins the context and sig whatever its verdict. The step takes
+    the most severe status, the first formula's rule if that status is
+    VerifiedByRule, and the formulas' notes joined by "; "."""
+    hint = hint_from_text(action)
+    verdicts = []
+    for f in formulas:
+        verdicts.append(verify_step(context, f, hint=hint))
+        with suppress(ArityConflict):
+            sig.add_formula(f)
+        context.add(f)
+    status = max((v.status for v in verdicts), key=_SEVERITY.index)
+    rule = verdicts[0].rule if status is VerdictStatus.VERIFIED_BY_RULE else None
+    return StepVerdict(status, rule, "; ".join(v.note for v in verdicts))
+
+
+def verify_trajectory(problem, traj) -> list[StepVerdict]:
+    """One StepVerdict per step, by the step's kind.
+
+    Thought and Action steps are neutral, with the kind as the note, and an
+    Observation with no formulas is Unparseable. Any other Observation goes
+    to _judge_formalization after a formalization action, else to
+    _judge_claims; both grow one Context, started from the premise formulas.
     """
     context = Context(problem.premise_formulas)
     sig = fol.collect_signature(context)
+    action = ""
     verdicts: list[StepVerdict] = []
-    last_action = None
     for step in traj.steps:
-        if step.kind is StepKind.THOUGHT:
-            verdicts.append(StepVerdict(VerdictStatus.VERIFIED_SEMANTICALLY, note="thought"))
-            continue
         if step.kind is StepKind.ACTION:
-            last_action = step
-            verdicts.append(StepVerdict(VerdictStatus.VERIFIED_SEMANTICALLY, note="action"))
-            continue
-        if not step.formulas:
-            verdicts.append(StepVerdict(VerdictStatus.UNPARSEABLE, note="no parseable formulas"))
-            continue
-        if last_action is not None and is_formalization_action(last_action.text):
-            status, note = _syntax_check(step.formulas, sig)
-            verdicts.append(StepVerdict(status, note=note))
-            if not is_definition_action(last_action.text):
-                for f in step.formulas:
-                    if fol.is_closed(f) and not _is_signature_stub(f):
-                        context.add(f)
-            continue
-        hint = hint_from_text(last_action.text) if last_action is not None else None
-        status = VerdictStatus.VERIFIED_BY_RULE
-        parts: list[str] = []
-        first_app: RuleApplication | None = None
-        for f in step.formulas:
-            v = verify_step(context, f, hint=hint)
-            if first_app is None and v.rule is not None:
-                first_app = v.rule
-            parts.append(v.note)
-            status = max(status, v.status, key=_SEVERITY.index)
-            try:
-                sig.add_formula(f)
-            except ArityConflict:
-                pass
-            context.add(f)
-        note = "; ".join(parts)
-        rule_app = first_app if status is VerdictStatus.VERIFIED_BY_RULE else None
-        verdicts.append(StepVerdict(status, rule=rule_app, note=note))
+            action = step.text
+        if step.kind is not StepKind.OBSERVATION:
+            verdict = StepVerdict(VerdictStatus.VERIFIED_SEMANTICALLY, note=step.kind.value.lower())
+        elif not step.formulas:
+            verdict = StepVerdict(VerdictStatus.UNPARSEABLE, note="no parseable formulas")
+        elif is_formalization_action(action):
+            verdict = _judge_formalization(step.formulas, action, context, sig)
+        else:
+            verdict = _judge_claims(step.formulas, action, context, sig)
+        verdicts.append(verdict)
     return verdicts

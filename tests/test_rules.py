@@ -17,6 +17,7 @@ from symtraj.fol import (
     Pred,
     Variable,
     Xor,
+    collect_signature,
     is_closed,
     parse_formula,
     subformulas,
@@ -623,6 +624,65 @@ def test_verify_trajectory_pins_every_step_kind():
         for v in verify_trajectory(_chain_problem(), traj)
     ]
     assert got == [want for _, want in steps_and_verdicts]
+
+
+def _judge_state():
+    context = rules.Context(_chain_problem().premise_formulas)
+    return context, collect_signature(context)
+
+
+def test_judge_formalization_admits_closed_non_stub_formulas_unless_defining():
+    stub, open_f = Pred("T", (Constant("x"),)), Pred("T", (Variable("y"),))
+    formulas = (parse_formula("T(b)"), open_f, stub)
+    for action, admitted in (("Translate the statements", [parse_formula("T(b)")]), ("Define T", [])):
+        context, sig = _judge_state()
+        before = list(context)
+        verdict = rules._judge_formalization(formulas, action, context, sig)
+        assert verdict == rules.StepVerdict(
+            VerdictStatus.VERIFIED_SEMANTICALLY, note="formalization (syntax check only)"
+        )
+        assert list(context) == before + admitted
+        assert sig.predicates == {"P": 1, "Q": 1, "T": 1}
+
+
+def test_judge_formalization_arity_conflict_is_invalid_and_still_admits():
+    context, sig = _judge_state()
+    formulas = (parse_formula("S(a)"), parse_formula("P(a, b)"))
+    verdict = rules._judge_formalization(formulas, "Translate the premises", context, sig)
+    assert verdict.status is VerdictStatus.INVALID
+    assert verdict.note == "arity conflict: predicate 'P' used with arity 1 and 2"
+    assert all(f in context for f in formulas)
+    # Nothing of the conflicting step is recorded, not even S's arity.
+    assert sig.predicates == {"P": 1, "Q": 1}
+
+
+def test_judge_claims_takes_the_worst_status_and_the_first_rule():
+    context, sig = _judge_state()
+    claims = (parse_formula("P(a) -> Q(a)"), Q_a)
+    verdict = rules._judge_claims(claims, "Apply modus ponens", context, sig)
+    assert verdict.status is VerdictStatus.VERIFIED_BY_RULE
+    assert verdict.rule.rule is Rule.UNIVERSAL_INSTANTIATION
+    assert verdict.note == "UniversalInstantiation; ModusPonens"
+
+    # S(b) is Invalid, still joins the context, and justifies the next claim.
+    claims = (parse_formula("S(b)"), parse_formula("S(b) | R(b, b)"))
+    verdict = rules._judge_claims(claims, "Introduce a disjunction", context, sig)
+    assert verdict == rules.StepVerdict(
+        VerdictStatus.INVALID,
+        note="not entailed by the context (Uncertain); DisjunctionIntroduction",
+    )
+    assert all(f in context for f in claims)
+    assert sig.predicates == {"P": 1, "Q": 1, "S": 1, "R": 2}
+
+
+def test_judge_claims_admits_an_arity_conflicting_claim_without_its_arity():
+    context, sig = _judge_state()
+    claim = parse_formula("Q(a, b)")
+    verdict = rules._judge_claims((claim,), "", context, sig)
+    assert verdict.status is VerdictStatus.INVALID
+    assert verdict.note.startswith("semantic check failed:")
+    assert claim in context
+    assert sig.predicates == {"P": 1, "Q": 1}
 
 
 def _random_rule_chain(rng: random.Random):
