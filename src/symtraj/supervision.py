@@ -399,17 +399,21 @@ def build_dpo_pairs(groups, threshold: float = DEFAULT_DPO_THRESHOLD) -> list[Pr
     """Preference pairs within each problem group.
 
     groups maps problem_id -> iterable of (trajectory_id, trajectory_prob).
-    Every pair whose probability gap strictly exceeds the threshold is
-    emitted, higher probability as chosen; output is sorted by problem_id,
-    then gap descending.
+    Every pair of two different ids whose probability gap strictly exceeds
+    the threshold is emitted once, higher probability as chosen, with its
+    largest gap when an id comes with several probabilities (twins, or one
+    id judged on two step lists); output is sorted by problem_id, then gap
+    descending.
     """
     pairs: list[PreferencePair] = []
     for problem_id in sorted(groups):
         entries = sorted(groups[problem_id], key=lambda e: (-e[1], e[0]))
+        gaps: dict[tuple[str, str], float] = {}
         for (tid_a, prob_a), (tid_b, prob_b) in itertools.combinations(entries, 2):
             gap = prob_a - prob_b
-            if gap > threshold:
-                pairs.append(PreferencePair(problem_id, tid_a, tid_b, gap))
+            if tid_a != tid_b and gap > gaps.get((tid_a, tid_b), threshold):
+                gaps[tid_a, tid_b] = gap
+        pairs += [PreferencePair(problem_id, a, b, gap) for (a, b), gap in gaps.items()]
     pairs.sort(key=lambda p: (p.problem_id, -p.gap, p.chosen, p.rejected))
     return pairs
 

@@ -872,6 +872,19 @@ def test_every_stage_drops_a_trace_of_an_unknown_problem_alike(
     assert outputs[0] == outputs[1] and outputs[0]
 
 
+def test_twin_scores_give_each_pair_and_dpo_record_once(artifacts, tmp_path):
+    # score writes one record per trace record, so twins repeat (id, prob).
+    doubled = tmp_path / "doubled-scores.jsonl"
+    write_jsonl(doubled, [rec for rec in read_jsonl(artifacts["scores"]) for _ in range(2)])
+    pairs = tmp_path / "pairs.jsonl"
+    assert main(["dpo-pairs", "--scores", str(doubled), "--threshold", "0", "--out", str(pairs)]) == 0
+    assert pairs.read_bytes() == Path(artifacts["pairs"]).read_bytes() != b""
+    dpo = tmp_path / "dpo.jsonl"
+    assert main(_argv("export-dpo", dict(artifacts, pairs=str(pairs), out=str(dpo)))) == 0
+    records = dpo.read_text(encoding="utf-8").splitlines()
+    assert len(records) == len(set(records)) == len(read_jsonl(pairs))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation statistics
 # ---------------------------------------------------------------------------

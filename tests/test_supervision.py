@@ -770,6 +770,21 @@ def test_build_dpo_pairs_matches_brute_force():
             assert g.gap == pytest.approx(w.gap, abs=1e-12)
 
 
+def test_build_dpo_pairs_emits_a_twin_pair_once():
+    groups = {"p": [("p#a", 0.9), ("p#a", 0.9), ("p#b", 0.1)]}
+    assert build_dpo_pairs(groups) == [PreferencePair("p", "p#a", "p#b", pytest.approx(0.8))]
+
+
+def test_build_dpo_pairs_keeps_the_largest_gap_of_an_id_pair():
+    groups = {"p": [("p#a", 0.6), ("p#b", 0.1), ("p#a", 0.9)]}
+    assert build_dpo_pairs(groups) == [PreferencePair("p", "p#a", "p#b", pytest.approx(0.8))]
+
+
+def test_build_dpo_pairs_never_pairs_an_id_with_itself():
+    # One id judged on two different step lists gets two probabilities.
+    assert build_dpo_pairs({"p": [("p#a", 0.9), ("p#a", 0.1)]}) == []
+
+
 def test_build_dpo_pairs_chosen_always_outranks_rejected():
     rng = random.Random(7)
     groups = {"p": [(f"t{i}", rng.random()) for i in range(10)]}
