@@ -851,6 +851,13 @@ def test_every_flag_the_readme_names_is_accepted(capsys):
     assert named <= accepted, sorted(named - accepted)
 
 
+def test_readme_module_map_lists_each_module_once():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    listed = re.findall(r"^\| `symtraj\.(\w+)` \|", readme.read_text(encoding="utf-8"), re.MULTILINE)
+    modules = [p.stem for p in Path(cli.__file__).parent.glob("*.py") if p.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
+
+
 @pytest.mark.parametrize("stage", TRACE_READERS)
 def test_every_stage_drops_a_trace_of_an_unknown_problem_alike(
     artifacts, tmp_path, caplog, capsys, stage
