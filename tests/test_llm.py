@@ -80,6 +80,31 @@ def test_prompt_key_is_stable_and_content_sensitive():
     assert len(a) == 64
 
 
+@pytest.mark.parametrize(
+    "messages, digest",
+    [
+        (
+            (
+                {"role": "system", "content": "Prove it."},
+                {"role": "user", "content": "∀x (P(x) → Q(x)) ∧ ¬Q(a) ⊕ ∃y R(y, é)"},
+            ),
+            "ee5747c6a531eb493f8d565b2b1954cc2f41ac521175d14503576d51b09ab27d",
+        ),
+        (
+            ({"role": "user"}, {"content": "Finish [True]"}, {}),
+            "b0f99f2f695f4e74cf5b1c5ccda6c82f67381c65c0238589da6105128743837a",
+        ),
+        ((), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ],
+    ids=["non-ascii", "missing-role-or-content", "empty"],
+)
+def test_prompt_key_digests_are_pinned(messages, digest):
+    # The mock seeds every answer from this digest: a changed digest changes
+    # every mock artifact. The digests are the SHA-256 of the \x1e-joined
+    # "role\x1fcontent" texts, a missing field read as "".
+    assert prompt_key(messages) == digest
+
+
 def test_http_backend_success_and_headers(monkeypatch, local_server, http_backend):
     monkeypatch.setenv("UNIT_KEY", "sekrit")
     local_server.script = [(200, _ok_payload())]

@@ -428,3 +428,57 @@ def test_entails_with_a_kept_grounding_equals_a_fresh_call():
         assert grounding.premises == other
     assert seen >= {Xor, Iff, ForAll, Exists, "exists under forall"}
     assert rebuilt == 30 and extended >= 50, (rebuilt, extended)
+
+
+def _outcome(premises, hypothesis, **kwargs):
+    """entails' verdict, or the type and message of what it raised."""
+    try:
+        return entails(premises, hypothesis, **kwargs)
+    except ValueError as exc:  # ArityConflict is a ValueError
+        return type(exc), str(exc)
+
+
+def test_entails_with_a_kept_grounding_raises_what_a_fresh_call_raises():
+    # One grounding follows a premise list that grows, fails and is replaced.
+    # Each call must give the fresh call's verdict or error, and the
+    # grounding must change only when a call passed every check.
+    # The parser reads an unbound name as a constant, so open formulas are built.
+    milk_x, tea_y = Pred("Milk", (Variable("x"),)), Pred("Tea", (Variable("y"),))
+    base = ["∀x (Cook(x) → Tea(x))", "Cook(alice)", "Likes(alice, bob)"]
+    calls = [
+        (base, "Tea(alice)", 3),
+        (base, "∃y Tea(y)", 3),  # an ∃ claim raises the domain size
+        (base + ["∃z Milk(z)"], "Tea(alice)", 3),  # so does an ∃ premise, for good
+        (base + ["∃z Milk(z)"], "∃y (Milk(y) ∧ Tea(y))", 3),
+        (base + ["∃z Milk(z)", milk_x], "Tea(alice)", 3),  # an open formula joins
+        (base + ["∃z Milk(z)", milk_x, "Tea(bob)"], "Tea(alice)", 3),
+        (base + ["∃z Milk(z)", milk_x, "Tea(bob)"], "Tea(alice)", 0),
+        (base + ["∃z Milk(z)"], tea_y, 3),  # an open hypothesis
+        (base + ["∃z Milk(z)"], "Tea(alice)", 0),
+        (base + ["∃z Milk(z)", "Cook(alice, bob)"], "Tea(alice)", 3),  # new premise vs held
+        (base + ["∃z Milk(z)"], "Tea(alice, bob)", 3),  # hypothesis vs held
+        (base + ["∃z Milk(z)"], "Likes(alice) ∧ Likes(bob)", 3),  # first conflict, held arity
+        (base + ["∃z Milk(z)", "Tea(carol)"], "Likes(carol, alice)", 3),
+        (base[::-1], "Tea(alice)", 3),  # a list that does not extend the held one
+        (base[::-1] + ["¬Tea(bob)"], "Cook(bob)", 3),
+        (base[:1], "Tea(alice)", 3),  # nor does a shorter one
+    ]
+    grounding, held, errors = Grounding(), [], set()
+    for premise_texts, hypothesis_text, max_domain in calls:
+        premises = [parse_formula(t) if isinstance(t, str) else t for t in premise_texts]
+        hypothesis = parse_formula(hypothesis_text) if isinstance(hypothesis_text, str) else hypothesis_text
+        kept = _outcome(premises, hypothesis, max_domain=max_domain, grounding=grounding)
+        fresh = _outcome(premises, hypothesis, max_domain=max_domain)
+        assert kept == fresh, (premise_texts, hypothesis_text)
+        if isinstance(fresh, tuple):
+            errors.add(fresh[1].split(",")[0].split(" used")[0])
+        else:
+            held = premises
+        assert grounding.premises == held
+    assert errors == {
+        "formula is not closed",
+        "max_domain must be at least 1",
+        "predicate 'Cook'",
+        "predicate 'Tea'",
+        "predicate 'Likes'",
+    }
