@@ -94,9 +94,16 @@ class GenerationResponse:
 
 
 def prompt_key(messages) -> str:
-    """Stable digest of a message list, used to script mock responses."""
-    joined = "\x1e".join(f"{m.get('role', '')}\x1f{m.get('content', '')}" for m in messages)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+    """Stable digest of a message list, used to script mock responses: the
+    SHA-256 of role, then \\x1f and content, of each message, with \\x1e
+    between messages. Each piece is hashed as it is encoded, never joined."""
+    digest = hashlib.sha256()
+    separator = b""
+    for m in messages:
+        digest.update(separator + f"{m.get('role', '')}\x1f".encode("utf-8"))
+        digest.update(f"{m.get('content', '')}".encode("utf-8"))
+        separator = b"\x1e"
+    return digest.hexdigest()
 
 
 def check_prompt_length(messages, max_prompt_chars: int | None) -> int:

@@ -44,9 +44,9 @@ from .fol import (
     Not,
     Or,
     Pred,
+    Signature,
     Variable,
     Xor,
-    collect_signature,
     free_vars,
 )
 
@@ -404,14 +404,28 @@ def _existentials(f: Formula) -> tuple[tuple[int, bool], tuple[int, bool]]:
 
 
 class Grounding:
-    """The premise list entails() last grounded, the (size, constant names)
-    it grounded them at, and the _Grounder holding their clauses; kept by a
-    caller that asks again about that list extended (see entails)."""
+    """What entails() last grounded, kept by a caller that asks again about
+    that premise list extended (see entails): the premises, their signature,
+    existential witness count and whether a witness sits under a universal,
+    the (size, constant names) they were grounded at, and the _Grounder
+    holding their clauses."""
 
     def __init__(self):
         self.premises: list[Formula] = []
+        self.signature = Signature()
+        self.witnesses = 0
+        self.nested = False
         self.key: tuple[int, tuple[str, ...]] | None = None
         self.grounder: _Grounder | None = None
+
+
+def _extended(sig: Signature, formulas) -> Signature:
+    """A copy of sig with the predicates and constants of formulas added;
+    ArityConflict as in collect_signature."""
+    out = Signature(dict(sig.predicates), set(sig.constants))
+    for f in formulas:
+        out.add_formula(f)
+    return out
 
 
 def entails(
@@ -433,33 +447,42 @@ def entails(
     budget ticks.
 
     A caller that asks about a growing premise list passes the same grounding
-    each time. When premises extend the list it holds, at the same size and
-    constants, only the new premises are grounded; any other call grounds
-    afresh. Either way grounding then holds this call's premises, and the
-    verdict is that of a call without it.
+    each time. When premises extend the list it holds, only the new premises
+    and the hypothesis are checked and counted, and the new premises are
+    grounded onto the held clauses if the size and constants stay the same;
+    any other call starts afresh. Once every check has passed, grounding
+    holds this call's premises. Either way the verdict, or the error raised,
+    is that of a call without it.
     """
     premises = list(premises)
-    for f in [*premises, hypothesis]:
+    if grounding is None:
+        grounding = Grounding()
+    held = grounding.premises
+    base = grounding if premises[: len(held)] == held else Grounding()
+    new = premises[len(base.premises) :]
+    for f in [*new, hypothesis]:
         fv = free_vars(f)
         if fv:
             raise ValueError(f"formula is not closed, free variables {sorted(fv)}: {f}")
     if max_domain < 1:
         raise ValueError(f"max_domain must be at least 1, got {max_domain}")
-    const_names = tuple(sorted(collect_signature([*premises, hypothesis]).constants))
-    prem = [_existentials(f)[0] for f in premises]
+    signature = _extended(base.signature, new)
+    const_names = tuple(sorted(_extended(signature, [hypothesis]).constants))
+    witnesses, nested = base.witnesses, base.nested
+    for n, deep in (_existentials(f)[0] for f in new):
+        witnesses, nested = witnesses + n, nested or deep
     hyp, neg = _existentials(hypothesis)
-    k = sum(n for n, _ in prem) + max(hyp[0], neg[0])
-    exact = not any(nested for _, nested in [*prem, hyp, neg])
+    k = witnesses + max(hyp[0], neg[0])
+    exact = not (nested or hyp[1] or neg[1])
     size = max(1, len(const_names) + k) if exact else len(const_names) + max_domain
     key = (size, const_names)
-    if grounding is None:
-        grounding = Grounding()
-    held = grounding.premises
-    if grounding.key == key and premises[: len(held)] == held:
-        grounding.grounder.add_premises(premises[len(held) :])
+    if base.key == key:
+        ground = base.grounder
+        ground.add_premises(new)
     else:
-        grounding.key, grounding.grounder = key, _Grounder(size, const_names, premises)
-    grounding.premises, ground = premises, grounding.grounder
+        ground = _Grounder(size, const_names, premises)
+    grounding.premises, grounding.key, grounding.grounder = premises, key, ground
+    grounding.signature, grounding.witnesses, grounding.nested = signature, witnesses, nested
 
     tracker = _Budget(budget)
     clauses = ground.with_premises(Not(hypothesis))
