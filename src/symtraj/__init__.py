@@ -93,6 +93,7 @@ from .supervision import (
     make_trajectory_id,
     mc_label,
     mc_label_all,
+    mc_labeler,
     prm_loss,
     score_trajectory,
     select_trajectories,

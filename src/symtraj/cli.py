@@ -53,7 +53,7 @@ from .supervision import (
     export_sft_dataset,
     judge_distinct,
     mc_label,  # noqa: F401  (perfbench/layers.py wraps cli.mc_label)
-    mc_label_all,
+    mc_labeler,
     preference_pair_from_dict,
     preference_pair_to_dict,
     prm_score_from_dict,
@@ -303,8 +303,7 @@ def cmd_label(args) -> int:
     backend = build_backend(cfg, problems)
     items = with_problems(trajectories, problems)
     try:
-        all_labels = mc_label_all(
-            items,
+        labeler = mc_labeler(
             backend,
             n_samples=cfg.n_samples,
             k=cfg.k,
@@ -313,6 +312,7 @@ def cmd_label(args) -> int:
             parallelism=cfg.parallelism,
             n_shots=cfg.n_shots,
         )
+        all_labels, n_distinct = judge_distinct(items, labeler)
     finally:
         _close(backend)
     records = [
@@ -321,7 +321,10 @@ def cmd_label(args) -> int:
         for label in labels
     ]
     write_jsonl(args.out, records)
-    print(f"wrote {len(records)} step labels to {args.out}")
+    print(
+        f"wrote {len(records)} step labels to {args.out}"
+        f" ({n_distinct} distinct of {len(items)} trajectories)"
+    )
     return 0
 
 

@@ -199,12 +199,18 @@ def judge_distinct(items, judge) -> tuple[list, int]:
 
 
 def mc_label(problem: Problem, traj: Trajectory, backend, **options) -> list[StepLabel]:
-    """One StepLabel per prefix of the trajectory; options as for mc_label_all."""
-    return mc_label_all([(problem, traj)], backend, **options)[0]
+    """One StepLabel per prefix of the trajectory; options as for mc_labeler."""
+    return mc_labeler(backend, **options)(problem, traj)
 
 
-def mc_label_all(
-    items,
+def mc_label_all(items, backend, **options) -> list[list[StepLabel]]:
+    """StepLabels for each (problem, trajectory) of items, one list per item;
+    options as for mc_labeler. Twins (see judge_distinct) are labelled once
+    and share one list."""
+    return judge_distinct(items, mc_labeler(backend, **options))[0]
+
+
+def mc_labeler(
     backend,
     n_samples: int = DEFAULT_N_SAMPLES,
     k: int = DEFAULT_K,
@@ -212,8 +218,9 @@ def mc_label_all(
     max_tokens: int = DEFAULT_MAX_TOKENS,
     parallelism: int = DEFAULT_PARALLELISM,
     n_shots: int = 1,
-) -> list[list[StepLabel]]:
-    """StepLabels for each (problem, trajectory) of items, one list per item.
+):
+    """label(problem, trajectory) -> one StepLabel per prefix, a judge for
+    judge_distinct.
 
     The label for step_index p-1 counts completions sampled after the first p
     steps that end on the gold answer; hard_label is +1 iff at least k do.
@@ -221,16 +228,17 @@ def mc_label_all(
     prefix with a logged reason.
 
     A trajectory's requests go out in one batch. Identical requests get
-    identical outcomes: each distinct request is sent at most once per call,
-    and a failed one counts as failed for every trajectory that needs it.
+    identical outcomes: each distinct request is sent at most once over all
+    calls of one labeler, and a failed one counts as failed for every
+    trajectory that needs it.
     """
     if not 1 <= k <= n_samples:
         raise ValueError(f"need 1 <= k <= n_samples, got k={k} n_samples={n_samples}")
     # (prompt digest, seed) -> (error, final answer) of every request sent so
     # far; temperature, max_tokens and model are the same for all of them.
     outcomes: dict[tuple[str, int], tuple[str | None, Label | None]] = {}
-    out = []
-    for problem, traj in items:
+
+    def label(problem: Problem, traj: Trajectory) -> list[StepLabel]:
         if not traj.steps:
             raise ValueError("trajectory has no steps to label")
         tid = trajectory_id_of(traj)
@@ -251,8 +259,10 @@ def mc_label_all(
             prefix_keys.append(keys)
         if pending:
             responses = generate_batch(backend, list(pending.values()), parallelism)
+            # Each distinct reply text is parsed once.
+            answers = {text: _final_answer(text) for text in {r.text for r in responses if not r.error}}
             for key, r in zip(pending, responses):
-                outcomes[key] = (r.error, None) if r.error else (None, _final_answer(r.text))
+                outcomes[key] = (r.error, None) if r.error else (None, answers[r.text])
         labels: list[StepLabel] = []
         for prefix_len, keys in enumerate(prefix_keys, start=1):
             results = [outcomes[key] for key in keys]
@@ -279,8 +289,9 @@ def mc_label_all(
                     completions=tuple(completions),
                 )
             )
-        out.append(labels)
-    return out
+        return labels
+
+    return label
 
 
 # ---------------------------------------------------------------------------

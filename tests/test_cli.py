@@ -786,6 +786,33 @@ def test_verify_and_score_write_each_twin_what_it_gets_alone(artifacts, twin_tra
     assert read_jsonl(files["out"]) == scores
 
 
+def test_label_writes_each_twin_what_it_gets_alone(artifacts, twin_traces, tmp_path, capsys):
+    problems = load_problems(artifacts["problems"])
+    by_id = {p.id: p for p in problems}
+    trajs = [trajectory_from_dict(r) for r in read_jsonl(twin_traces)]
+    files = dict(artifacts, traces=twin_traces, out=str(tmp_path / "out.jsonl"))
+    n = len(trajs)
+
+    capsys.readouterr()
+    assert main(_argv("label", files)) == 0
+    assert capsys.readouterr().out.endswith(f"({n // 2} distinct of {n} trajectories)\n")
+    cfg = load_config(artifacts["config"])
+    options = dict(
+        n_samples=cfg.n_samples,
+        k=cfg.k,
+        temperature=cfg.temperature,
+        max_tokens=cfg.max_tokens,
+        parallelism=cfg.parallelism,
+        n_shots=cfg.n_shots,
+    )
+    labels = [
+        json.loads(json.dumps({**step_label_to_dict(label), "problem_id": t.problem_id}))
+        for t in trajs
+        for label in mc_label(by_id[t.problem_id], t, build_backend(cfg, problems), **options)
+    ]
+    assert read_jsonl(files["out"]) == labels
+
+
 def test_remote_scorer_sends_twins_one_request_and_skips_each_on_failure(
     artifacts, twin_traces, tmp_path, local_server, caplog, monkeypatch
 ):

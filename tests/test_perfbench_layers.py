@@ -69,8 +69,9 @@ def test_verify_trajectory_calls_the_names_the_traced_run_wraps(monkeypatch):
 def test_mc_label_all_calls_the_names_the_traced_run_wraps(monkeypatch):
     # trajectory.prompt_s times supervision.build_completion_prompt, and
     # llm.generate_calls counts OracleMockBackend.generate: one call per
-    # prefix, and one per distinct request, however much of a prompt's
-    # reading the mock keeps between calls.
+    # prefix of each distinct trace (a twin is labelled once), and one per
+    # distinct request, however much of a prompt's reading the mock keeps
+    # between calls.
     calls = dict.fromkeys(("build_completion_prompt", "generate"), 0)
     wrapped = ((supervision, "build_completion_prompt"), (mock.OracleMockBackend, "generate"))
     for owner, name in wrapped:
@@ -90,7 +91,9 @@ def test_mc_label_all_calls_the_names_the_traced_run_wraps(monkeypatch):
             items.append((p, parse_trajectory(text, problem_id=p.id)))
     calls.update(generate=0)
     supervision.mc_label_all(items, backend, n_samples=3)
-    prefixes = [(p, t, n) for p, t in items for n in range(1, len(t.steps) + 1)]
+    traces = {(supervision.trajectory_id_of(t), t.steps): (p, t) for p, t in items}
+    assert len(traces) < len(items)
+    prefixes = [(p, t, n) for p, t in traces.values() for n in range(1, len(t.steps) + 1)]
     distinct = {llm.prompt_key(completion_messages(p, t, n)) for p, t, n in prefixes}
     assert len(distinct) < len(prefixes)
     assert calls == {"build_completion_prompt": len(prefixes), "generate": 3 * len(distinct)}

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import random
 from collections import Counter
@@ -328,6 +329,20 @@ def test_mc_label_all_sends_a_failed_request_once_and_labels_twins_alike():
     counts = Counter(backend.sent)
     assert counts[flaky] == 1
     assert set(counts.values()) == {1}
+
+
+def test_mc_label_all_labels_twins_once_and_logs_their_failures_once(caplog):
+    problem, trajs = _dedup_fixture()
+    traj, twin = trajs[:2]
+    with caplog.at_level(logging.WARNING):
+        (alone,) = mc_label_all([(problem, traj)], FlakyBackend({1}), n_samples=3)
+    failures = [r.getMessage() for r in caplog.records]
+    assert len(failures) == len(traj.steps)  # seed 1 fails after every prefix
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        first, second = mc_label_all([(problem, traj), (problem, twin)], FlakyBackend({1}), n_samples=3)
+    assert first is second and first == alone
+    assert [r.getMessage() for r in caplog.records] == failures
 
 
 @pytest.mark.parametrize("n_shots", [1, 2])
