@@ -413,8 +413,9 @@ def build_dpo_pairs(groups, threshold: float = DEFAULT_DPO_THRESHOLD) -> list[Pr
     Every pair of two different ids whose probability gap strictly exceeds
     the threshold is emitted once, higher probability as chosen, with its
     largest gap when an id comes with several probabilities (twins, or one
-    id judged on two step lists); output is sorted by problem_id, then gap
-    descending.
+    id judged on two step lists). A pair that clears the threshold in both
+    directions, which only such ids can, is contradictory and emitted in
+    neither. Output is sorted by problem_id, then gap descending.
     """
     pairs: list[PreferencePair] = []
     for problem_id in sorted(groups):
@@ -424,7 +425,9 @@ def build_dpo_pairs(groups, threshold: float = DEFAULT_DPO_THRESHOLD) -> list[Pr
             gap = prob_a - prob_b
             if tid_a != tid_b and gap > gaps.get((tid_a, tid_b), threshold):
                 gaps[tid_a, tid_b] = gap
-        pairs += [PreferencePair(problem_id, a, b, gap) for (a, b), gap in gaps.items()]
+        pairs += [
+            PreferencePair(problem_id, a, b, gap) for (a, b), gap in gaps.items() if (b, a) not in gaps
+        ]
     pairs.sort(key=lambda p: (p.problem_id, -p.gap, p.chosen, p.rejected))
     return pairs
 

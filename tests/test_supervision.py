@@ -800,6 +800,16 @@ def test_build_dpo_pairs_never_pairs_an_id_with_itself():
     assert build_dpo_pairs({"p": [("p#a", 0.9), ("p#a", 0.1)]}) == []
 
 
+def test_build_dpo_pairs_drops_an_id_pair_that_clears_the_threshold_both_ways():
+    # p#a over p#b by 0.4 and p#b over p#a by 0.4: neither is a preference.
+    groups = {"p": [("p#a", 0.9), ("p#b", 0.5), ("p#a", 0.1), ("p#c", 0.05)]}
+    assert build_dpo_pairs({"p": groups["p"][:3]}) == []
+    assert build_dpo_pairs(groups) == [
+        PreferencePair("p", "p#a", "p#c", pytest.approx(0.85)),
+        PreferencePair("p", "p#b", "p#c", pytest.approx(0.45)),
+    ]
+
+
 def test_build_dpo_pairs_chosen_always_outranks_rejected():
     rng = random.Random(7)
     groups = {"p": [(f"t{i}", rng.random()) for i in range(10)]}
