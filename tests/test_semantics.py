@@ -457,7 +457,8 @@ def test_entails_with_a_kept_grounding_raises_what_a_fresh_call_raises():
         (base + ["∃z Milk(z)"], "Tea(alice)", 0),
         (base + ["∃z Milk(z)", "Cook(alice, bob)"], "Tea(alice)", 3),  # new premise vs held
         (base + ["∃z Milk(z)"], "Tea(alice, bob)", 3),  # hypothesis vs held
-        (base + ["∃z Milk(z)"], "Likes(alice) ∧ Likes(bob)", 3),  # first conflict, held arity
+        # The first conflict in order, against the held arity, not the second Likes.
+        (base + ["∃z Milk(z)"], "Likes(alice) ∧ Likes(alice, bob)", 3),
         (base + ["∃z Milk(z)", "Tea(carol)"], "Likes(carol, alice)", 3),
         (base[::-1], "Tea(alice)", 3),  # a list that does not extend the held one
         (base[::-1] + ["¬Tea(bob)"], "Cook(bob)", 3),
