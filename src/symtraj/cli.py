@@ -66,6 +66,7 @@ from .supervision import (
     with_problems,
 )
 from .trajectory import (
+    DEFAULT_N_SHOTS,
     EmptyTrajectory,
     build_sampling_prompt,
     parse_trajectory,
@@ -99,7 +100,7 @@ class PipelineConfig:
     parallelism: int = DEFAULT_PARALLELISM
     temperature: float = DEFAULT_TEMPERATURE
     max_tokens: int = DEFAULT_MAX_TOKENS
-    n_shots: int = 1
+    n_shots: int = DEFAULT_N_SHOTS
     seed: int = 0
     n_samples: int = DEFAULT_N_SAMPLES
     k: int = DEFAULT_K
@@ -558,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True)
     p.add_argument("--labels", default=None)
     p.add_argument("--pairs", default=None)
-    p.add_argument("--n-shots", dest="n_shots", type=int, default=1)
+    p.add_argument("--n-shots", dest="n_shots", type=int, default=DEFAULT_N_SHOTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 

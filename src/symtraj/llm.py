@@ -94,16 +94,10 @@ class GenerationResponse:
 
 
 def prompt_key(messages) -> str:
-    """Stable digest of a message list, used to script mock responses: the
-    SHA-256 of role, then \\x1f and content, of each message, with \\x1e
-    between messages. Each piece is hashed as it is encoded, never joined."""
-    digest = hashlib.sha256()
-    separator = b""
-    for m in messages:
-        digest.update(separator + f"{m.get('role', '')}\x1f".encode("utf-8"))
-        digest.update(f"{m.get('content', '')}".encode("utf-8"))
-        separator = b"\x1e"
-    return digest.hexdigest()
+    """Stable digest of a message list, which scripts and seeds the two mocks'
+    replies: the SHA-256 of each message's role, \\x1f and content, joined by \\x1e."""
+    joined = "\x1e".join(f"{m.get('role', '')}\x1f{m.get('content', '')}" for m in messages)
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
 def check_prompt_length(messages, max_prompt_chars: int | None) -> int:

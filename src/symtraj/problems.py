@@ -358,13 +358,14 @@ def _problem_from_folio(rec: dict, index: int) -> Problem:
 
 
 def load_problems(path, format: str = "native-json") -> list[Problem]:
-    """Problems from a JSONL file, validated.
+    """Problems from a JSONL file, validated; no two may share an id.
 
     format "native-json" is this package's own schema; "folio-json" accepts
     the public three-way benchmark records (label strings case-insensitive).
     """
     records = read_jsonl(path)
     problems = []
+    first_record: dict[str, int] = {}
     for i, rec in enumerate(records):
         try:
             if format == "native-json":
@@ -374,12 +375,16 @@ def load_problems(path, format: str = "native-json") -> list[Problem]:
             else:
                 raise ValueError(f"unknown problem format {format!r}")
             validate_problem(p)
+            # Every stage joins traces to problems by id.
+            if p.id in first_record:
+                raise InvariantViolation(f"problem id {p.id!r} repeats record {first_record[p.id]}")
         except KeyError as exc:
             raise FormatError(f"{path}: record {i}: missing field {exc}") from exc
         except FormulaSyntaxError as exc:
             raise FormatError(f"{path}: record {i}: {exc}") from exc
         except InvariantViolation as exc:
             raise InvariantViolation(f"{path}: record {i}: {exc}") from exc
+        first_record[p.id] = i
         problems.append(p)
     return problems
 

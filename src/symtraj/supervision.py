@@ -26,12 +26,12 @@ from .llm import (
     GenerationRequest,
     JsonClient,
     generate_batch,
-    prompt_key,
 )
 from .problems import Problem
 from .rules import VerdictStatus, verify_trajectory
 from .semantics import Label
 from .trajectory import (
+    DEFAULT_N_SHOTS,
     Trajectory,
     _final_answer,
     build_completion_prompt,
@@ -217,7 +217,7 @@ def mc_labeler(
     temperature: float = DEFAULT_TEMPERATURE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     parallelism: int = DEFAULT_PARALLELISM,
-    n_shots: int = 1,
+    n_shots: int = DEFAULT_N_SHOTS,
 ):
     """label(problem, trajectory) -> one StepLabel per prefix, a judge for
     judge_distinct.
@@ -234,9 +234,9 @@ def mc_labeler(
     """
     if not 1 <= k <= n_samples:
         raise ValueError(f"need 1 <= k <= n_samples, got k={k} n_samples={n_samples}")
-    # (prompt digest, seed) -> (error, final answer) of every request sent so
-    # far; temperature, max_tokens and model are the same for all of them.
-    outcomes: dict[tuple[str, int], tuple[str | None, Label | None]] = {}
+    # ((sampling prompt, rendered prefix), seed) -> (error, final answer) of
+    # every request sent; temperature, max_tokens and model are the same for all.
+    outcomes: dict[tuple[tuple, int], tuple[str | None, Label | None]] = {}
 
     def label(problem: Problem, traj: Trajectory) -> list[StepLabel]:
         if not traj.steps:
@@ -245,12 +245,12 @@ def mc_labeler(
         sampling = build_sampling_prompt(problem, n_shots)
         rendered = [render_step(s) for s in traj.steps]
         prefix_keys = []
-        pending: dict[tuple[str, int], GenerationRequest] = {}
+        pending: dict[tuple[tuple, int], GenerationRequest] = {}
         for prefix_len in range(1, len(traj.steps) + 1):
             prompt = build_completion_prompt(sampling, rendered, prefix_len)
             messages = tuple(prompt.to_messages())
-            digest = prompt_key(messages)
-            keys = [(digest, seed) for seed in range(n_samples)]
+            request = (sampling, tuple(rendered[:prefix_len]))
+            keys = [(request, seed) for seed in range(n_samples)]
             for key in keys:
                 if key not in outcomes and key not in pending:
                     pending[key] = GenerationRequest(
@@ -442,7 +442,7 @@ def _prompt_text(problem: Problem, n_shots: int) -> str:
     return "\n\n".join(m["content"] for m in messages)
 
 
-def export_prm_dataset(labels, trajectories, problems, path, n_shots: int = 1) -> int:
+def export_prm_dataset(labels, trajectories, problems, path, n_shots: int = DEFAULT_N_SHOTS) -> int:
     """PRM records {prompt, steps, step_labels}; returns the record count."""
     label_map: dict[str, dict[int, int]] = {}
     for label in labels:
@@ -463,7 +463,7 @@ def export_prm_dataset(labels, trajectories, problems, path, n_shots: int = 1) -
     return len(records)
 
 
-def export_sft_dataset(selected, problems, path, n_shots: int = 1) -> int:
+def export_sft_dataset(selected, problems, path, n_shots: int = DEFAULT_N_SHOTS) -> int:
     """SFT records {prompt, response}; returns the record count."""
     records = [
         {"prompt": _prompt_text(problem, n_shots), "response": traj.raw_text}
@@ -473,7 +473,7 @@ def export_sft_dataset(selected, problems, path, n_shots: int = 1) -> int:
     return len(records)
 
 
-def export_dpo_dataset(pairs, trajectories, problems, path, n_shots: int = 1) -> int:
+def export_dpo_dataset(pairs, trajectories, problems, path, n_shots: int = DEFAULT_N_SHOTS) -> int:
     """DPO records {prompt, chosen, rejected}; returns the record count."""
     by_tid = {trajectory_id_of(t): (p, t.raw_text) for p, t in with_problems(trajectories, problems)}
     records = []

@@ -332,7 +332,10 @@ def _render_demo(demo: demos.Demo) -> str:
     return f"Context: {demo.context}\nQuestion: {demo.question}\n{demo.trajectory}"
 
 
-def build_sampling_prompt(problem: Problem, n_shots: int = 1) -> PromptBundle:
+DEFAULT_N_SHOTS = 1
+
+
+def build_sampling_prompt(problem: Problem, n_shots: int = DEFAULT_N_SHOTS) -> PromptBundle:
     """Few-shot prompt for sampling a fresh trace on this problem.
 
     Demonstrations matching the problem's source come first; n_shots is

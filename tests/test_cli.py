@@ -716,6 +716,32 @@ def test_predicate_at_two_arities_is_one_invariant_line(artifacts, tmp_path, cap
     assert "predicate 'P' used with arity 1 and 2" in err
 
 
+def test_duplicate_problem_ids_are_one_invariant_line(artifacts, tmp_path, capsys):
+    # gen-problems names problems by length and index whatever the seed, so
+    # two of its files joined share every id; each trace would be joined to
+    # the last problem of its id.
+    parts = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"problems-{seed}.jsonl"
+        assert main(["gen-problems", "--lengths", "3", "--count", "2", "--seed", seed, "--out", str(out)]) == 0
+        parts.append(out.read_text(encoding="utf-8"))
+    first, second = (read_jsonl(tmp_path / f"problems-{seed}.jsonl") for seed in ("1", "2"))
+    assert first != second
+    joined = tmp_path / "joined.jsonl"
+    joined.write_text("".join(parts), encoding="utf-8")
+    repeated = second[0]["id"]
+    earlier = [r["id"] for r in first].index(repeated)
+    for stage in (stage for stage, argv in READERS.items() if "{problems}" in argv):
+        capsys.readouterr()
+        assert main(_argv(stage, dict(artifacts, problems=str(joined), out=str(tmp_path / "out.jsonl")))) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"invariant violation: {joined}: record {len(first)}: "
+            f"problem id {repeated!r} repeats record {earlier}\n"
+        ), (stage, err)
+        assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(
     artifacts, tmp_path, local_server, caplog, monkeypatch
 ):

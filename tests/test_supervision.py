@@ -12,18 +12,21 @@ from pathlib import Path
 import pytest
 from conftest import DROP, closed_port, completion_messages
 
+from symtraj import llm, mock, supervision
 from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl
 from symtraj.llm import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_TEMPERATURE,
     MAX_ATTEMPTS,
+    GenerationRequest,
     GenerationResponse,
     PromptTooLong,
     ScriptedMockBackend,
     prompt_key,
 )
-from symtraj.problems import Problem, Statement
+from symtraj.mock import OracleMockBackend
+from symtraj.problems import Problem, Statement, generate_logicasker
 from symtraj.rules import VerdictStatus, verify_trajectory
 from symtraj.semantics import Label
 from symtraj.supervision import (
@@ -48,7 +51,7 @@ from symtraj.supervision import (
     step_label_to_dict,
     trajectory_id_of,
 )
-from symtraj.trajectory import parse_trajectory
+from symtraj.trajectory import build_sampling_prompt, parse_trajectory
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -379,6 +382,72 @@ def test_mc_label_all_skips_only_the_prefixes_with_too_long_prompts():
     )
     assert [[l.step_index for l in labels] for labels in got] == [[0, 1, 2], [0, 1, 2], [0, 1]]
     assert all(l.hard_label == 1 for labels in got for l in labels)
+
+
+def _record_requests(monkeypatch, backend) -> list[tuple]:
+    """The messages of every request the backend is sent from now on."""
+    sent = []
+    generate = backend.generate
+
+    def recording(req):
+        sent.append(req.messages)
+        return generate(req)
+
+    monkeypatch.setattr(backend, "generate", recording)
+    return sent
+
+
+def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch):
+    # The oracle mock digests a prompt to seed its answers; the labeller
+    # knows a request by what its prompt is built from and digests nothing.
+    problems = generate_logicasker(2, [3], seed=5)
+    backend = OracleMockBackend(problems, seed=1, sloppiness=0.5)
+    items = []
+    for p in problems:
+        messages = tuple(build_sampling_prompt(p).to_messages())
+        for seed in (0, 1, 0):  # the repeated seed gives a twin trace
+            text = backend.generate(GenerationRequest(messages=messages, seed=seed)).text
+            items.append((p, parse_trajectory(text, problem_id=p.id)))
+    assert len({(trajectory_id_of(t), t.steps) for _, t in items}) < len(items)
+    fillers = (mock._SLOPPY_FORMULA, mock._SLOPPY_PROSE)
+    assert any(f"Observation: {filler}" in t.raw_text for _, t in items for filler in fillers)
+    digests = []
+    for module in (llm, mock, supervision):
+        original = getattr(module, "prompt_key", prompt_key)
+
+        def counting(messages, _original=original):
+            digests.append(messages)
+            return _original(messages)
+
+        monkeypatch.setattr(module, "prompt_key", counting, raising=False)
+    sent = _record_requests(monkeypatch, backend)
+    mc_label_all(items, backend, n_samples=3)
+    distinct = {prompt_key(messages) for messages in sent}
+    assert len(sent) == 3 * len(distinct)
+    assert len(digests) == len(distinct)
+
+
+def test_mc_label_all_sends_each_problems_prompts_for_one_trace_text(monkeypatch):
+    # One trace text under two problems with different gold labels: a
+    # request is known by its problem's prompt, not by the trace alone.
+    tea = _chain_problem("tea")
+    no_tea = dataclasses.replace(
+        _chain_problem("no-tea"),
+        hypothesis=Statement(nl="Alice drinks no tea.", formula=parse_formula("¬Tea(alice)")),
+        label=Label.FALSE,
+    )
+    items = [(p, parse_trajectory(MC_TRACE, problem_id=p.id)) for p in (tea, no_tea)]
+    backend = OracleMockBackend([tea, no_tea])
+    sent = _record_requests(monkeypatch, backend)
+    together = mc_label_all(items, backend, n_samples=3)
+    assert together == [mc_label(p, t, OracleMockBackend([tea, no_tea]), n_samples=3) for p, t in items]
+    assert all(l.n_success == 3 for labels in together for l in labels)
+    assert sent == [
+        completion_messages(p, t, n)
+        for p, t in items
+        for n in range(1, len(t.steps) + 1)
+        for _seed in range(3)
+    ]
 
 
 # ---------------------------------------------------------------------------
