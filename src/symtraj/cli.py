@@ -8,6 +8,7 @@ loading.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -224,6 +225,21 @@ def _check_count(flag: str, value: int) -> None:
         raise ConfigError(f"{flag} must be at least 1, got {value}")
 
 
+def _check_n_shots(trajectories, n_shots: int, path, command: str) -> None:
+    """Refuse traces sampled with another number of demonstrations than command prompts with.
+
+    A trace that records no n_shots (one written before sample recorded it) passes.
+    """
+    for i, traj in enumerate(trajectories):
+        meta = traj.seed_meta if isinstance(traj.seed_meta, dict) else {}
+        recorded = meta.get("n_shots", n_shots)
+        if recorded != n_shots:
+            raise ConfigError(
+                f"{path}: trace {i} was sampled with n_shots {recorded!r},"
+                f" but {command} prompts with n_shots {n_shots}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -283,7 +299,12 @@ def cmd_sample(args) -> int:
                 resp.text,
                 problem_id=problem.id,
                 generator=generator,
-                seed_meta={"temperature": cfg.temperature, "sample_index": i, "seed": cfg.seed + i},
+                seed_meta={
+                    "temperature": cfg.temperature,
+                    "sample_index": i,
+                    "seed": cfg.seed + i,
+                    "n_shots": cfg.n_shots,
+                },
             )
         except EmptyTrajectory:
             logger.warning("%s sample %d: no parseable steps", problem.id, i)
@@ -301,6 +322,7 @@ def cmd_label(args) -> int:
     cfg = _overlay_flags(load_config(args.backend), args)
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
+    _check_n_shots(trajectories, cfg.n_shots, args.traces, "label")
     backend = build_backend(cfg, problems)
     items = with_problems(trajectories, problems)
     try:
@@ -429,6 +451,7 @@ def cmd_export(args) -> int:
         raise ConfigError(f"n_shots {args.n_shots} must be at least 1")
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
+    _check_n_shots(trajectories, args.n_shots, args.traces, "export")
     if args.kind == "prm":
         if not args.labels:
             raise ConfigError("export --kind prm needs --labels")
@@ -488,7 +511,12 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls.
+
+    Parsing keeps no state in the parser: each call returns a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="symtraj", description="Symbolic reasoning trajectory pipeline."
     )

@@ -9,6 +9,7 @@ those judgments.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -83,16 +84,23 @@ class StepLabel:
     completions: tuple[tuple[str | None, bool], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "completions", tuple(tuple(c) for c in self.completions))
+        # One pass makes each completion an (answer, matched) pair, whatever sequence it came as.
+        pairs = tuple([(answer, bool(matched)) for answer, matched in self.completions])
+        object.__setattr__(self, "completions", pairs)
         if not 0 <= self.n_success <= self.n_samples:
             raise ValueError(f"n_success {self.n_success} outside 0..{self.n_samples}")
         if self.hard_label not in (1, -1):
             raise ValueError(f"hard_label must be +1 or -1, got {self.hard_label}")
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _record(obj) -> dict:
     # One key per field, values as they are: tuples are written as JSON arrays.
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 def step_label_to_dict(label: StepLabel) -> dict:
@@ -106,7 +114,7 @@ def step_label_from_dict(d: dict) -> StepLabel:
         n_samples=d["n_samples"],
         n_success=d["n_success"],
         hard_label=d["hard_label"],
-        completions=tuple((c[0], bool(c[1])) for c in d.get("completions", [])),
+        completions=d.get("completions", ()),
     )
 
 
@@ -286,7 +294,7 @@ def mc_labeler(
                     n_samples=n_samples,
                     n_success=n_success,
                     hard_label=1 if n_success >= k else -1,
-                    completions=tuple(completions),
+                    completions=completions,
                 )
             )
         return labels

@@ -245,15 +245,19 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
     }
 
 
+# Step kinds by their text in a record.
+_STEP_KINDS = {kind.value: kind for kind in StepKind}
+
+
 def trajectory_from_dict(d: dict) -> Trajectory:
-    steps = tuple(
-        Step(
-            kind=StepKind(s["kind"]),
-            text=s["text"],
-            formulas=tuple(parse_formula(t) for t in s.get("formulas", [])),
-        )
-        for s in d.get("steps", [])
-    )
+    steps = []
+    for s in d.get("steps", []):
+        try:
+            kind = _STEP_KINDS[s["kind"]]
+        except (KeyError, TypeError):
+            kind = StepKind(s["kind"])  # raises the error that names the bad kind
+        # Step and Trajectory make the lists tuples.
+        steps.append(Step(kind, s["text"], [parse_formula(t) for t in s.get("formulas", [])]))
     word = d.get("final_answer")
     answer = None if word is None else Label.from_text(word)
     if word is not None and answer is None:

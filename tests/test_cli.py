@@ -33,12 +33,14 @@ from symtraj.supervision import (
     RemoteScorer,
     SymbolicScorer,
     mc_label,
+    prm_score_from_dict,
     prm_score_to_dict,
     score_trajectory,
+    step_label_from_dict,
     step_label_to_dict,
     trajectory_id_of,
 )
-from symtraj.trajectory import parse_trajectory, trajectory_from_dict
+from symtraj.trajectory import parse_trajectory, trajectory_from_dict, trajectory_to_dict
 
 
 # An http backend that no test sends a request to.
@@ -515,6 +517,7 @@ def _fails_with_one_config_line(argv, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert name in err, err
+    return err
 
 
 @pytest.mark.parametrize(
@@ -545,6 +548,30 @@ def test_zero_shots_fails(workspace, tmp_path, capsys):
         ["export", "--kind", "sft", "--traces", traces] + zero,
     ):
         _fails_with_one_config_line(argv, capsys, "n_shots")
+
+
+def test_label_and_export_refuse_traces_sampled_with_other_n_shots(workspace, tmp_path, capsys):
+    problems, config = str(workspace["problems"]), str(workspace["config"])
+    traces = tmp_path / "traces.jsonl"
+    argv = ["sample", "--problems", problems, "--backend", config, "--n", "1", "--n-shots", "2"]
+    assert main(argv + ["--out", str(traces)]) == 0
+    assert {r["seed_meta"]["n_shots"] for r in read_jsonl(traces)} == {2}
+    label = ["label", "--traces", str(traces), "--problems", problems, "--backend", config]
+    export = ["export", "--kind", "sft", "--traces", str(traces), "--problems", problems]
+    out = tmp_path / "out.jsonl"
+    for argv in (label, export):
+        err = _fails_with_one_config_line(argv + ["--out", str(out)], capsys, "sampled with n_shots 2")
+        assert f"{argv[0]} prompts with n_shots 1" in err, err
+        assert not out.exists()
+        assert main(argv + ["--n-shots", "2", "--out", str(out)]) == 0, argv[0]
+        out.unlink()
+    # Traces written before sample recorded n_shots are read at any n_shots.
+    unrecorded = tmp_path / "unrecorded.jsonl"
+    write_jsonl(unrecorded, [dict(r, seed_meta={k: v for k, v in r["seed_meta"].items() if k != "n_shots"})
+                             for r in read_jsonl(traces)])
+    for argv in (label, export):
+        argv = [str(unrecorded) if token == str(traces) else token for token in argv]
+        assert main(argv + ["--out", str(out)]) == 0, argv[0]
 
 
 def test_label_rejects_seed_flag(workspace, tmp_path):
@@ -652,6 +679,13 @@ def _without(key):
     return lambda rec: {k: v for k, v in rec.items() if k != key}
 
 
+def _first_step_kind(kind):
+    return lambda rec: dict(rec, steps=[dict(rec["steps"][0], kind=kind)] + rec["steps"][1:])
+
+
+# Step kinds no step has, by fault; the error line names the kind.
+BAD_KINDS = {"kind naming no step kind": "Conclusion", "kind not a string": ["Thought"]}
+
 MALFORMED = {
     "traces": {
         "bad formula": lambda rec: dict(
@@ -660,6 +694,7 @@ MALFORMED = {
         "answer not a string": lambda rec: dict(rec, final_answer=5),
         "answer naming no label": lambda rec: dict(rec, final_answer="Maybe"),
         "no steps": lambda rec: dict(rec, steps=[]),
+        **{fault: _first_step_kind(kind) for fault, kind in BAD_KINDS.items()},
     },
     "scores": {
         "missing key": _without("trajectory_id"),
@@ -689,6 +724,8 @@ def test_malformed_record_is_one_error_line(artifacts, tmp_path, capsys, stage, 
     assert main(_argv(stage, files)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1: ") and err.count("\n") == 1, err
+    if artifact == "traces" and fault in BAD_KINDS:
+        assert f"{BAD_KINDS[fault]!r} is not a valid StepKind" in err, err
     assert not (tmp_path / "out.jsonl").exists()
 
 
@@ -902,6 +939,61 @@ def test_every_flag_the_readme_names_is_accepted(capsys):
         accepted.update(flag.findall(capsys.readouterr().out))
     assert "verify" in commands and "--out" in named
     assert named <= accepted, sorted(named - accepted)
+
+
+def _parse(parser, argv, capsys):
+    """What parsing argv gives: the namespace or exit code, and what was printed."""
+    capsys.readouterr()
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+def test_main_reuses_one_parser_that_parses_as_a_fresh_one(artifacts, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    export = ["export", "--kind", "sft", "--traces", artifacts["traces"], "--problems", artifacts["problems"]]
+    out = str(tmp_path / "sft.jsonl")
+    sequence = [
+        (["export", "--kind", "sft"], 2),  # --traces, --problems and --out are required
+        (["--help"], 0),
+        (export + ["--n-shots", "2", "--out", out], 1),  # the traces were sampled with 1
+        (export + ["--out", out], 0),
+    ]
+    for argv, code in sequence:
+        fresh = _parse(cli.build_parser.__wrapped__(), argv, capsys)
+        assert _parse(cli.build_parser(), argv, capsys) == fresh, argv
+        capsys.readouterr()
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code, argv
+        if isinstance(fresh[0], int):
+            assert capsys.readouterr() == fresh[1], argv
+    assert Path(out).exists()
+
+
+def _as_json(value):
+    return json.loads(json.dumps(value))
+
+
+def test_records_read_back_to_what_was_written(artifacts):
+    traces, labels, scores = (read_jsonl(artifacts[name]) for name in ("traces", "labels", "scores"))
+    assert traces and labels and scores
+    for rec in traces:
+        traj = trajectory_from_dict(rec)
+        assert all(type(step.formulas) is tuple for step in traj.steps)
+        assert _as_json(trajectory_to_dict(traj)) == rec
+    for rec in labels:
+        label = step_label_from_dict(rec)
+        assert type(label.completions) is tuple and label.completions
+        assert all(type(c) is tuple and len(c) == 2 for c in label.completions)
+        # label writes each label's problem id beside the StepLabel fields.
+        assert {**_as_json(step_label_to_dict(label)), "problem_id": rec["problem_id"]} == rec
+    for rec in scores:
+        assert _as_json(prm_score_to_dict(prm_score_from_dict(rec))) == rec
 
 
 def test_readme_module_map_lists_each_module_once():
