@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -30,7 +31,7 @@ from .llm import (
     check_retry_limits,
     generate_batch,
 )
-from .mock import OracleMockBackend
+from .mock import DEFAULT_ACCURACY, DEFAULT_SLOPPINESS, OracleMockBackend, check_mock_options
 from .problems import (
     InvariantViolation,
     Problem,
@@ -121,20 +122,26 @@ class PipelineConfig:
                 raise ConfigError(
                     f"{self.backend_kind} backend option {name!r} must be {wanted}, got {value!r}"
                 )
-        if self.backend_kind == "http":
-            opts = self.backend_options
-            try:
+        opts = self.backend_options
+        try:
+            if self.backend_kind == "http":
                 check_retry_limits(
                     opts.get("max_retries", MAX_ATTEMPTS), opts.get("timeout_s", DEFAULT_TIMEOUT_S)
                 )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            elif self.backend_kind == "oracle-mock":
+                check_mock_options(
+                    opts.get("accuracy", DEFAULT_ACCURACY), opts.get("sloppiness", DEFAULT_SLOPPINESS)
+                )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 1 <= self.k <= self.n_samples:
             raise ConfigError(f"need 1 <= k <= n_samples, got k={self.k} n_samples={self.n_samples}")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism {self.parallelism} must be at least 1")
-        if self.max_tokens < 1 or self.temperature < 0.0:
-            raise ConfigError("max_tokens must be >= 1 and temperature >= 0")
+        if self.max_tokens < 1:
+            raise ConfigError(f"max_tokens {self.max_tokens} must be at least 1")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature {self.temperature} must be finite and at least 0")
         if self.n_shots < 1:
             raise ConfigError(f"n_shots {self.n_shots} must be at least 1")
 
@@ -223,6 +230,12 @@ def _parse_lengths(text: str) -> list[int]:
 def _check_count(flag: str, value: int) -> None:
     if value < 1:
         raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
+def _check_finite(flag: str, value: float) -> None:
+    # Against a NaN or infinite threshold every score compares alike: none, or all, clear it.
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be a finite number, got {value}")
 
 
 def _check_n_shots(trajectories, n_shots: int, path, command: str) -> None:
@@ -420,6 +433,7 @@ def cmd_score(args) -> int:
 def cmd_select(args) -> int:
     if not args.scores and not args.labels:
         raise ConfigError("select needs --scores, --labels, or both")
+    _check_finite("--step-threshold", args.step_threshold)
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     scores = read_jsonl(args.scores, prm_score_from_dict) if args.scores else None
@@ -437,6 +451,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_dpo_pairs(args) -> int:
+    _check_finite("--threshold", args.threshold)
     groups: dict[str, list[tuple[str, float]]] = {}
     for score in read_jsonl(args.scores, prm_score_from_dict):
         groups.setdefault(score.problem_id, []).append((score.trajectory_id, score.trajectory_prob))

@@ -17,6 +17,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -70,8 +71,8 @@ class GenerationRequest:
         object.__setattr__(self, "messages", tuple(dict(m) for m in self.messages))
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ marker-style trace for sampling prompts and a short closing completion for
 continuation prompts, all deterministically from the seeds in play. The
 accuracy knob controls how often the final answer is the gold label; the
 sloppiness knob spoils one derivation step with that probability, giving the
-scorers something to reject.
+scorers something to reject. Both are probabilities in [0, 1].
 """
 
 from __future__ import annotations
@@ -14,12 +14,22 @@ import os
 import random
 
 from .fol import And, Constant, Exists, Formula, Implies, Not, Or, Pred, Variable, print_formula
-from .llm import BackendUnavailable, GenerationRequest, GenerationResponse, _mock_reply, check_prompt_length, prompt_key
+from .llm import (
+    BackendUnavailable,
+    GenerationRequest,
+    GenerationResponse,
+    Usage,
+    _mock_reply,
+    check_prompt_length,
+    prompt_key,
+)
 from .problems import Problem
 from .semantics import Label
 from .trajectory import CONTINUATION_REQUEST, build_sampling_prompt
 
 WITNESS = "w1"
+DEFAULT_ACCURACY = 1.0
+DEFAULT_SLOPPINESS = 0.0
 
 _SLOPPY_FORMULA = "Mystery(zeta)"
 _SLOPPY_PROSE = "this step clearly speaks for itself"
@@ -33,6 +43,13 @@ def _flip(label: Label) -> Label:
     return Label.TRUE
 
 
+def check_mock_options(accuracy: float, sloppiness: float) -> None:
+    """Refuse an OracleMockBackend probability outside [0, 1], NaN included."""
+    for name, value in (("accuracy", accuracy), ("sloppiness", sloppiness)):
+        if not 0 <= value <= 1:
+            raise ValueError(f"oracle-mock backend option {name!r} must lie in [0, 1], got {value}")
+
+
 class OracleMockBackend:
     """Deterministic stand-in for a live model over a known problem set."""
 
@@ -42,10 +59,11 @@ class OracleMockBackend:
         self,
         problems,
         seed: int = 0,
-        accuracy: float = 1.0,
-        sloppiness: float = 0.0,
+        accuracy: float = DEFAULT_ACCURACY,
+        sloppiness: float = DEFAULT_SLOPPINESS,
         max_prompt_chars: int | None = None,
     ):
+        check_mock_options(accuracy, sloppiness)
         self.seed = seed
         self.accuracy = accuracy
         self.sloppiness = sloppiness
@@ -60,9 +78,13 @@ class OracleMockBackend:
         for order, (task, problem) in enumerate(zip(tasks, problems)):
             self._by_key.setdefault(task[: self._key_len], []).append((order, task, problem))
         self._last: tuple | None = None
+        # A closing reply depends on the problem, the answer and max_tokens
+        # only: (position, answer, max_tokens) -> the reply at prompt_tokens 0.
+        self._closings: dict[tuple[int, Label, int], GenerationResponse] = {}
 
-    def _match_problem(self, user_text: str) -> Problem:
-        """The first problem, in list order, whose task occurs in the prompt."""
+    def _match_problem(self, user_text: str) -> tuple[int, Problem]:
+        """The first problem, in list order, whose task occurs in the prompt,
+        with its position in the list."""
         best: tuple[int, Problem] | None = None
         pos = user_text.find(self._head)
         while pos >= 0:
@@ -72,16 +94,17 @@ class OracleMockBackend:
             pos = user_text.find(self._head, pos + 1)
         if best is None:
             raise BackendUnavailable("prompt does not mention a known problem")
-        return best[1]
+        return best
 
     def _read(self, messages: tuple[dict, ...]) -> tuple:
         """What a reply depends on in the prompt: (messages, char count,
-        prompt_key digest, problem, continuation flag, no replies yet)."""
+        prompt_key digest, problem position, problem, continuation flag, no
+        replies yet)."""
         chars = check_prompt_length(messages, self.max_prompt_chars)
         user_text = "\n".join(m.get("content", "") for m in messages)
-        problem = self._match_problem(user_text)
+        order, problem = self._match_problem(user_text)
         continuation = CONTINUATION_REQUEST in user_text
-        return (messages, chars, prompt_key(messages), problem, continuation, ())
+        return (messages, chars, prompt_key(messages), order, problem, continuation, ())
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         # A label batch sends each prompt n_samples times in a row, so the
@@ -90,17 +113,28 @@ class OracleMockBackend:
         reading = self._last
         if reading is None or reading[0] != req.messages:
             reading = self._last = self._read(req.messages)
-        _, chars, digest, problem, continuation, replies = reading
-        rng = random.Random(f"{self.seed}|{req.seed}|{digest}|{req.temperature}")
-        answer = problem.label if rng.random() < self.accuracy else _flip(problem.label)
-        if not continuation:
-            return _mock_reply(self._trajectory_text(problem, rng, answer), req.max_tokens, chars)
+        _, chars, digest, order, problem, continuation, replies = reading
+        if continuation and not 0 < self.accuracy < 1:
+            # No draw can change this answer: random() < 1 always holds and
+            # random() < 0 never does. A sampling prompt draws regardless,
+            # as its sloppiness draws continue the same stream.
+            answer = problem.label if self.accuracy else _flip(problem.label)
+        else:
+            rng = random.Random(f"{self.seed}|{req.seed}|{digest}|{req.temperature}")
+            answer = problem.label if rng.random() < self.accuracy else _flip(problem.label)
+            if not continuation:
+                return _mock_reply(self._trajectory_text(problem, rng, answer), req.max_tokens, chars)
         # A completion reply depends on the prompt, the answer and max_tokens only.
         key = (answer, req.max_tokens)
         for known, reply in replies:
             if known == key:
                 return reply
-        reply = _mock_reply(self._completion_text(problem, answer), req.max_tokens, chars)
+        closing = self._closings.get((order, answer, req.max_tokens))
+        if closing is None:
+            closing = _mock_reply(self._completion_text(problem, answer), req.max_tokens, 0)
+            self._closings[order, answer, req.max_tokens] = closing
+        usage = Usage(prompt_tokens=chars // 4, completion_tokens=closing.usage.completion_tokens)
+        reply = GenerationResponse(text=closing.text, finish_reason=closing.finish_reason, usage=usage)
         self._last = (*reading[:-1], replies + ((key, reply),))
         return reply
 

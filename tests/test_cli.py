@@ -157,6 +157,44 @@ def test_http_option_that_fails_every_request_fails_at_load(workspace, tmp_path,
     _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, repr(option))
 
 
+@pytest.mark.parametrize(
+    "options, name",
+    [
+        ({"accuracy": 1.5, "sloppiness": -2}, "'accuracy'"),
+        ({"sloppiness": -2}, "'sloppiness'"),
+        ({"sloppiness": 1.01}, "'sloppiness'"),
+        ({"accuracy": float("nan")}, "'accuracy'"),  # written as NaN, which json reads
+    ],
+)
+def test_mock_option_outside_zero_to_one_fails_at_load(workspace, tmp_path, capsys, options, name):
+    cfg = _write_json(tmp_path / "cfg.json", {"backend": {"kind": "oracle-mock", **options}})
+    with pytest.raises(ConfigError, match=name):
+        load_config(cfg)
+    out = tmp_path / "t.jsonl"
+    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg, "--out", str(out)]
+    _fails_with_one_config_line(argv, capsys, name)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_temperature_fails_before_any_request(workspace, tmp_path, local_server, capsys, value):
+    problems = str(workspace["problems"])
+    traces = str(tmp_path / "traces.jsonl")
+    assert main(["sample", "--problems", problems, "--backend", str(workspace["config"]), "--out", traces]) == 0
+    http = {"backend": dict(HTTP, base_url=local_server.url)}
+    flagged = _write_json(tmp_path / "http.json", http)
+    in_file = _write_json(tmp_path / "http-temperature.json", dict(http, temperature=float(value)))
+    out = tmp_path / "out.jsonl"
+    for config, flags in ((flagged, ["--temperature", value]), (in_file, [])):
+        for argv in (
+            ["sample", "--problems", problems, "--backend", config],
+            ["label", "--traces", traces, "--problems", problems, "--backend", config],
+        ):
+            _fails_with_one_config_line(argv + flags + ["--out", str(out)], capsys, "temperature")
+    assert local_server.requests == []
+    assert not out.exists()
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(k=0)
@@ -923,6 +961,15 @@ def test_count_below_one_is_a_config_error(workspace, tmp_path, capsys, command,
     }[command]
     out = tmp_path / "out.jsonl"
     _fails_with_one_config_line(argv + [flag, "0", "--out", str(out)], capsys, flag)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, flag", [("select", "--step-threshold"), ("dpo-pairs", "--threshold")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_is_a_config_error(artifacts, tmp_path, capsys, stage, flag, value):
+    out = tmp_path / "out.jsonl"
+    argv = _argv(stage, dict(artifacts, out=str(out))) + [f"{flag}={value}"]
+    _fails_with_one_config_line(argv, capsys, flag)
     assert not out.exists()
 
 

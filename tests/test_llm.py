@@ -62,8 +62,9 @@ def test_generation_request_validation():
     assert req.messages[0]["role"] == "system"
     with pytest.raises(ValueError):
         GenerationRequest(messages=MESSAGES, max_tokens=0)
-    with pytest.raises(ValueError):
-        GenerationRequest(messages=MESSAGES, temperature=-0.1)
+    for temperature in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature"):
+            GenerationRequest(messages=MESSAGES, temperature=temperature)
 
 
 def test_generation_response_requires_text_on_stop():

@@ -1,13 +1,14 @@
 """Problem-aware mock backend: determinism, accuracy, sloppiness, completions."""
 
 import dataclasses
+import random
 import sys
 import threading
 
 import pytest
 from conftest import completion_messages
 
-from symtraj.llm import BackendUnavailable, GenerationRequest, PromptTooLong
+from symtraj.llm import BackendUnavailable, GenerationRequest, PromptTooLong, prompt_key
 from symtraj.mock import OracleMockBackend
 from symtraj.problems import generate_logicasker
 from symtraj.rules import VerdictStatus, verify_trajectory
@@ -47,6 +48,61 @@ def test_mock_accuracy_zero_always_flipped(problems):
     for p in problems:
         traj = parse_trajectory(backend.generate(_sample_req(p)).text)
         assert traj.final_answer is flip[p.label]
+
+
+@pytest.mark.parametrize(
+    "options", [dict(accuracy=1.5), dict(accuracy=-0.1), dict(accuracy=float("nan")), dict(sloppiness=-2)]
+)
+def test_mock_refuses_a_probability_outside_zero_to_one(problems, options):
+    with pytest.raises(ValueError, match=repr(next(iter(options)))):
+        OracleMockBackend(problems, **options)
+
+
+def _completion_prompts(problems) -> list[tuple]:
+    """(problem, continuation prompt) after one and after two steps of each
+    problem's sampled trace."""
+    backend = OracleMockBackend(problems)
+    prompts = []
+    for p in problems:
+        traj = parse_trajectory(backend.generate(_sample_req(p)).text)
+        prompts += [(p, completion_messages(p, traj, prefix_len)) for prefix_len in (1, 2)]
+    return prompts
+
+
+@pytest.mark.parametrize("accuracy", [0.0, 0.5, 1.0])
+def test_mock_completion_answer_follows_its_seeded_draw(problems, accuracy):
+    backend = OracleMockBackend(problems, seed=3, accuracy=accuracy)
+    flip = {Label.TRUE: Label.FALSE, Label.FALSE: Label.TRUE}
+    gold = set()
+    for p, messages in _completion_prompts(problems):
+        for s in range(8):
+            req = GenerationRequest(messages=messages, seed=s)
+            draw = random.Random(f"3|{s}|{prompt_key(messages)}|{req.temperature}").random()
+            expected = p.label if draw < accuracy else flip[p.label]
+            assert parse_trajectory(backend.generate(req).text).final_answer is expected
+            gold.add(expected is p.label)
+    assert gold == {0.0: {False}, 0.5: {False, True}, 1.0: {True}}[accuracy]
+
+
+def test_mock_closing_reply_is_shared_by_problem_answer_and_max_tokens(problems):
+    # Two prefixes of problems[0], and one of problems[2]: both True, with
+    # different conclusions, so only the problem tells their replies apart.
+    prompts = _completion_prompts(problems)
+    (a, a1), (_, a2), (b, b1) = prompts[0], prompts[1], prompts[4]
+    assert a.label is b.label and a is not b
+    backend = OracleMockBackend(problems, seed=0)
+    replies = [backend.generate(GenerationRequest(messages=m, seed=0)) for m in (a1, a2)]
+    assert replies[0].text == replies[1].text and replies[0].finish_reason == "stop"
+    chars = [sum(len(m["content"]) for m in messages) // 4 for messages in (a1, a2)]
+    assert [r.usage.prompt_tokens for r in replies] == chars and chars[0] != chars[1]
+    # Another max_tokens or another problem gets its own reply, the one a
+    # fresh mock gives.
+    for messages, max_tokens in ((a2, 4), (b1, 1024), (b1, 4)):
+        req = GenerationRequest(messages=messages, seed=0, max_tokens=max_tokens)
+        got = _reply(backend.generate(req))
+        assert got == _reply(OracleMockBackend(problems, seed=0).generate(req))
+        assert got[0] != replies[0].text
+        assert got[1] == ("length" if max_tokens == 4 else "stop")
 
 
 def test_mock_sampled_trajectories_verify(problems):
@@ -147,10 +203,12 @@ def test_mock_problem_index_agrees_with_a_linear_scan():
     # Two tasks in one prompt: list order decides, not position in the text.
     texts.append(tasks[5][0] + "\n" + tasks[1][0])
     for text in texts:
-        assert backend._match_problem(text) is scan(text)
-    assert backend._match_problem(texts[-1]) is problems[1]
+        assert backend._match_problem(text)[1] is scan(text)
+    order, found = backend._match_problem(texts[-1])
+    assert order == 1 and found is problems[1]
     repeated = user_text(build_sampling_prompt(problems[2]).to_messages())
-    assert backend._match_problem(repeated) is problems[2]
+    order, found = backend._match_problem(repeated)
+    assert order == 2 and found is problems[2]
     with pytest.raises(BackendUnavailable):
         backend._match_problem(tasks[0][0][:-1])
 
