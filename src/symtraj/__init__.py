@@ -92,7 +92,6 @@ from .supervision import (
     export_sft_dataset,
     make_trajectory_id,
     mc_label,
-    mc_label_all,
     mc_labeler,
     prm_loss,
     score_trajectory,

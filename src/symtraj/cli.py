@@ -13,7 +13,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .fol import clear_parse_cache
@@ -28,6 +28,7 @@ from .llm import (
     GenerationRequest,
     HttpBackend,
     ScriptedMockBackend,
+    check_max_prompt_chars,
     check_retry_limits,
     generate_batch,
 )
@@ -78,17 +79,19 @@ from .trajectory import (
 
 logger = logging.getLogger(__name__)
 
-# The options a config file may give each backend kind, with the JSON types
-# each accepts. Their defaults live in the backend constructors; the
-# constructors' test hooks are not listed.
-_NUMBER, _INT_OR_NULL, _STR_OR_NULL = (int, float), (int, type(None)), (str, type(None))
+# The options a config file may give each backend kind, and its pipeline
+# keys, with the JSON types each accepts. The options' defaults live in the
+# backend constructors; the constructors' test hooks are not listed.
+_INT, _NUMBER, _INT_OR_NULL, _STR_OR_NULL = (int,), (int, float), (int, type(None)), (str, type(None))
 BACKEND_OPTIONS = {
     "http": {"base_url": (str,), "model": (str,), "api_key_env": _STR_OR_NULL, "timeout_s": _NUMBER,
-             "max_retries": (int,), "max_prompt_chars": _INT_OR_NULL},
-    "oracle-mock": {"problems": (str,), "seed": (int,), "accuracy": _NUMBER, "sloppiness": _NUMBER,
+             "max_retries": _INT, "max_prompt_chars": _INT_OR_NULL},
+    "oracle-mock": {"problems": (str,), "seed": _INT, "accuracy": _NUMBER, "sloppiness": _NUMBER,
                     "max_prompt_chars": _INT_OR_NULL},
     "scripted": {"script": (dict,), "default_text": _STR_OR_NULL, "max_prompt_chars": _INT_OR_NULL},
 }
+PIPELINE_KEYS = {"parallelism": _INT, "temperature": _NUMBER, "max_tokens": _INT, "n_shots": _INT,
+                 "seed": _INT, "n_samples": _INT, "k": _INT}
 
 
 class ConfigError(ValueError):
@@ -114,16 +117,16 @@ class PipelineConfig:
         if unknown:
             names = ", ".join(map(repr, unknown))
             raise ConfigError(f"unknown {self.backend_kind} backend option(s) {names}")
-        for name, value in self.backend_options.items():
-            types = BACKEND_OPTIONS[self.backend_kind][name]
+        opts, option_types = self.backend_options, BACKEND_OPTIONS[self.backend_kind]
+        settings = [(f"{self.backend_kind} backend option", n, opts[n], option_types[n]) for n in opts]
+        settings += [("pipeline key", n, getattr(self, n), types) for n, types in PIPELINE_KEYS.items()]
+        for what, name, value, types in settings:
             # JSON true and false are not numbers, although bool subclasses int.
             if not isinstance(value, types) or isinstance(value, bool):
                 wanted = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-                raise ConfigError(
-                    f"{self.backend_kind} backend option {name!r} must be {wanted}, got {value!r}"
-                )
-        opts = self.backend_options
+                raise ConfigError(f"{what} {name!r} must be {wanted}, got {value!r}")
         try:
+            check_max_prompt_chars(opts.get("max_prompt_chars"))
             if self.backend_kind == "http":
                 check_retry_limits(
                     opts.get("max_retries", MAX_ATTEMPTS), opts.get("timeout_s", DEFAULT_TIMEOUT_S)
@@ -136,17 +139,11 @@ class PipelineConfig:
             raise ConfigError(str(exc)) from None
         if not 1 <= self.k <= self.n_samples:
             raise ConfigError(f"need 1 <= k <= n_samples, got k={self.k} n_samples={self.n_samples}")
-        if self.parallelism < 1:
-            raise ConfigError(f"parallelism {self.parallelism} must be at least 1")
-        if self.max_tokens < 1:
-            raise ConfigError(f"max_tokens {self.max_tokens} must be at least 1")
+        for name in ("parallelism", "max_tokens", "n_shots"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} {getattr(self, name)} must be at least 1")
         if not 0 <= self.temperature < math.inf:
             raise ConfigError(f"temperature {self.temperature} must be finite and at least 0")
-        if self.n_shots < 1:
-            raise ConfigError(f"n_shots {self.n_shots} must be at least 1")
-
-
-_PIPELINE_KEYS = tuple(f.name for f in fields(PipelineConfig) if not f.name.startswith("backend_"))
 
 
 def load_config(path: str | None) -> PipelineConfig:
@@ -164,7 +161,7 @@ def load_config(path: str | None) -> PipelineConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    unknown = sorted(set(data) - {"backend", *_PIPELINE_KEYS})
+    unknown = sorted(set(data) - {"backend", *PIPELINE_KEYS})
     if unknown:
         names = ", ".join(map(repr, unknown))
         raise ConfigError(f"{path}: unknown key(s) {names}; backend options go in 'backend'")
@@ -172,13 +169,13 @@ def load_config(path: str | None) -> PipelineConfig:
         raise ConfigError(f"{path}: needs a 'backend' object")
     options = dict(data["backend"])
     kind = options.pop("kind", PipelineConfig.backend_kind)
-    knobs = {key: data[key] for key in _PIPELINE_KEYS if key in data}
+    knobs = {key: data[key] for key in PIPELINE_KEYS if key in data}
     return PipelineConfig(backend_kind=kind, backend_options=options, **knobs)
 
 
 def _overlay_flags(cfg: PipelineConfig, args) -> PipelineConfig:
     updates = {}
-    for key in _PIPELINE_KEYS:
+    for key in PIPELINE_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             updates[key] = value
@@ -256,6 +253,11 @@ def _check_n_shots(trajectories, n_shots: int, path, command: str) -> None:
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+
+
+def _write_judged(path, records, what: str, n_distinct: int, n_traces: int) -> None:
+    write_jsonl(path, records)
+    print(f"wrote {len(records)} {what} to {path} ({n_distinct} distinct of {n_traces} trajectories)")
 
 
 def cmd_gen_problems(args) -> int:
@@ -336,8 +338,8 @@ def cmd_label(args) -> int:
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     _check_n_shots(trajectories, cfg.n_shots, args.traces, "label")
-    backend = build_backend(cfg, problems)
     items = with_problems(trajectories, problems)
+    backend = build_backend(cfg, problems)
     try:
         labeler = mc_labeler(
             backend,
@@ -356,11 +358,7 @@ def cmd_label(args) -> int:
         for (problem, _), labels in zip(items, all_labels)
         for label in labels
     ]
-    write_jsonl(args.out, records)
-    print(
-        f"wrote {len(records)} step labels to {args.out}"
-        f" ({n_distinct} distinct of {len(items)} trajectories)"
-    )
+    _write_judged(args.out, records, "step labels", n_distinct, len(items))
     return 0
 
 
@@ -383,11 +381,7 @@ def cmd_verify(args) -> int:
                     "note": verdict.note,
                 }
             )
-    write_jsonl(args.out, records)
-    print(
-        f"wrote {len(records)} step verdicts to {args.out}"
-        f" ({n_distinct} distinct of {len(items)} trajectories)"
-    )
+    _write_judged(args.out, records, "step verdicts", n_distinct, len(items))
     return 0
 
 
@@ -422,11 +416,7 @@ def cmd_score(args) -> int:
             logger.warning("scoring %s failed: %s", trajectory_id_of(traj), result)
         else:
             records.append(prm_score_to_dict(result))
-    write_jsonl(args.out, records)
-    print(
-        f"wrote {len(records)} trajectory scores to {args.out}"
-        f" ({n_distinct} distinct of {len(items)} trajectories)"
-    )
+    _write_judged(args.out, records, "trajectory scores", n_distinct, len(items))
     return 0
 
 

@@ -121,6 +121,12 @@ def _mock_reply(text: str, max_tokens: int, prompt_chars: int) -> GenerationResp
     return GenerationResponse(text=text, finish_reason=finish, usage=usage)
 
 
+def check_max_prompt_chars(max_prompt_chars: int | None) -> None:
+    """Refuse a prompt limit under which every request fails as PromptTooLong."""
+    if max_prompt_chars is not None and max_prompt_chars < 1:
+        raise ValueError(f"backend option 'max_prompt_chars' must be at least 1, got {max_prompt_chars}")
+
+
 def check_retry_limits(max_retries: int, timeout_s: float) -> None:
     """Refuse an HttpBackend setting under which every request fails: no
     attempt at all, or a socket timeout of zero (non-blocking) or below."""
@@ -281,6 +287,7 @@ class HttpBackend:
         rng: random.Random | None = None,
     ):
         check_retry_limits(max_retries, timeout_s)
+        check_max_prompt_chars(max_prompt_chars)
         self.model = model
         self.timeout_s = timeout_s
         self.max_prompt_chars = max_prompt_chars
@@ -344,6 +351,7 @@ class ScriptedMockBackend:
         default_text: str | None = None,
         max_prompt_chars: int | None = None,
     ):
+        check_max_prompt_chars(max_prompt_chars)
         self.script = dict(script or {})
         self.default_text = default_text
         self.max_prompt_chars = max_prompt_chars

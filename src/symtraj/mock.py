@@ -20,6 +20,7 @@ from .llm import (
     GenerationResponse,
     Usage,
     _mock_reply,
+    check_max_prompt_chars,
     check_prompt_length,
     prompt_key,
 )
@@ -64,6 +65,7 @@ class OracleMockBackend:
         max_prompt_chars: int | None = None,
     ):
         check_mock_options(accuracy, sloppiness)
+        check_max_prompt_chars(max_prompt_chars)
         self.seed = seed
         self.accuracy = accuracy
         self.sloppiness = sloppiness

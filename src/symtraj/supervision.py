@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, fields
 
-from .jsonl import write_jsonl
+from .jsonl import FormatError, write_jsonl
 from .llm import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_PARALLELISM,
@@ -163,10 +163,23 @@ def preference_pair_from_dict(d: dict) -> PreferencePair:
     return PreferencePair(d["problem_id"], d["chosen"], d["rejected"], d["gap"])
 
 
+def index_once(pairs, conflict) -> dict:
+    """{key: value} of the (key, value) pairs; a key may come again only with
+    an equal value, else FormatError(conflict(key)). This is the one rule for
+    repeated records: an id names one trace, one score and one hard label per
+    step, and a twin repeats it exactly."""
+    index: dict = {}
+    for key, value in pairs:
+        if index.setdefault(key, value) != value:
+            raise FormatError(conflict(key))
+    return index
+
+
 def with_problems(trajs, problems) -> list[tuple[Problem, Trajectory]]:
     """(problem, trajectory) for each trajectory in order; every stage joins here.
 
     A trajectory whose problem is not on record is dropped with a warning.
+    Twins, joined records of one trajectory id, must repeat its steps and answer.
     """
     by_id = {p.id: p for p in problems}
     joined = []
@@ -176,6 +189,12 @@ def with_problems(trajs, problems) -> list[tuple[Problem, Trajectory]]:
             logger.warning("no problem on record for %r, skipping", traj.problem_id)
         else:
             joined.append((problem, traj))
+    index_once(
+        (((t.problem_id, t.raw_text), (t.steps, t.final_answer)) for _, t in joined),
+        lambda key: f"trajectory id {make_trajectory_id(*key)!r} comes twice with different steps or"
+        " final answers (an id is the problem id plus a digest of raw_text, so records without"
+        " raw_text share one id per problem)",
+    )
     return joined
 
 
@@ -183,22 +202,17 @@ def judge_distinct(items, judge) -> tuple[list, int]:
     """judge(problem, trajectory) for each (problem, trajectory) of items, in
     order, and the number of distinct traces judged.
 
-    Twins, records with the same trajectory id and equal steps on record,
-    share one call and its result. Steps are compared only among records of
-    one id, so a file without twins costs one dict lookup per trace.
+    Twins, records with one trajectory id, share one call and its result:
+    with_problems has checked that they repeat one trace.
     """
-    judged: dict[str, list[tuple[tuple, object]]] = {}
+    judged: dict[str, object] = {}
     results = []
     for problem, traj in items:
-        twins = judged.setdefault(trajectory_id_of(traj), [])
-        for steps, result in twins:
-            if steps == traj.steps:
-                break
-        else:
-            result = judge(problem, traj)
-            twins.append((traj.steps, result))
-        results.append(result)
-    return results, sum(map(len, judged.values()))
+        tid = trajectory_id_of(traj)
+        if tid not in judged:
+            judged[tid] = judge(problem, traj)
+        results.append(judged[tid])
+    return results, len(judged)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +223,6 @@ def judge_distinct(items, judge) -> tuple[list, int]:
 def mc_label(problem: Problem, traj: Trajectory, backend, **options) -> list[StepLabel]:
     """One StepLabel per prefix of the trajectory; options as for mc_labeler."""
     return mc_labeler(backend, **options)(problem, traj)
-
-
-def mc_label_all(items, backend, **options) -> list[list[StepLabel]]:
-    """StepLabels for each (problem, trajectory) of items, one list per item;
-    options as for mc_labeler. Twins (see judge_distinct) are labelled once
-    and share one list."""
-    return judge_distinct(items, mc_labeler(backend, **options))[0]
 
 
 def mc_labeler(
@@ -370,6 +377,23 @@ def score_trajectory(problem: Problem, traj: Trajectory, scorer) -> PrmScore:
 # ---------------------------------------------------------------------------
 
 
+def _score_conflict(tid) -> str:
+    return f"trajectory id {tid!r} has two different scores"
+
+
+def _hard_labels(labels) -> dict[str, dict[int, int]]:
+    """{trajectory id: {step index: hard_label}}; two different hard labels
+    for one step are refused (see index_once)."""
+    steps = index_once(
+        (((l.trajectory_id, l.step_index), l.hard_label) for l in labels),
+        lambda key: f"trajectory id {key[0]!r} has two different hard labels for step {key[1]}",
+    )
+    by_id: dict[str, dict[int, int]] = {}
+    for (tid, i), hard_label in steps.items():
+        by_id.setdefault(tid, {})[i] = hard_label
+    return by_id
+
+
 def select_trajectories(
     trajs,
     problems,
@@ -385,24 +409,19 @@ def select_trajectories(
     """
     if scores is None and labels is None:
         raise ValueError("need scores, labels, or both to judge steps")
-    score_map = {s.trajectory_id: s for s in scores} if scores is not None else None
-    label_map: dict[str, list[StepLabel]] | None = None
-    if labels is not None:
-        label_map = {}
-        for label in labels:
-            label_map.setdefault(label.trajectory_id, []).append(label)
+    score_map = index_once(((s.trajectory_id, s) for s in scores or ()), _score_conflict)
+    label_map = _hard_labels(labels or ())
     selected = []
     for problem, traj in with_problems(trajs, problems):
         if traj.final_answer is not problem.label:
             continue
         tid = trajectory_id_of(traj)
         ok = True
-        if label_map is not None:
-            # Identical samples share an id, so their labels may repeat.
-            traj_labels = label_map.get(tid, [])
-            ok &= {l.step_index for l in traj_labels} == set(range(len(traj.steps)))
-            ok &= all(l.hard_label > 0 for l in traj_labels)
-        if ok and score_map is not None:
+        if labels is not None:
+            per_step = label_map.get(tid, {})
+            ok &= per_step.keys() == set(range(len(traj.steps)))
+            ok &= all(hard_label > 0 for hard_label in per_step.values())
+        if ok and scores is not None:
             score = score_map.get(tid)
             ok &= (
                 score is not None
@@ -417,25 +436,19 @@ def select_trajectories(
 def build_dpo_pairs(groups, threshold: float = DEFAULT_DPO_THRESHOLD) -> list[PreferencePair]:
     """Preference pairs within each problem group.
 
-    groups maps problem_id -> iterable of (trajectory_id, trajectory_prob).
-    Every pair of two different ids whose probability gap strictly exceeds
-    the threshold is emitted once, higher probability as chosen, with its
-    largest gap when an id comes with several probabilities (twins, or one
-    id judged on two step lists). A pair that clears the threshold in both
-    directions, which only such ids can, is contradictory and emitted in
-    neither. Output is sorted by problem_id, then gap descending.
+    groups maps problem_id -> iterable of (trajectory_id, trajectory_prob);
+    twins repeat an entry, and an id with two different probabilities is
+    refused (see index_once). Every pair of two ids whose probability gap
+    strictly exceeds the threshold is emitted once, higher probability as
+    chosen. Output is sorted by problem_id, then gap descending.
     """
     pairs: list[PreferencePair] = []
     for problem_id in sorted(groups):
-        entries = sorted(groups[problem_id], key=lambda e: (-e[1], e[0]))
-        gaps: dict[tuple[str, str], float] = {}
+        probs = index_once(groups[problem_id], _score_conflict)
+        entries = sorted(probs.items(), key=lambda e: (-e[1], e[0]))
         for (tid_a, prob_a), (tid_b, prob_b) in itertools.combinations(entries, 2):
-            gap = prob_a - prob_b
-            if tid_a != tid_b and gap > gaps.get((tid_a, tid_b), threshold):
-                gaps[tid_a, tid_b] = gap
-        pairs += [
-            PreferencePair(problem_id, a, b, gap) for (a, b), gap in gaps.items() if (b, a) not in gaps
-        ]
+            if prob_a - prob_b > threshold:
+                pairs.append(PreferencePair(problem_id, tid_a, tid_b, prob_a - prob_b))
     pairs.sort(key=lambda p: (p.problem_id, -p.gap, p.chosen, p.rejected))
     return pairs
 
@@ -452,9 +465,7 @@ def _prompt_text(problem: Problem, n_shots: int) -> str:
 
 def export_prm_dataset(labels, trajectories, problems, path, n_shots: int = DEFAULT_N_SHOTS) -> int:
     """PRM records {prompt, steps, step_labels}; returns the record count."""
-    label_map: dict[str, dict[int, int]] = {}
-    for label in labels:
-        label_map.setdefault(label.trajectory_id, {})[label.step_index] = label.hard_label
+    label_map = _hard_labels(labels)
     records = []
     for problem, traj in with_problems(trajectories, problems):
         per_step = label_map.get(trajectory_id_of(traj))

@@ -159,7 +159,7 @@ class LocalServer:
 
 def completion_messages(problem, traj, prefix_len: int, n_shots: int = 1) -> tuple[dict, ...]:
     """The messages that ask to finish traj after its first prefix_len steps,
-    built from the sampling prompt alone, as a reference for mc_label_all."""
+    built from the sampling prompt alone, as a reference for the label stage."""
     prefix = "\n".join(render_step(s) for s in traj.steps[:prefix_len])
     sampling = build_sampling_prompt(problem, n_shots)
     return tuple(dataclasses.replace(sampling, continuation_prefix=prefix).to_messages())

@@ -176,6 +176,42 @@ def test_mock_option_outside_zero_to_one_fails_at_load(workspace, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "knobs, name",
+    [
+        ({"temperature": "0.3"}, "'temperature' must be int or float, got '0.3'"),
+        ({"n_samples": 2.5}, "'n_samples' must be int, got 2.5"),
+        ({"parallelism": None}, "'parallelism' must be int, got None"),
+        ({"k": True}, "'k' must be int, got True"),
+    ],
+)
+def test_pipeline_key_of_the_wrong_type_is_one_config_line(workspace, tmp_path, capsys, knobs, name):
+    cfg = _write_json(tmp_path / "cfg.json", {"backend": {"kind": "oracle-mock"}, **knobs})
+    with pytest.raises(ConfigError, match=re.escape(f"pipeline key {name}")):
+        load_config(cfg)
+    out = tmp_path / "out.jsonl"
+    inputs = ["--problems", str(workspace["problems"]), "--backend", cfg, "--out", str(out)]
+    for argv in (["sample", *inputs], ["label", "--traces", str(tmp_path / "t.jsonl"), *inputs]):
+        _fails_with_one_config_line(argv, capsys, name)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, -5])
+@pytest.mark.parametrize(
+    "backend", [HTTP, {"kind": "oracle-mock"}, {"kind": "scripted", "script": {}}], ids=lambda b: b["kind"]
+)
+def test_max_prompt_chars_below_one_fails_at_load(workspace, tmp_path, capsys, backend, value):
+    # Every request would fail as too long, and sample would write no trace.
+    cfg = _write_json(tmp_path / "cfg.json", {"backend": dict(backend, max_prompt_chars=value)})
+    name = f"'max_prompt_chars' must be at least 1, got {value}"
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        load_config(cfg)
+    out = tmp_path / "t.jsonl"
+    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg, "--out", str(out)]
+    _fails_with_one_config_line(argv, capsys, name)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_temperature_fails_before_any_request(workspace, tmp_path, local_server, capsys, value):
     problems = str(workspace["problems"])
@@ -1082,6 +1118,59 @@ def test_twin_scores_give_each_pair_and_dpo_record_once(artifacts, tmp_path):
     assert main(_argv("export-dpo", dict(artifacts, pairs=str(pairs), out=str(dpo)))) == 0
     records = dpo.read_text(encoding="utf-8").splitlines()
     assert len(records) == len(set(records)) == len(read_jsonl(pairs))
+
+
+def _one_error_line(argv, capsys, message, out):
+    capsys.readouterr()
+    assert main(argv) == 1, argv[0]
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n", err
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("stage", TRACE_READERS)
+def test_every_trace_reader_refuses_a_twin_with_other_steps(artifacts, tmp_path, capsys, stage):
+    # One Observation spoiled, raw_text kept: the same id over other steps.
+    traces = read_jsonl(artifacts["traces"])
+    record = traces[0]
+    i = next(i for i, step in enumerate(record["steps"]) if step["kind"] == "Observation")
+    spoiled_step = {"kind": "Observation", "text": "Observation: Mystery(zeta)", "formulas": ["Mystery(zeta)"]}
+    spoiled = dict(record, steps=record["steps"][:i] + [spoiled_step] + record["steps"][i + 1 :])
+    message = (
+        f"trajectory id {trajectory_id_of(trajectory_from_dict(record))!r} comes twice with different"
+        " steps or final answers (an id is the problem id plus a digest of raw_text, so records"
+        " without raw_text share one id per problem)"
+    )
+    path, out = tmp_path / "spoiled-twin-traces.jsonl", tmp_path / "out.jsonl"
+    for order in ([spoiled] + traces, traces + [spoiled]):
+        write_jsonl(path, order)
+        _one_error_line(_argv(stage, dict(artifacts, traces=str(path), out=str(out))), capsys, message, out)
+
+
+@pytest.mark.parametrize("stage", ["dpo-pairs", "select"])
+def test_a_second_score_for_one_id_is_one_error_line(artifacts, tmp_path, capsys, stage):
+    scores = read_jsonl(artifacts["scores"])
+    record = scores[0]
+    other = dict(_without("trajectory_prob")(record), step_probs=[0.5] * len(record["step_probs"]))
+    path = tmp_path / "two-scores.jsonl"
+    write_jsonl(path, scores + [other])
+    out = tmp_path / "out.jsonl"
+    message = f"trajectory id {record['trajectory_id']!r} has two different scores"
+    _one_error_line(_argv(stage, dict(artifacts, scores=str(path), out=str(out))), capsys, message, out)
+
+
+@pytest.mark.parametrize("stage", ["select", "export-prm"])
+def test_a_second_label_for_one_step_is_one_error_line(artifacts, tmp_path, capsys, stage):
+    labels = read_jsonl(artifacts["labels"])
+    record = labels[1]
+    path = tmp_path / "two-labels.jsonl"
+    write_jsonl(path, [dict(record, hard_label=-record["hard_label"])] + labels)
+    out = tmp_path / "out.jsonl"
+    message = (
+        f"trajectory id {record['trajectory_id']!r} has two different hard labels"
+        f" for step {record['step_index']}"
+    )
+    _one_error_line(_argv(stage, dict(artifacts, labels=str(path), out=str(out))), capsys, message, out)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,17 @@ def test_http_backend_rejects_settings_that_fail_every_request(url, kwargs):
         HttpBackend(url, **kwargs)
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_every_backend_refuses_a_prompt_limit_below_one(limit):
+    for make in (
+        lambda: HttpBackend("http://127.0.0.1:1/v1", max_prompt_chars=limit),
+        lambda: ScriptedMockBackend({}, max_prompt_chars=limit),
+        lambda: OracleMockBackend([], max_prompt_chars=limit),
+    ):
+        with pytest.raises(ValueError, match=f"'max_prompt_chars' must be at least 1, got {limit}"):
+            make()
+
+
 def test_http_backend_keeps_connections_across_batches(local_server, http_backend):
     local_server.default = _echo
     backend = http_backend()

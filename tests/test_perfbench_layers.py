@@ -90,7 +90,7 @@ def test_mc_label_all_calls_the_names_the_traced_run_wraps(monkeypatch):
             text = backend.generate(llm.GenerationRequest(messages=messages, seed=seed)).text
             items.append((p, parse_trajectory(text, problem_id=p.id)))
     calls.update(generate=0)
-    supervision.mc_label_all(items, backend, n_samples=3)
+    supervision.judge_distinct(items, supervision.mc_labeler(backend, n_samples=3))
     traces = {(supervision.trajectory_id_of(t), t.steps): (p, t) for p, t in items}
     assert len(traces) < len(items)
     prefixes = [(p, t, n) for p, t in traces.values() for n in range(1, len(t.steps) + 1)]

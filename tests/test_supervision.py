@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from conftest import DROP, closed_port, completion_messages
 
 from symtraj import llm, mock, supervision
 from symtraj.fol import parse_formula
-from symtraj.jsonl import read_jsonl
+from symtraj.jsonl import FormatError, read_jsonl
 from symtraj.llm import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_TEMPERATURE,
@@ -27,7 +28,7 @@ from symtraj.llm import (
 )
 from symtraj.mock import OracleMockBackend
 from symtraj.problems import Problem, Statement, generate_logicasker
-from symtraj.rules import VerdictStatus, verify_trajectory
+from symtraj.rules import verify_trajectory
 from symtraj.semantics import Label
 from symtraj.supervision import (
     PreferencePair,
@@ -40,16 +41,18 @@ from symtraj.supervision import (
     export_dpo_dataset,
     export_prm_dataset,
     export_sft_dataset,
+    index_once,
     judge_distinct,
     make_trajectory_id,
     mc_label,
-    mc_label_all,
+    mc_labeler,
     prm_loss,
     score_trajectory,
     select_trajectories,
     step_label_from_dict,
     step_label_to_dict,
     trajectory_id_of,
+    with_problems,
 )
 from symtraj.trajectory import build_sampling_prompt, parse_trajectory
 
@@ -286,6 +289,9 @@ def test_mc_label_rejects_bad_arguments():
     assert empty.steps  # sanity: the Finish line itself is a step
 
 
+# The test_mc_label_all_* tests below label a whole stage the way the label
+# command does: judge_distinct(items, mc_labeler(backend, **options)).
+
 MC_TRACE_BRANCH = MC_TRACE.replace(
     "Action: Finish [True]", "Thought: Double-check.\nAction: Finish [True]"
 )
@@ -304,7 +310,7 @@ def _dedup_fixture():
 def test_mc_label_all_sends_each_distinct_request_once():
     problem, trajs = _dedup_fixture()
     backend = RecordingBackend()
-    mc_label_all([(problem, t) for t in trajs], backend, n_samples=3, parallelism=2)
+    judge_distinct([(problem, t) for t in trajs], mc_labeler(backend, n_samples=3, parallelism=2))
     counts = Counter(backend.sent)
     assert set(counts.values()) == {1}
     # 6 prefixes, then the twin's none, the branch's last two, and the short trace's two.
@@ -314,7 +320,7 @@ def test_mc_label_all_sends_each_distinct_request_once():
 def test_mc_label_all_equals_per_trajectory_mc_label():
     problem, trajs = _dedup_fixture()
     for make_backend in (lambda: CountingBackend(2), lambda: FlakyBackend({1})):
-        together = mc_label_all([(problem, t) for t in trajs], make_backend(), n_samples=3)
+        together = judge_distinct([(problem, t) for t in trajs], mc_labeler(make_backend(), n_samples=3))[0]
         one_by_one = [mc_label(problem, t, make_backend(), n_samples=3) for t in trajs]
         assert together == one_by_one
 
@@ -325,7 +331,7 @@ def test_mc_label_all_sends_a_failed_request_once_and_labels_twins_alike():
     messages = completion_messages(problem, traj, 2)
     flaky = (prompt_key(messages), 1, DEFAULT_TEMPERATURE, DEFAULT_MAX_TOKENS, "")
     backend = RecordingBackend(fail_once={flaky})
-    first, second = mc_label_all([(problem, traj), (problem, twin)], backend, n_samples=3)
+    (first, second), _ = judge_distinct([(problem, traj), (problem, twin)], mc_labeler(backend, n_samples=3))
     # The failure stands for the twin too: same prefix, same completions.
     assert first[1].completions == (("True", True), (None, False), ("True", True))
     assert second == first
@@ -338,12 +344,14 @@ def test_mc_label_all_labels_twins_once_and_logs_their_failures_once(caplog):
     problem, trajs = _dedup_fixture()
     traj, twin = trajs[:2]
     with caplog.at_level(logging.WARNING):
-        (alone,) = mc_label_all([(problem, traj)], FlakyBackend({1}), n_samples=3)
+        (alone,), _ = judge_distinct([(problem, traj)], mc_labeler(FlakyBackend({1}), n_samples=3))
     failures = [r.getMessage() for r in caplog.records]
     assert len(failures) == len(traj.steps)  # seed 1 fails after every prefix
     caplog.clear()
     with caplog.at_level(logging.WARNING):
-        first, second = mc_label_all([(problem, traj), (problem, twin)], FlakyBackend({1}), n_samples=3)
+        (first, second), _ = judge_distinct(
+            [(problem, traj), (problem, twin)], mc_labeler(FlakyBackend({1}), n_samples=3)
+        )
     assert first is second and first == alone
     assert [r.getMessage() for r in caplog.records] == failures
 
@@ -359,7 +367,7 @@ def test_mc_label_all_sends_the_prompt_of_each_prefix(n_shots):
     assert repeated.steps[0] == repeated.steps[1]
     backend = RecordingBackend()
     items = [(problem, traj), (problem, repeated)]
-    mc_label_all(items, backend, n_samples=2, parallelism=1, n_shots=n_shots)
+    judge_distinct(items, mc_labeler(backend, n_samples=2, parallelism=1, n_shots=n_shots))
     expected = [
         completion_messages(problem, t, p, n_shots)
         for t in (traj, repeated)
@@ -377,8 +385,8 @@ def test_mc_label_all_skips_only_the_prefixes_with_too_long_prompts():
         for p in range(1, len(traj.steps) + 1)
     ]
     cutoff = (sizes[2] + sizes[3]) // 2
-    got = mc_label_all(
-        [(problem, t) for t in (traj, branch, short)], SizeLimitedBackend(cutoff), n_samples=3
+    got, _ = judge_distinct(
+        [(problem, t) for t in (traj, branch, short)], mc_labeler(SizeLimitedBackend(cutoff), n_samples=3)
     )
     assert [[l.step_index for l in labels] for labels in got] == [[0, 1, 2], [0, 1, 2], [0, 1]]
     assert all(l.hard_label == 1 for labels in got for l in labels)
@@ -421,7 +429,7 @@ def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch):
 
         monkeypatch.setattr(module, "prompt_key", counting, raising=False)
     sent = _record_requests(monkeypatch, backend)
-    mc_label_all(items, backend, n_samples=3)
+    judge_distinct(items, mc_labeler(backend, n_samples=3))
     distinct = {prompt_key(messages) for messages in sent}
     assert len(sent) == 3 * len(distinct)
     assert len(digests) == len(distinct)
@@ -439,7 +447,7 @@ def test_mc_label_all_sends_each_problems_prompts_for_one_trace_text(monkeypatch
     items = [(p, parse_trajectory(MC_TRACE, problem_id=p.id)) for p in (tea, no_tea)]
     backend = OracleMockBackend([tea, no_tea])
     sent = _record_requests(monkeypatch, backend)
-    together = mc_label_all(items, backend, n_samples=3)
+    together, _ = judge_distinct(items, mc_labeler(backend, n_samples=3))
     assert together == [mc_label(p, t, OracleMockBackend([tea, no_tea]), n_samples=3) for p, t in items]
     assert all(l.n_success == 3 for labels in together for l in labels)
     assert sent == [
@@ -657,7 +665,7 @@ def test_judge_distinct_calls_the_judge_once_per_distinct_trace():
     assert judge_distinct([], judge) == ([], 0)
 
 
-def test_judge_distinct_judges_twin_ids_with_different_steps_apart():
+def test_with_problems_refuses_a_twin_id_with_other_steps():
     # A hand-edited file: the same trajectory id, but the second record's
     # last Observation on record claims something the premises do not give.
     problem, traj = _mc_fixture()
@@ -665,12 +673,31 @@ def test_judge_distinct_judges_twin_ids_with_different_steps_apart():
     steps[4] = parse_trajectory("Observation: Cook(bob)").steps[0]
     edited = dataclasses.replace(traj, steps=tuple(steps))
     assert trajectory_id_of(edited) == trajectory_id_of(traj)
-    items = [(problem, traj), (problem, edited), (problem, traj), (problem, edited)]
-    results, n_distinct = judge_distinct(items, verify_trajectory)
-    assert n_distinct == 2
-    assert results == [verify_trajectory(p, t) for p, t in items]
-    assert results[0] != results[1]
-    assert results[1][4].status is VerdictStatus.INVALID
+    twin = parse_trajectory(MC_TRACE, problem_id=problem.id)
+    assert with_problems([traj, twin], [problem]) == [(problem, traj), (problem, twin)]
+    other_answer = dataclasses.replace(traj, final_answer=Label.FALSE)
+    message = re.escape(f"trajectory id {trajectory_id_of(traj)!r} comes twice with different steps")
+    for trajs in ([traj, edited], [edited, twin], [traj, other_answer]):
+        with pytest.raises(FormatError, match=message):
+            with_problems(trajs, [problem])
+
+
+def test_with_problems_refuses_two_traces_without_raw_text_for_one_problem():
+    problem, other = _chain_problem(), _chain_problem("other")
+    short = parse_trajectory("Thought: immediate.\nAction: Finish [True]", problem_id=problem.id)
+    bare = [dataclasses.replace(t, raw_text="") for t in (_mc_fixture()[1], short)]
+    elsewhere = dataclasses.replace(bare[1], problem_id=other.id)
+    assert len(with_problems([bare[0], elsewhere], [problem, other])) == 2
+    with pytest.raises(FormatError, match="records without raw_text share one id per problem"):
+        with_problems(bare, [problem])
+
+
+def test_index_once_keeps_one_value_per_key_and_refuses_another():
+    conflict = lambda key: f"key {key!r} twice"  # noqa: E731
+    assert index_once([("a", 1), ("b", 2), ("a", 1)], conflict) == {"a": 1, "b": 2}
+    assert index_once([], conflict) == {}
+    with pytest.raises(FormatError, match="^key 'a' twice$"):
+        index_once([("a", 1), ("b", 2), ("a", 3)], conflict)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +817,19 @@ def test_select_keeps_identical_samples():
     spoiled = labels[:-1] + [
         StepLabel(last.trajectory_id, last.step_index, n_samples=10, n_success=0, hard_label=-1)
     ]
-    assert select_trajectories([traj, twin], [problem], labels=spoiled) == []
+    # The spoiled twin's last label contradicts the first copy's: refused.
+    with pytest.raises(FormatError, match=f"two different hard labels for step {last.step_index}$"):
+        select_trajectories([traj, twin], [problem], labels=spoiled)
+
+
+def test_select_refuses_two_scores_for_one_id():
+    problem, traj = _mc_fixture()
+    tid = trajectory_id_of(traj)
+    good, bad = (PrmScore(tid, tuple(p for _ in traj.steps)) for p in (0.9, 0.2))
+    assert select_trajectories([traj], [problem], scores=[good, good]) == [traj]
+    for scores in ([bad, good], [good, bad]):
+        with pytest.raises(FormatError, match=re.escape(f"trajectory id {tid!r} has two different scores")):
+            select_trajectories([traj], [problem], scores=scores)
 
 
 def test_select_drops_unknown_problems():
@@ -859,24 +898,19 @@ def test_build_dpo_pairs_emits_a_twin_pair_once():
     assert build_dpo_pairs(groups) == [PreferencePair("p", "p#a", "p#b", pytest.approx(0.8))]
 
 
-def test_build_dpo_pairs_keeps_the_largest_gap_of_an_id_pair():
-    groups = {"p": [("p#a", 0.6), ("p#b", 0.1), ("p#a", 0.9)]}
-    assert build_dpo_pairs(groups) == [PreferencePair("p", "p#a", "p#b", pytest.approx(0.8))]
-
-
-def test_build_dpo_pairs_never_pairs_an_id_with_itself():
-    # One id judged on two different step lists gets two probabilities.
-    assert build_dpo_pairs({"p": [("p#a", 0.9), ("p#a", 0.1)]}) == []
-
-
-def test_build_dpo_pairs_drops_an_id_pair_that_clears_the_threshold_both_ways():
-    # p#a over p#b by 0.4 and p#b over p#a by 0.4: neither is a preference.
-    groups = {"p": [("p#a", 0.9), ("p#b", 0.5), ("p#a", 0.1), ("p#c", 0.05)]}
-    assert build_dpo_pairs({"p": groups["p"][:3]}) == []
-    assert build_dpo_pairs(groups) == [
-        PreferencePair("p", "p#a", "p#c", pytest.approx(0.85)),
-        PreferencePair("p", "p#b", "p#c", pytest.approx(0.45)),
-    ]
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [("p#a", 0.6), ("p#b", 0.1), ("p#a", 0.9)],
+        [("p#a", 0.9), ("p#a", 0.1)],
+        [("p#a", 0.9), ("p#b", 0.5), ("p#a", 0.1)],
+    ],
+    ids=["largest-gap", "itself", "both-ways"],
+)
+def test_build_dpo_pairs_refuses_an_id_with_two_probabilities(entries):
+    # One id judged on two different step lists, or a hand-edited file.
+    with pytest.raises(FormatError, match=re.escape("trajectory id 'p#a' has two different scores")):
+        build_dpo_pairs({"p": entries, "q": [("q#a", 0.9), ("q#b", 0.1)]})
 
 
 def test_build_dpo_pairs_chosen_always_outranks_rejected():
@@ -917,6 +951,20 @@ def test_export_prm_dataset_marks_missing_steps(tmp_path):
     export_prm_dataset(labels, [traj], [problem], out)
     rec = read_jsonl(out)[0]
     assert rec["step_labels"] == [None, 1, None, None, None, None]
+
+
+def test_export_prm_dataset_refuses_two_labels_for_one_step(tmp_path):
+    problem, traj = _mc_fixture()
+    tid = trajectory_id_of(traj)
+    labels = _labels_for(tid, [1] * len(traj.steps))
+    out = tmp_path / "prm.jsonl"
+    assert export_prm_dataset(labels + labels, [traj], [problem], out) == 1
+    flipped = dataclasses.replace(labels[2], n_success=0, hard_label=-1)
+    out.unlink()
+    message = re.escape(f"trajectory id {tid!r} has two different hard labels for step 2")
+    with pytest.raises(FormatError, match=message):
+        export_prm_dataset(labels + [flipped], [traj], [problem], out)
+    assert not out.exists()
 
 
 def test_export_sft_dataset(tmp_path):
