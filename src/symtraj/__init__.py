@@ -90,7 +90,6 @@ from .supervision import (
     export_dpo_dataset,
     export_prm_dataset,
     export_sft_dataset,
-    make_trajectory_id,
     mc_label,
     mc_labeler,
     prm_loss,
@@ -108,6 +107,7 @@ from .trajectory import (
     build_completion_prompt,
     build_sampling_prompt,
     extract_formulas,
+    make_trajectory_id,
     parse_trajectory,
     render_step,
     trajectory_from_dict,

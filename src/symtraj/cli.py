@@ -86,7 +86,7 @@ _INT, _NUMBER, _INT_OR_NULL, _STR_OR_NULL = (int,), (int, float), (int, type(Non
 BACKEND_OPTIONS = {
     "http": {"base_url": (str,), "model": (str,), "api_key_env": _STR_OR_NULL, "timeout_s": _NUMBER,
              "max_retries": _INT, "max_prompt_chars": _INT_OR_NULL},
-    "oracle-mock": {"problems": (str,), "seed": _INT, "accuracy": _NUMBER, "sloppiness": _NUMBER,
+    "oracle-mock": {"seed": _INT, "accuracy": _NUMBER, "sloppiness": _NUMBER,
                     "max_prompt_chars": _INT_OR_NULL},
     "scripted": {"script": (dict,), "default_text": _STR_OR_NULL, "max_prompt_chars": _INT_OR_NULL},
 }
@@ -182,7 +182,7 @@ def _overlay_flags(cfg: PipelineConfig, args) -> PipelineConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def build_backend(cfg: PipelineConfig, problems: list[Problem] | None = None):
+def build_backend(cfg: PipelineConfig, problems: list[Problem]):
     opts = dict(cfg.backend_options)
     if cfg.backend_kind == "http":
         if not opts.get("base_url"):
@@ -192,10 +192,6 @@ def build_backend(cfg: PipelineConfig, problems: list[Problem] | None = None):
         except ValueError as exc:  # a base_url or proxy this client cannot use
             raise ConfigError(str(exc)) from None
     if cfg.backend_kind == "oracle-mock":
-        if "problems" in opts:
-            problems = load_problems(opts.pop("problems"))
-        if problems is None:
-            raise ConfigError("oracle-mock backend needs problems")
         return OracleMockBackend(problems, **opts)
     if not isinstance(opts.get("script"), dict):
         raise ConfigError("scripted backend needs a 'script' object")
@@ -235,21 +231,6 @@ def _check_finite(flag: str, value: float) -> None:
         raise ConfigError(f"{flag} must be a finite number, got {value}")
 
 
-def _check_n_shots(trajectories, n_shots: int, path, command: str) -> None:
-    """Refuse traces sampled with another number of demonstrations than command prompts with.
-
-    A trace that records no n_shots (one written before sample recorded it) passes.
-    """
-    for i, traj in enumerate(trajectories):
-        meta = traj.seed_meta if isinstance(traj.seed_meta, dict) else {}
-        recorded = meta.get("n_shots", n_shots)
-        if recorded != n_shots:
-            raise ConfigError(
-                f"{path}: trace {i} was sampled with n_shots {recorded!r},"
-                f" but {command} prompts with n_shots {n_shots}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -279,7 +260,7 @@ def cmd_gen_problems(args) -> int:
 def cmd_sample(args) -> int:
     _check_count("--n", args.n)
     cfg = _overlay_flags(load_config(args.backend), args)
-    problems = load_problems(args.problems, format=args.format)
+    problems = load_problems(args.problems)
     backend = build_backend(cfg, problems)
     # The backend fills in its configured model; this name only labels traces.
     generator = cfg.backend_options.get("model", cfg.backend_kind)
@@ -337,7 +318,6 @@ def cmd_label(args) -> int:
     cfg = _overlay_flags(load_config(args.backend), args)
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
-    _check_n_shots(trajectories, cfg.n_shots, args.traces, "label")
     items = with_problems(trajectories, problems)
     backend = build_backend(cfg, problems)
     try:
@@ -348,7 +328,6 @@ def cmd_label(args) -> int:
             temperature=cfg.temperature,
             max_tokens=cfg.max_tokens,
             parallelism=cfg.parallelism,
-            n_shots=cfg.n_shots,
         )
         all_labels, n_distinct = judge_distinct(items, labeler)
     finally:
@@ -386,6 +365,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.remote_url and args.scorer != "remote":
+        raise ConfigError("--remote-url is read only with --scorer remote")
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
     if args.scorer == "symbolic":
@@ -452,23 +433,23 @@ def cmd_dpo_pairs(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.n_shots < 1:
-        raise ConfigError(f"n_shots {args.n_shots} must be at least 1")
+    # The flag naming the file each kind reads beside its traces; the other is an error.
+    wanted = {"prm": "labels", "sft": None, "dpo": "pairs"}[args.kind]
+    for name in ("labels", "pairs"):
+        if name == wanted and not getattr(args, name):
+            raise ConfigError(f"export --kind {args.kind} needs --{name}")
+        if name != wanted and getattr(args, name):
+            raise ConfigError(f"export --kind {args.kind} reads no --{name}")
     problems = load_problems(args.problems)
     trajectories = read_jsonl(args.traces, trajectory_from_dict)
-    _check_n_shots(trajectories, args.n_shots, args.traces, "export")
     if args.kind == "prm":
-        if not args.labels:
-            raise ConfigError("export --kind prm needs --labels")
         labels = read_jsonl(args.labels, step_label_from_dict)
-        count = export_prm_dataset(labels, trajectories, problems, args.out, n_shots=args.n_shots)
+        count = export_prm_dataset(labels, trajectories, problems, args.out)
     elif args.kind == "sft":
-        count = export_sft_dataset(trajectories, problems, args.out, n_shots=args.n_shots)
+        count = export_sft_dataset(trajectories, problems, args.out)
     else:
-        if not args.pairs:
-            raise ConfigError("export --kind dpo needs --pairs")
         pairs = read_jsonl(args.pairs, preference_pair_from_dict)
-        count = export_dpo_dataset(pairs, trajectories, problems, args.out, n_shots=args.n_shots)
+        count = export_dpo_dataset(pairs, trajectories, problems, args.out)
     print(f"wrote {count} {args.kind} records to {args.out}")
     return 0
 
@@ -540,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", required=True, help="backend config JSON")
     p.add_argument("--n", type=int, default=4, help="trajectories per problem")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("native-json", "folio-json"), default="native-json")
     p.add_argument("--seed", type=int, default=None, help="completion seed of sample 0")
+    p.add_argument("--n-shots", dest="n_shots", type=int, default=None)
     _add_knob_flags(p)
     p.set_defaults(func=cmd_sample)
 
@@ -592,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True)
     p.add_argument("--labels", default=None)
     p.add_argument("--pairs", default=None)
-    p.add_argument("--n-shots", dest="n_shots", type=int, default=DEFAULT_N_SHOTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
@@ -605,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_knob_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-shots", dest="n_shots", type=int, default=None)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--max-tokens", dest="max_tokens", type=int, default=None)
     p.add_argument("--parallelism", type=int, default=None)

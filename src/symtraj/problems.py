@@ -319,7 +319,11 @@ def _folio_statements(rec: dict) -> list[Statement]:
     raw = rec.get("premises")
     if raw is None:
         raise KeyError("premises")
-    texts = [t.strip() for t in raw.splitlines() if t.strip()] if isinstance(raw, str) else [str(t) for t in raw]
+    texts = [t.strip() for t in raw.splitlines() if t.strip()] if isinstance(raw, str) else list(raw)
+    for text in texts:
+        # A native record with a malformed hypothesis is read as FOLIO too.
+        if not isinstance(text, str):
+            raise InvariantViolation(f"FOLIO premise {text!r} is not text")
     fols = rec.get("premises-FOL") or [None] * len(texts)
     if len(fols) != len(texts):
         fols = [None] * len(texts)
@@ -357,23 +361,22 @@ def _problem_from_folio(rec: dict, index: int) -> Problem:
     )
 
 
-def load_problems(path, format: str = "native-json") -> list[Problem]:
+def load_problems(path) -> list[Problem]:
     """Problems from a JSONL file, validated; no two may share an id.
 
-    format "native-json" is this package's own schema; "folio-json" accepts
-    the public three-way benchmark records (label strings case-insensitive).
+    Each record is read by its own shape: one whose hypothesis is an object
+    is this package's schema, any other a public FOLIO benchmark record
+    (label strings case-insensitive).
     """
     records = read_jsonl(path)
     problems = []
     first_record: dict[str, int] = {}
     for i, rec in enumerate(records):
         try:
-            if format == "native-json":
+            if isinstance(rec.get("hypothesis"), dict):
                 p = problem_from_dict(rec)
-            elif format == "folio-json":
-                p = _problem_from_folio(rec, i)
             else:
-                raise ValueError(f"unknown problem format {format!r}")
+                p = _problem_from_folio(rec, i)
             validate_problem(p)
             # Every stage joins traces to problems by id.
             if p.id in first_record:

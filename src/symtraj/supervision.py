@@ -10,7 +10,6 @@ those judgments.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import logging
@@ -32,11 +31,12 @@ from .problems import Problem
 from .rules import VerdictStatus, verify_trajectory
 from .semantics import Label
 from .trajectory import (
-    DEFAULT_N_SHOTS,
     Trajectory,
     _final_answer,
     build_completion_prompt,
     build_sampling_prompt,
+    make_trajectory_id,
+    n_shots_of,
     parse_trajectory,  # noqa: F401  (perfbench/layers.py wraps supervision.parse_trajectory)
     render_step,
 )
@@ -65,13 +65,8 @@ class ScorerUnavailable(RuntimeError):
     """The scoring service cannot judge this trajectory."""
 
 
-def make_trajectory_id(problem_id: str, raw_text: str) -> str:
-    digest = hashlib.sha1(raw_text.encode("utf-8")).hexdigest()[:12]
-    return f"{problem_id}#{digest}"
-
-
 def trajectory_id_of(traj: Trajectory) -> str:
-    return make_trajectory_id(traj.problem_id, traj.raw_text)
+    return traj.trajectory_id
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,11 @@ def prm_score_to_dict(score: PrmScore) -> dict:
 
 
 def prm_score_from_dict(d: dict) -> PrmScore:
-    return PrmScore(d["trajectory_id"], d["step_probs"], d.get("trajectory_prob"), d["problem_id"])
+    tid, problem_id = d["trajectory_id"], d["problem_id"]
+    # dpo-pairs groups scores by problem_id, so it must name the id's own problem.
+    if tid.rpartition("#")[0] != problem_id:
+        raise ValueError(f"problem_id {problem_id!r} is not the problem of trajectory id {tid!r}")
+    return PrmScore(tid, d["step_probs"], d.get("trajectory_prob"), problem_id)
 
 
 @dataclass(frozen=True)
@@ -232,13 +231,14 @@ def mc_labeler(
     temperature: float = DEFAULT_TEMPERATURE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     parallelism: int = DEFAULT_PARALLELISM,
-    n_shots: int = DEFAULT_N_SHOTS,
 ):
     """label(problem, trajectory) -> one StepLabel per prefix, a judge for
     judge_distinct.
 
     The label for step_index p-1 counts completions sampled after the first p
     steps that end on the gold answer; hard_label is +1 iff at least k do.
+    Each trajectory is prompted with the demonstrations it was sampled with
+    (n_shots_of).
     Backend failures count as non-matching; a too-long prompt skips that
     prefix with a logged reason.
 
@@ -257,7 +257,7 @@ def mc_labeler(
         if not traj.steps:
             raise ValueError("trajectory has no steps to label")
         tid = trajectory_id_of(traj)
-        sampling = build_sampling_prompt(problem, n_shots)
+        sampling = build_sampling_prompt(problem, n_shots_of(traj))
         rendered = [render_step(s) for s in traj.steps]
         prefix_keys = []
         pending: dict[tuple[tuple, int], GenerationRequest] = {}
@@ -458,12 +458,13 @@ def build_dpo_pairs(groups, threshold: float = DEFAULT_DPO_THRESHOLD) -> list[Pr
 # ---------------------------------------------------------------------------
 
 
-def _prompt_text(problem: Problem, n_shots: int) -> str:
-    messages = build_sampling_prompt(problem, n_shots).to_messages()
+def _prompt_text(problem: Problem, traj: Trajectory) -> str:
+    """The prompt traj was sampled with, as one text."""
+    messages = build_sampling_prompt(problem, n_shots_of(traj)).to_messages()
     return "\n\n".join(m["content"] for m in messages)
 
 
-def export_prm_dataset(labels, trajectories, problems, path, n_shots: int = DEFAULT_N_SHOTS) -> int:
+def export_prm_dataset(labels, trajectories, problems, path) -> int:
     """PRM records {prompt, steps, step_labels}; returns the record count."""
     label_map = _hard_labels(labels)
     records = []
@@ -473,7 +474,7 @@ def export_prm_dataset(labels, trajectories, problems, path, n_shots: int = DEFA
             continue
         records.append(
             {
-                "prompt": _prompt_text(problem, n_shots),
+                "prompt": _prompt_text(problem, traj),
                 "steps": [render_step(s) for s in traj.steps],
                 "step_labels": [per_step.get(i) for i in range(len(traj.steps))],
             }
@@ -482,27 +483,35 @@ def export_prm_dataset(labels, trajectories, problems, path, n_shots: int = DEFA
     return len(records)
 
 
-def export_sft_dataset(selected, problems, path, n_shots: int = DEFAULT_N_SHOTS) -> int:
+def export_sft_dataset(selected, problems, path) -> int:
     """SFT records {prompt, response}; returns the record count."""
     records = [
-        {"prompt": _prompt_text(problem, n_shots), "response": traj.raw_text}
+        {"prompt": _prompt_text(problem, traj), "response": traj.raw_text}
         for problem, traj in with_problems(selected, problems)
     ]
     write_jsonl(path, records)
     return len(records)
 
 
-def export_dpo_dataset(pairs, trajectories, problems, path, n_shots: int = DEFAULT_N_SHOTS) -> int:
-    """DPO records {prompt, chosen, rejected}; returns the record count."""
-    by_tid = {trajectory_id_of(t): (p, t.raw_text) for p, t in with_problems(trajectories, problems)}
+def export_dpo_dataset(pairs, trajectories, problems, path) -> int:
+    """DPO records {prompt, chosen, rejected}; returns the record count.
+    A pair must join two traces of its problem sampled with one n_shots."""
+    by_tid = {trajectory_id_of(t): (p, t) for p, t in with_problems(trajectories, problems)}
     records = []
     for pair in pairs:
         if pair.chosen not in by_tid or pair.rejected not in by_tid:
             logger.warning("skipping pair with missing pieces: %s", pair)
             continue
-        (problem, chosen), (_, rejected) = by_tid[pair.chosen], by_tid[pair.rejected]
+        (problem, chosen), (other, rejected) = by_tid[pair.chosen], by_tid[pair.rejected]
+        what = f"preference pair {pair.chosen!r} over {pair.rejected!r}"
+        if not problem.id == other.id == pair.problem_id:
+            raise FormatError(f"{what} is not two traces of its problem {pair.problem_id!r}")
+        if n_shots_of(chosen) != n_shots_of(rejected):
+            raise FormatError(
+                f"{what} joins traces sampled with n_shots {n_shots_of(chosen)} and {n_shots_of(rejected)}"
+            )
         records.append(
-            {"prompt": _prompt_text(problem, n_shots), "chosen": chosen, "rejected": rejected}
+            {"prompt": _prompt_text(problem, chosen), "chosen": chosen.raw_text, "rejected": rejected.raw_text}
         )
     write_jsonl(path, records)
     return len(records)

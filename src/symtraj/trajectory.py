@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import hashlib
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -60,6 +62,22 @@ class Trajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
+
+    @functools.cached_property
+    def trajectory_id(self) -> str:
+        """make_trajectory_id of this trace, digested once per record."""
+        return make_trajectory_id(self.problem_id, self.raw_text)
+
+
+def make_trajectory_id(problem_id: str, raw_text: str) -> str:
+    digest = hashlib.sha1(raw_text.encode("utf-8")).hexdigest()[:12]
+    return f"{problem_id}#{digest}"
+
+
+def n_shots_of(traj: Trajectory) -> int:
+    """The demonstrations traj was sampled with: its recorded n_shots, else
+    DEFAULT_N_SHOTS (traces written before sample recorded it)."""
+    return traj.seed_meta.get("n_shots", DEFAULT_N_SHOTS)
 
 
 def render_step(step: Step) -> str:
@@ -264,14 +282,22 @@ def trajectory_from_dict(d: dict) -> Trajectory:
         raise ValueError(f"final_answer {word!r} names no label")
     if not steps:
         raise EmptyTrajectory("trace has no steps")
-    return Trajectory(
+    meta = d.get("seed_meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"seed_meta must be an object, got {meta!r}")
+    traj = Trajectory(
         steps=steps,
         final_answer=answer,
         raw_text=d.get("raw_text", ""),
         problem_id=d.get("problem_id", ""),
         generator=d.get("generator", ""),
-        seed_meta=d.get("seed_meta", {}),
+        seed_meta=meta,
     )
+    n_shots = n_shots_of(traj)
+    # JSON true is not a count, although bool subclasses int.
+    if not isinstance(n_shots, int) or isinstance(n_shots, bool) or n_shots < 1:
+        raise ValueError(f"seed_meta n_shots must be a positive integer, got {n_shots!r}")
+    return traj
 
 
 # ---------------------------------------------------------------------------

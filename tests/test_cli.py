@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import functools
+import inspect
 import json
 import logging
 import os
@@ -12,8 +13,9 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import completion_messages
 
-from symtraj import cli, fol
+from symtraj import cli, fol, trajectory
 from symtraj.cli import (
     ConfigError,
     PipelineConfig,
@@ -25,7 +27,8 @@ from symtraj.cli import (
 )
 from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl, write_jsonl
-from symtraj.llm import MAX_ATTEMPTS
+from symtraj.llm import MAX_ATTEMPTS, HttpBackend, ScriptedMockBackend, prompt_key
+from symtraj.mock import OracleMockBackend
 from symtraj.problems import Problem, Statement, load_problems
 from symtraj.semantics import Label, entails
 from symtraj.rules import verify_trajectory
@@ -40,7 +43,7 @@ from symtraj.supervision import (
     step_label_to_dict,
     trajectory_id_of,
 )
-from symtraj.trajectory import parse_trajectory, trajectory_from_dict, trajectory_to_dict
+from symtraj.trajectory import build_sampling_prompt, parse_trajectory, trajectory_from_dict, trajectory_to_dict
 
 
 # An http backend that no test sends a request to.
@@ -125,7 +128,7 @@ def test_load_config_rejects_unknown_kind(tmp_path):
 
 def test_build_backend_passes_options_to_the_constructor(tmp_path):
     path = _write_json(tmp_path / "cfg.json", {"backend": dict(HTTP, timeout_s=1)})
-    backend = build_backend(load_config(path))
+    backend = build_backend(load_config(path), [])
     assert backend.timeout_s == 1
     assert backend.model == ""
 
@@ -258,12 +261,21 @@ def test_overlay_flags_prefer_cli_values(tmp_path):
 
 def test_build_backend_requires_http_base_url():
     with pytest.raises(ConfigError):
-        build_backend(PipelineConfig(backend_kind="http"))
+        build_backend(PipelineConfig(backend_kind="http"), [])
 
 
-def test_build_backend_oracle_mock_needs_problems():
-    with pytest.raises(ConfigError):
-        build_backend(PipelineConfig(backend_kind="oracle-mock"))
+# The class each backend kind builds; its test hooks are no config options.
+BACKEND_CLASSES = {"http": HttpBackend, "oracle-mock": OracleMockBackend, "scripted": ScriptedMockBackend}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.BACKEND_OPTIONS))
+def test_backend_options_are_the_constructor_parameters(kind):
+    # An option the constructor takes but the config may not set, or one the
+    # config may set but nothing passes on, fails here.
+    parameters = set(inspect.signature(BACKEND_CLASSES[kind]).parameters) - {"sleep", "rng"}
+    if kind == "oracle-mock":
+        parameters.remove("problems")  # the command's own --problems
+    assert set(cli.BACKEND_OPTIONS[kind]) == parameters
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +464,6 @@ def test_label_matches_per_trajectory_mc_label_byte_for_byte(workspace):
             temperature=cfg.temperature,
             max_tokens=cfg.max_tokens,
             parallelism=cfg.parallelism,
-            n_shots=cfg.n_shots,
         ):
             record = step_label_to_dict(label)
             record["problem_id"] = problem.id
@@ -611,41 +622,59 @@ def test_config_setting_nothing_reads_fails(workspace, tmp_path, capsys, config,
 
 
 def test_zero_shots_fails(workspace, tmp_path, capsys):
-    problems, config = str(workspace["problems"]), str(workspace["config"])
-    traces = str(tmp_path / "traces.jsonl")
-    argv = ["sample", "--problems", problems, "--backend", config, "--n", "1", "--out", traces]
-    assert main(argv) == 0
-    zero = ["--problems", problems, "--n-shots", "0", "--out", str(tmp_path / "out.jsonl")]
+    # label and export read n_shots from each trace (MALFORMED["traces"]).
+    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", str(workspace["config"])]
+    _fails_with_one_config_line(argv + ["--n-shots", "0", "--out", str(tmp_path / "t.jsonl")], capsys, "n_shots")
+
+
+def _prompt_text(problem, n_shots):
+    return "\n\n".join(m["content"] for m in build_sampling_prompt(problem, n_shots).to_messages())
+
+
+def test_label_and_export_prompt_with_the_recorded_n_shots(workspace, tmp_path, monkeypatch):
+    problems, d = str(workspace["problems"]), workspace["dir"]
+    by_id = {p.id: p for p in load_problems(problems)}
+    # Spoiled samples score lower than clean ones, so dpo-pairs finds pairs.
+    config = _write_json(d / "sloppy.json", {"backend": {"kind": "oracle-mock", "sloppiness": 0.5}, "n_samples": 2})
+    files = {name: str(tmp_path / f"{name}.jsonl") for name in ("traces", "labels", "scores", "pairs")}
     for argv in (
-        ["sample", "--backend", config] + zero,
-        ["label", "--traces", traces, "--backend", config] + zero,
-        ["export", "--kind", "sft", "--traces", traces] + zero,
+        f"sample --problems {problems} --backend {config} --n 3 --n-shots 2 --out {files['traces']}",
+        f"score --traces {files['traces']} --problems {problems} --out {files['scores']}",
+        f"dpo-pairs --scores {files['scores']} --threshold 0 --out {files['pairs']}",
     ):
-        _fails_with_one_config_line(argv, capsys, "n_shots")
+        assert main(argv.split()) == 0, argv
+    records = read_jsonl(files["traces"])
+    assert {r["seed_meta"]["n_shots"] for r in records} == {2}
+    trajs = [trajectory_from_dict(r) for r in records]
 
+    sent = []
+    generate = OracleMockBackend.generate
+    monkeypatch.setattr(OracleMockBackend, "generate", lambda self, req: sent.append(req.messages) or generate(self, req))
+    argv = ["label", "--traces", files["traces"], "--problems", problems, "--backend", config]
+    assert main(argv + ["--out", files["labels"]]) == 0
+    assert {prompt_key(m) for m in sent} == {
+        prompt_key(completion_messages(by_id[t.problem_id], t, n, 2))
+        for t in trajs
+        for n in range(1, len(t.steps) + 1)
+    }
+    for kind, inputs in (("prm", ["--labels", files["labels"]]), ("sft", []), ("dpo", ["--pairs", files["pairs"]])):
+        out = tmp_path / f"{kind}.jsonl"
+        argv = ["export", "--kind", kind, "--traces", files["traces"], "--problems", problems, *inputs]
+        assert main(argv + ["--out", str(out)]) == 0, kind
+        exported = read_jsonl(out)
+        assert exported, kind
+        assert {r["prompt"] for r in exported} <= {_prompt_text(p, 2) for p in by_id.values()}, kind
 
-def test_label_and_export_refuse_traces_sampled_with_other_n_shots(workspace, tmp_path, capsys):
-    problems, config = str(workspace["problems"]), str(workspace["config"])
-    traces = tmp_path / "traces.jsonl"
-    argv = ["sample", "--problems", problems, "--backend", config, "--n", "1", "--n-shots", "2"]
-    assert main(argv + ["--out", str(traces)]) == 0
-    assert {r["seed_meta"]["n_shots"] for r in read_jsonl(traces)} == {2}
-    label = ["label", "--traces", str(traces), "--problems", problems, "--backend", config]
-    export = ["export", "--kind", "sft", "--traces", str(traces), "--problems", problems]
-    out = tmp_path / "out.jsonl"
-    for argv in (label, export):
-        err = _fails_with_one_config_line(argv + ["--out", str(out)], capsys, "sampled with n_shots 2")
-        assert f"{argv[0]} prompts with n_shots 1" in err, err
-        assert not out.exists()
-        assert main(argv + ["--n-shots", "2", "--out", str(out)]) == 0, argv[0]
-        out.unlink()
-    # Traces written before sample recorded n_shots are read at any n_shots.
+    # A trace that records no n_shots was sampled with the default one.
     unrecorded = tmp_path / "unrecorded.jsonl"
-    write_jsonl(unrecorded, [dict(r, seed_meta={k: v for k, v in r["seed_meta"].items() if k != "n_shots"})
-                             for r in read_jsonl(traces)])
-    for argv in (label, export):
-        argv = [str(unrecorded) if token == str(traces) else token for token in argv]
-        assert main(argv + ["--out", str(out)]) == 0, argv[0]
+    write_jsonl(unrecorded, [dict(r, seed_meta={"sample_index": 0}) for r in records])
+    out = tmp_path / "sft.jsonl"
+    assert main(["export", "--kind", "sft", "--traces", str(unrecorded), "--problems", problems, "--out", str(out)]) == 0
+    assert {r["prompt"] for r in read_jsonl(out)} == {_prompt_text(p, 1) for p in by_id.values()}
+    for command in (["label", "--backend", config], ["export", "--kind", "sft"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--traces", files["traces"], "--problems", problems, "--n-shots", "2", "--out", str(out)])
+        assert exc.value.code == 2, command
 
 
 def test_label_rejects_seed_flag(workspace, tmp_path):
@@ -757,6 +786,10 @@ def _first_step_kind(kind):
     return lambda rec: dict(rec, steps=[dict(rec["steps"][0], kind=kind)] + rec["steps"][1:])
 
 
+def _n_shots(value):
+    return lambda rec: dict(rec, seed_meta=dict(rec["seed_meta"], n_shots=value))
+
+
 # Step kinds no step has, by fault; the error line names the kind.
 BAD_KINDS = {"kind naming no step kind": "Conclusion", "kind not a string": ["Thought"]}
 
@@ -769,9 +802,14 @@ MALFORMED = {
         "answer naming no label": lambda rec: dict(rec, final_answer="Maybe"),
         "no steps": lambda rec: dict(rec, steps=[]),
         **{fault: _first_step_kind(kind) for fault, kind in BAD_KINDS.items()},
+        "seed_meta not an object": lambda rec: dict(rec, seed_meta=[["n_shots", 1]]),
+        "n_shots 0": _n_shots(0),
+        "n_shots a string": _n_shots("2"),
+        "n_shots true": _n_shots(True),
     },
     "scores": {
         "missing key": _without("trajectory_id"),
+        "problem id not the id's": lambda rec: dict(rec, problem_id="ghost"),
         "probability 1.5": lambda rec: dict(rec, step_probs=[1.5]),
         "not the step product": lambda rec: dict(rec, trajectory_prob=rec["trajectory_prob"] + 0.1),
     },
@@ -940,7 +978,6 @@ def test_label_writes_each_twin_what_it_gets_alone(artifacts, twin_traces, tmp_p
         temperature=cfg.temperature,
         max_tokens=cfg.max_tokens,
         parallelism=cfg.parallelism,
-        n_shots=cfg.n_shots,
     )
     labels = [
         json.loads(json.dumps({**step_label_to_dict(label), "problem_id": t.problem_id}))
@@ -948,6 +985,15 @@ def test_label_writes_each_twin_what_it_gets_alone(artifacts, twin_traces, tmp_p
         for label in mc_label(by_id[t.problem_id], t, build_backend(cfg, problems), **options)
     ]
     assert read_jsonl(files["out"]) == labels
+
+
+@pytest.mark.parametrize("stage", ["verify", "label", "score"])
+def test_each_record_id_is_digested_once(artifacts, twin_traces, tmp_path, monkeypatch, stage):
+    keys = []
+    digest = trajectory.make_trajectory_id
+    monkeypatch.setattr(trajectory, "make_trajectory_id", lambda *key: keys.append(key) or digest(*key))
+    assert main(_argv(stage, dict(artifacts, traces=twin_traces, out=str(tmp_path / "out.jsonl")))) == 0
+    assert len(keys) == len(read_jsonl(twin_traces))
 
 
 def test_remote_scorer_sends_twins_one_request_and_skips_each_on_failure(
@@ -976,6 +1022,24 @@ def test_remote_scorer_sends_twins_one_request_and_skips_each_on_failure(
     assert [r["trajectory_id"] for r in read_jsonl(out)] == [
         trajectory_id_of(t) for t in trajs if trajectory_id_of(t) != failed
     ]
+
+
+@pytest.mark.parametrize(
+    "stage, flags",
+    [
+        ("export-sft", ["--labels", "{labels}"]),
+        ("export-sft", ["--pairs", "{pairs}"]),
+        ("export-prm", ["--pairs", "{pairs}"]),
+        ("export-dpo", ["--labels", "{labels}"]),
+        ("score", ["--remote-url", "http://localhost:1"]),
+    ],
+    ids=["sft-labels", "sft-pairs", "prm-pairs", "dpo-labels", "symbolic-score-remote-url"],
+)
+def test_a_flag_the_chosen_mode_does_not_read_is_a_config_error(artifacts, tmp_path, capsys, stage, flags):
+    out = tmp_path / "out.jsonl"
+    argv = _argv(stage, dict(artifacts, out=str(out))) + [flag.format(**artifacts) for flag in flags]
+    _fails_with_one_config_line(argv, capsys, flags[0])
+    assert not out.exists()
 
 
 def test_remote_url_that_is_not_http_is_a_config_error(artifacts, tmp_path, capsys):
@@ -1041,7 +1105,7 @@ def test_main_reuses_one_parser_that_parses_as_a_fresh_one(artifacts, tmp_path, 
     sequence = [
         (["export", "--kind", "sft"], 2),  # --traces, --problems and --out are required
         (["--help"], 0),
-        (export + ["--n-shots", "2", "--out", out], 1),  # the traces were sampled with 1
+        (export + ["--labels", artifacts["labels"], "--out", out], 1),  # sft reads no labels
         (export + ["--out", out], 0),
     ]
     for argv, code in sequence:
@@ -1171,6 +1235,62 @@ def test_a_second_label_for_one_step_is_one_error_line(artifacts, tmp_path, caps
         f" for step {record['step_index']}"
     )
     _one_error_line(_argv(stage, dict(artifacts, labels=str(path), out=str(out))), capsys, message, out)
+
+
+FOLIO_RECORD = {
+    "example_id": 17,
+    "premises": ["All dogs bark.", "Rex is a dog."],
+    "premises-FOL": ["forall x (Dog(x) -> Bark(x))", "Dog(rex)"],
+    "conclusion": "Rex barks.",
+    "conclusion-FOL": "Bark(rex)",
+    "label": "True",
+}
+FOLIO_TRACE = """Thought: Translate the context into first-order logic.
+Action: Translate each context statement into a logic premise
+Observation:
+∀x (Dog(x) → Bark(x))
+Dog(rex)
+Action: Apply modus ponens to derive the next fact
+Observation: {claim}
+Action: Finish [True]"""
+
+
+def test_a_folio_file_runs_through_every_command(tmp_path, capsys):
+    names = ("problems", "traces", "verdicts", "labels", "scores", "selected", "pairs", "prm", "sft", "dpo")
+    files = {name: str(tmp_path / f"{name}.jsonl") for name in names}
+    write_jsonl(files["problems"], [FOLIO_RECORD])
+    # A scripted backend gives every prompt one reply: a sound trace, then
+    # one whose last fact the premises do not give.
+    traces = []
+    for claim in ("Bark(rex)", "Mystery(zeta)"):
+        backend = {"kind": "scripted", "script": {}, "default_text": FOLIO_TRACE.format(claim=claim)}
+        files["config"] = _write_json(tmp_path / "scripted.json", {"backend": backend, "n_samples": 2})
+        argv = f"sample --problems {files['problems']} --backend {files['config']} --n 1 --out {files['traces']}"
+        assert main(argv.split()) == 0
+        traces += read_jsonl(files["traces"])
+    write_jsonl(files["traces"], traces)
+    for argv in (
+        "verify --traces {traces} --problems {problems} --out {verdicts}",
+        "label --traces {traces} --problems {problems} --backend {config} --out {labels}",
+        "score --traces {traces} --problems {problems} --out {scores}",
+        "select --traces {traces} --problems {problems} --scores {scores} --labels {labels} --out {selected}",
+        "dpo-pairs --scores {scores} --threshold 0 --out {pairs}",
+        "export --kind prm --traces {traces} --problems {problems} --labels {labels} --out {prm}",
+        "export --kind sft --traces {selected} --problems {problems} --out {sft}",
+        "export --kind dpo --traces {traces} --problems {problems} --pairs {pairs} --out {dpo}",
+    ):
+        assert main(argv.format(**files).split()) == 0, argv
+    assert {r["problem_id"] for r in read_jsonl(files["verdicts"])} == {"17"}
+    assert [r["raw_text"] for r in read_jsonl(files["selected"])] == [traces[0]["raw_text"]]
+    (sft,) = read_jsonl(files["sft"])
+    assert "Rex barks." in sft["prompt"] and "true, false, or uncertain" in sft["prompt"]
+    assert len(read_jsonl(files["prm"])) == 2
+    assert [(r["chosen"], r["rejected"]) for r in read_jsonl(files["dpo"])] == [
+        (traces[0]["raw_text"], traces[1]["raw_text"])
+    ]
+    capsys.readouterr()
+    assert main(["evaluate", "--traces", files["traces"], "--problems", files["problems"]]) == 0
+    assert "accuracy: 1.0000 (2/2)" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

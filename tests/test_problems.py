@@ -231,7 +231,7 @@ def _folio_record(**overrides):
 def test_folio_loader_parses_formulas(tmp_path):
     path = tmp_path / "folio.jsonl"
     write_jsonl(path, [_folio_record()])
-    (p,) = load_problems(path, format="folio-json")
+    (p,) = load_problems(path)
     assert p.source == "folio"
     assert p.id == "17"
     assert p.label is Label.TRUE
@@ -256,7 +256,7 @@ def test_folio_loader_tolerates_formula_problems(tmp_path):
             },
         ],
     )
-    a, b, c = load_problems(path, format="folio-json")
+    a, b, c = load_problems(path)
     assert a.premises[0].formula is not None and a.premises[1].formula is None
     assert all(s.formula is None for s in b.premises)
     assert c.id == "folio-0002"
@@ -268,14 +268,25 @@ def test_folio_loader_unknown_label(tmp_path):
     path = tmp_path / "folio.jsonl"
     write_jsonl(path, [_folio_record(label="perhaps")])
     with pytest.raises(InvariantViolation):
-        load_problems(path, format="folio-json")
+        load_problems(path)
 
 
-def test_load_problems_unknown_format(tmp_path):
-    path = tmp_path / "x.jsonl"
-    write_jsonl(path, [{}])
-    with pytest.raises(ValueError):
-        load_problems(path, format="csv")
+def test_load_problems_reads_each_record_by_its_shape(tmp_path):
+    native = _problem()
+    path = tmp_path / "mixed.jsonl"
+    write_jsonl(path, [_folio_record(), problem_to_dict(native)])
+    folio, loaded = load_problems(path)
+    assert (folio.source, folio.id) == ("folio", "17")
+    assert loaded == native
+
+
+def test_native_record_with_a_hypothesis_that_is_no_object_is_refused(tmp_path):
+    d = problem_to_dict(_problem())
+    d["hypothesis"] = d["hypothesis"]["nl"]
+    path = tmp_path / "bad.jsonl"
+    write_jsonl(path, [d])
+    with pytest.raises(InvariantViolation, match="record 0: FOLIO premise .* is not text"):
+        load_problems(path)
 
 
 def test_read_jsonl_reports_line_numbers(tmp_path):

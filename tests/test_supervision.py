@@ -359,15 +359,17 @@ def test_mc_label_all_labels_twins_once_and_logs_their_failures_once(caplog):
 @pytest.mark.parametrize("n_shots", [1, 2])
 def test_mc_label_all_sends_the_prompt_of_each_prefix(n_shots):
     problem, traj = _mc_fixture()
+    traj = dataclasses.replace(traj, seed_meta={"n_shots": n_shots})
     # Two identical steps still make two prefixes, each with its own prompt.
     repeated = parse_trajectory(
         "Thought: Check the premises.\nThought: Check the premises.\nAction: Finish [True]",
         problem_id=problem.id,
+        seed_meta={"n_shots": n_shots},
     )
     assert repeated.steps[0] == repeated.steps[1]
     backend = RecordingBackend()
     items = [(problem, traj), (problem, repeated)]
-    judge_distinct(items, mc_labeler(backend, n_samples=2, parallelism=1, n_shots=n_shots))
+    judge_distinct(items, mc_labeler(backend, n_samples=2, parallelism=1))
     expected = [
         completion_messages(problem, t, p, n_shots)
         for t in (traj, repeated)
@@ -1005,3 +1007,26 @@ def test_export_dpo_skips_incomplete_pairs(tmp_path):
     out = tmp_path / "dpo.jsonl"
     assert export_dpo_dataset([pair], [good], [problem], out) == 0
     assert out.read_text(encoding="utf-8") == ""
+
+
+def test_export_dpo_refuses_a_pair_of_traces_sampled_with_other_n_shots(tmp_path):
+    problem = _chain_problem("dpo")
+    good = parse_trajectory(MC_TRACE, problem_id="dpo", seed_meta={"n_shots": 2})
+    bad = parse_trajectory("Thought: guesswork.\nAction: Finish [False]", problem_id="dpo")
+    pair = PreferencePair("dpo", trajectory_id_of(good), trajectory_id_of(bad), 0.7)
+    out = tmp_path / "dpo.jsonl"
+    with pytest.raises(FormatError, match="sampled with n_shots 2 and 1"):
+        export_dpo_dataset([pair], [good, bad], [problem], out)
+    assert not out.exists()
+
+
+def test_export_dpo_refuses_a_pair_that_is_not_two_traces_of_its_problem(tmp_path):
+    problems = [_chain_problem("dpo"), _chain_problem("other")]
+    good = parse_trajectory(MC_TRACE, problem_id="dpo")
+    bad = parse_trajectory("Thought: guesswork.\nAction: Finish [False]", problem_id="other")
+    out = tmp_path / "dpo.jsonl"
+    for problem_id in ("dpo", "other"):
+        pair = PreferencePair(problem_id, trajectory_id_of(good), trajectory_id_of(bad), 0.7)
+        with pytest.raises(FormatError, match=f"is not two traces of its problem '{problem_id}'"):
+            export_dpo_dataset([pair], [good, bad], problems, out)
+    assert not out.exists()
