@@ -22,8 +22,6 @@ from .llm import (
     DEFAULT_MAX_TOKENS,
     DEFAULT_PARALLELISM,
     DEFAULT_TEMPERATURE,
-    DEFAULT_TIMEOUT_S,
-    MAX_ATTEMPTS,
     BackendUnavailable,
     GenerationRequest,
     HttpBackend,
@@ -32,7 +30,7 @@ from .llm import (
     check_retry_limits,
     generate_batch,
 )
-from .mock import DEFAULT_ACCURACY, DEFAULT_SLOPPINESS, OracleMockBackend, check_mock_options
+from .mock import OracleMockBackend, check_mock_options
 from .problems import (
     InvariantViolation,
     Problem,
@@ -125,16 +123,14 @@ class PipelineConfig:
             if not isinstance(value, types) or isinstance(value, bool):
                 wanted = " or ".join("null" if t is type(None) else t.__name__ for t in types)
                 raise ConfigError(f"{what} {name!r} must be {wanted}, got {value!r}")
+        # Only the options the file gives are checked: the type check above
+        # refuses null for these, so None here is an option not given.
         try:
             check_max_prompt_chars(opts.get("max_prompt_chars"))
             if self.backend_kind == "http":
-                check_retry_limits(
-                    opts.get("max_retries", MAX_ATTEMPTS), opts.get("timeout_s", DEFAULT_TIMEOUT_S)
-                )
+                check_retry_limits(opts.get("max_retries"), opts.get("timeout_s"))
             elif self.backend_kind == "oracle-mock":
-                check_mock_options(
-                    opts.get("accuracy", DEFAULT_ACCURACY), opts.get("sloppiness", DEFAULT_SLOPPINESS)
-                )
+                check_mock_options(opts.get("accuracy"), opts.get("sloppiness"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not 1 <= self.k <= self.n_samples:

@@ -21,7 +21,6 @@ class Demo:
     context: str
     question: str
     trajectory: str
-    answer: Label
 
 
 _RINA_CONTEXT_SENTENCES = [
@@ -82,7 +81,6 @@ RINA_DEMO = Demo(
         f" uncertain? {_RINA_HYPOTHESIS}"
     ),
     trajectory=_RINA_TRAJECTORY,
-    answer=Label.TRUE,
 )
 
 
@@ -116,7 +114,6 @@ SQUASH_DEMO = Demo(
         f" {_SQUASH_HYPOTHESIS}"
     ),
     trajectory=_SQUASH_TRAJECTORY,
-    answer=Label.TRUE,
 )
 
 

@@ -79,9 +79,6 @@ class Pred(Formula):
     name: str
     args: tuple[Term, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-
 
 @dataclass(frozen=True)
 class Not(Formula):

@@ -68,7 +68,6 @@ class GenerationRequest:
     model: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(dict(m) for m in self.messages))
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if not 0 <= self.temperature < math.inf:
@@ -127,12 +126,13 @@ def check_max_prompt_chars(max_prompt_chars: int | None) -> None:
         raise ValueError(f"backend option 'max_prompt_chars' must be at least 1, got {max_prompt_chars}")
 
 
-def check_retry_limits(max_retries: int, timeout_s: float) -> None:
+def check_retry_limits(max_retries: int | None, timeout_s: float | None) -> None:
     """Refuse an HttpBackend setting under which every request fails: no
-    attempt at all, or a socket timeout of zero (non-blocking) or below."""
-    if max_retries < 1:
+    attempt at all, or a socket timeout of zero (non-blocking) or below.
+    None is an option not given, which is not checked."""
+    if max_retries is not None and max_retries < 1:
         raise ValueError(f"http backend option 'max_retries' must be at least 1, got {max_retries}")
-    if not timeout_s > 0:
+    if timeout_s is not None and not timeout_s > 0:
         raise ValueError(f"http backend option 'timeout_s' must be above 0, got {timeout_s}")
 
 

@@ -44,10 +44,11 @@ def _flip(label: Label) -> Label:
     return Label.TRUE
 
 
-def check_mock_options(accuracy: float, sloppiness: float) -> None:
-    """Refuse an OracleMockBackend probability outside [0, 1], NaN included."""
+def check_mock_options(accuracy: float | None, sloppiness: float | None) -> None:
+    """Refuse an OracleMockBackend probability outside [0, 1], NaN included;
+    None is an option not given, which is not checked."""
     for name, value in (("accuracy", accuracy), ("sloppiness", sloppiness)):
-        if not 0 <= value <= 1:
+        if value is not None and not 0 <= value <= 1:
             raise ValueError(f"oracle-mock backend option {name!r} must lie in [0, 1], got {value}")
 
 

@@ -66,9 +66,6 @@ class Problem:
     split: str | None = None
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "premises", tuple(self.premises))
-
     @property
     def reasoning_length(self) -> int | None:
         return self.meta.get("reasoning_length")

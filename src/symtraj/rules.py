@@ -65,9 +65,6 @@ class RuleApplication:
     output: Formula
     bindings: dict[str, Term] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-
 
 class VerdictStatus(enum.Enum):
     VERIFIED_BY_RULE = "VerifiedByRule"

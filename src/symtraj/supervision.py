@@ -79,9 +79,6 @@ class StepLabel:
     completions: tuple[tuple[str | None, bool], ...] = ()
 
     def __post_init__(self):
-        # One pass makes each completion an (answer, matched) pair, whatever sequence it came as.
-        pairs = tuple([(answer, bool(matched)) for answer, matched in self.completions])
-        object.__setattr__(self, "completions", pairs)
         if not 0 <= self.n_success <= self.n_samples:
             raise ValueError(f"n_success {self.n_success} outside 0..{self.n_samples}")
         if self.hard_label not in (1, -1):
@@ -109,7 +106,7 @@ def step_label_from_dict(d: dict) -> StepLabel:
         n_samples=d["n_samples"],
         n_success=d["n_success"],
         hard_label=d["hard_label"],
-        completions=d.get("completions", ()),
+        completions=tuple([(answer, bool(matched)) for answer, matched in d.get("completions", ())]),
     )
 
 
@@ -121,7 +118,6 @@ class PrmScore:
     problem_id: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "step_probs", tuple(float(p) for p in self.step_probs))
         for p in self.step_probs:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"step probability {p} outside [0, 1]")
@@ -143,7 +139,8 @@ def prm_score_from_dict(d: dict) -> PrmScore:
     # dpo-pairs groups scores by problem_id, so it must name the id's own problem.
     if tid.rpartition("#")[0] != problem_id:
         raise ValueError(f"problem_id {problem_id!r} is not the problem of trajectory id {tid!r}")
-    return PrmScore(tid, d["step_probs"], d.get("trajectory_prob"), problem_id)
+    step_probs = tuple([float(p) for p in d["step_probs"]])
+    return PrmScore(tid, step_probs, d.get("trajectory_prob"), problem_id)
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,8 @@ def with_problems(trajs, problems) -> list[tuple[Problem, Trajectory]]:
     """(problem, trajectory) for each trajectory in order; every stage joins here.
 
     A trajectory whose problem is not on record is dropped with a warning.
-    Twins, joined records of one trajectory id, must repeat its steps and answer.
+    Twins, joined records of one trajectory id, must repeat its steps, answer
+    and n_shots (n_shots_of): label and export prompt each with its own.
     """
     by_id = {p.id: p for p in problems}
     joined = []
@@ -189,10 +187,10 @@ def with_problems(trajs, problems) -> list[tuple[Problem, Trajectory]]:
         else:
             joined.append((problem, traj))
     index_once(
-        (((t.problem_id, t.raw_text), (t.steps, t.final_answer)) for _, t in joined),
-        lambda key: f"trajectory id {make_trajectory_id(*key)!r} comes twice with different steps or"
-        " final answers (an id is the problem id plus a digest of raw_text, so records without"
-        " raw_text share one id per problem)",
+        (((t.problem_id, t.raw_text), (t.steps, t.final_answer, n_shots_of(t))) for _, t in joined),
+        lambda key: f"trajectory id {make_trajectory_id(*key)!r} comes twice with different steps,"
+        " final answers or n_shots (an id is the problem id plus a digest of raw_text, so records"
+        " without raw_text share one id per problem)",
     )
     return joined
 
@@ -301,7 +299,7 @@ def mc_labeler(
                     n_samples=n_samples,
                     n_success=n_success,
                     hard_label=1 if n_success >= k else -1,
-                    completions=completions,
+                    completions=tuple(completions),
                 )
             )
         return labels
@@ -465,20 +463,26 @@ def _prompt_text(problem: Problem, traj: Trajectory) -> str:
 
 
 def export_prm_dataset(labels, trajectories, problems, path) -> int:
-    """PRM records {prompt, steps, step_labels}; returns the record count."""
+    """PRM records {prompt, steps, step_labels}; returns the record count.
+    A trace is exported only when every step has a hard label, as
+    select_trajectories requires; the others are counted in a warning."""
     label_map = _hard_labels(labels)
+    items = with_problems(trajectories, problems)
     records = []
-    for problem, traj in with_problems(trajectories, problems):
-        per_step = label_map.get(trajectory_id_of(traj))
-        if per_step is None:
+    for problem, traj in items:
+        per_step = label_map.get(trajectory_id_of(traj), {})
+        if per_step.keys() != set(range(len(traj.steps))):
             continue
         records.append(
             {
                 "prompt": _prompt_text(problem, traj),
                 "steps": [render_step(s) for s in traj.steps],
-                "step_labels": [per_step.get(i) for i in range(len(traj.steps))],
+                "step_labels": [per_step[i] for i in range(len(traj.steps))],
             }
         )
+    left_out = len(items) - len(records)
+    if left_out:
+        logger.warning("%d of %d traces left out: not every step has a hard label", left_out, len(items))
     write_jsonl(path, records)
     return len(records)
 

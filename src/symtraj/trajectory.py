@@ -47,9 +47,6 @@ class Step:
     text: str
     formulas: tuple[Formula, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "formulas", tuple(self.formulas))
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -59,9 +56,6 @@ class Trajectory:
     problem_id: str = ""
     generator: str = ""
     seed_meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
 
     @functools.cached_property
     def trajectory_id(self) -> str:
@@ -274,8 +268,7 @@ def trajectory_from_dict(d: dict) -> Trajectory:
             kind = _STEP_KINDS[s["kind"]]
         except (KeyError, TypeError):
             kind = StepKind(s["kind"])  # raises the error that names the bad kind
-        # Step and Trajectory make the lists tuples.
-        steps.append(Step(kind, s["text"], [parse_formula(t) for t in s.get("formulas", [])]))
+        steps.append(Step(kind, s["text"], tuple([parse_formula(t) for t in s.get("formulas", [])])))
     word = d.get("final_answer")
     answer = None if word is None else Label.from_text(word)
     if word is not None and answer is None:
@@ -286,7 +279,7 @@ def trajectory_from_dict(d: dict) -> Trajectory:
     if not isinstance(meta, dict):
         raise ValueError(f"seed_meta must be an object, got {meta!r}")
     traj = Trajectory(
-        steps=steps,
+        steps=tuple(steps),
         final_answer=answer,
         raw_text=d.get("raw_text", ""),
         problem_id=d.get("problem_id", ""),
@@ -343,9 +336,6 @@ class PromptBundle:
     task: str
     continuation_prefix: str | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "demonstrations", tuple(self.demonstrations))
-
     def to_messages(self) -> list[dict]:
         parts = [f"{DEMO_SEPARATOR}\n{demo}" for demo in self.demonstrations]
         parts.append(self.task)
@@ -374,8 +364,6 @@ def build_sampling_prompt(problem: Problem, n_shots: int = DEFAULT_N_SHOTS) -> P
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     library = demos.demos_for(problem.source)
-    if not library:
-        raise ValueError("demonstration library is empty")
     two_way = problem.source == "logicasker"
     system = _SYSTEM_HEADER + (_TWO_WAY_TAIL if two_way else _THREE_WAY_TAIL)
     question = QUESTION_TWO_WAY if two_way else QUESTION_THREE_WAY

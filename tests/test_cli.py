@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import dataclasses
 import functools
 import inspect
 import json
@@ -276,6 +277,12 @@ def test_backend_options_are_the_constructor_parameters(kind):
     if kind == "oracle-mock":
         parameters.remove("problems")  # the command's own --problems
     assert set(cli.BACKEND_OPTIONS[kind]) == parameters
+
+
+def test_pipeline_keys_are_the_config_fields():
+    # A field no config key or flag can set, or a key no field holds, fails here.
+    fields = {f.name for f in dataclasses.fields(cli.PipelineConfig)} - {"backend_kind", "backend_options"}
+    assert set(cli.PIPELINE_KEYS) == fields
 
 
 # ---------------------------------------------------------------------------
@@ -1202,13 +1209,34 @@ def test_every_trace_reader_refuses_a_twin_with_other_steps(artifacts, tmp_path,
     spoiled = dict(record, steps=record["steps"][:i] + [spoiled_step] + record["steps"][i + 1 :])
     message = (
         f"trajectory id {trajectory_id_of(trajectory_from_dict(record))!r} comes twice with different"
-        " steps or final answers (an id is the problem id plus a digest of raw_text, so records"
-        " without raw_text share one id per problem)"
+        " steps, final answers or n_shots (an id is the problem id plus a digest of raw_text, so"
+        " records without raw_text share one id per problem)"
     )
     path, out = tmp_path / "spoiled-twin-traces.jsonl", tmp_path / "out.jsonl"
     for order in ([spoiled] + traces, traces + [spoiled]):
         write_jsonl(path, order)
         _one_error_line(_argv(stage, dict(artifacts, traces=str(path), out=str(out))), capsys, message, out)
+
+
+def test_label_refuses_twins_sampled_with_other_n_shots(workspace, tmp_path, capsys):
+    # The mock writes one text whatever the prompt's demonstrations, so both
+    # samples of a problem share one id; label prompts each with its own n_shots.
+    problems, config = str(workspace["problems"]), str(workspace["config"])
+    lines = []
+    for shots in ([], ["--n-shots", "2"]):
+        out = tmp_path / f"traces{len(shots)}.jsonl"
+        assert main(["sample", "--problems", problems, "--backend", config, "--n", "1", *shots, "--out", str(out)]) == 0
+        lines += out.read_text(encoding="utf-8").splitlines(keepends=True)
+    traces, out = tmp_path / "traces.jsonl", tmp_path / "labels.jsonl"
+    traces.write_text("".join(lines), encoding="utf-8")
+    first = trajectory_from_dict(json.loads(lines[0]))
+    message = (
+        f"trajectory id {trajectory_id_of(first)!r} comes twice with different steps, final answers or"
+        " n_shots (an id is the problem id plus a digest of raw_text, so records without raw_text"
+        " share one id per problem)"
+    )
+    argv = ["label", "--traces", str(traces), "--problems", problems, "--backend", config, "--out", str(out)]
+    _one_error_line(argv, capsys, message, out)
 
 
 @pytest.mark.parametrize("stage", ["dpo-pairs", "select"])

@@ -47,6 +47,7 @@ from symtraj.supervision import (
     mc_label,
     mc_labeler,
     prm_loss,
+    prm_score_from_dict,
     score_trajectory,
     select_trajectories,
     step_label_from_dict,
@@ -54,7 +55,7 @@ from symtraj.supervision import (
     trajectory_id_of,
     with_problems,
 )
-from symtraj.trajectory import build_sampling_prompt, parse_trajectory
+from symtraj.trajectory import build_sampling_prompt, parse_trajectory, trajectory_from_dict, trajectory_to_dict
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -176,6 +177,26 @@ def test_step_label_dict_round_trip():
     )
     again = step_label_from_dict(step_label_to_dict(label))
     assert again == label
+
+
+def test_readers_return_records_of_tuples_that_hash():
+    # The constructors store what they are given, so the readers, given JSON
+    # arrays, must build the tuples themselves: a list left in would not hash.
+    problem, traj = _mc_fixture()
+    traj_record = json.loads(json.dumps(trajectory_to_dict(traj)))
+    read = trajectory_from_dict(traj_record)
+    assert type(read.steps) is tuple and all(type(s.formulas) is tuple for s in read.steps)
+    assert any(s.formulas for s in read.steps)
+    assert hash(read.steps) == hash(traj.steps) and read.steps == traj.steps
+    label_record = {"trajectory_id": "p#abc", "step_index": 0, "n_samples": 2, "n_success": 1,
+                    "hard_label": 1, "completions": [["True", 1], [None, 0]]}
+    label = step_label_from_dict(json.loads(json.dumps(label_record)))
+    assert label.completions == (("True", True), (None, False))
+    assert [type(matched) for _, matched in label.completions] == [bool, bool]
+    hash(label)
+    score = prm_score_from_dict({"trajectory_id": "p#abc", "problem_id": "p", "step_probs": [1, 0.5]})
+    assert score.step_probs == (1.0, 0.5) and [type(p) for p in score.step_probs] == [float, float]
+    hash(score)
 
 
 def test_prm_score_product():
@@ -945,14 +966,23 @@ def test_export_prm_dataset_round_trip(tmp_path):
     assert "Everyone who cooks drinks tea." in rec["prompt"]
 
 
-def test_export_prm_dataset_marks_missing_steps(tmp_path):
+def test_export_prm_dataset_leaves_out_traces_not_labelled_at_every_step(tmp_path, caplog):
+    # A skipped prefix (prompt too long) leaves a step without a label; a
+    # training record holds a label for every step.
     problem, traj = _mc_fixture()
-    tid = trajectory_id_of(traj)
-    labels = [StepLabel(tid, 1, n_samples=2, n_success=2, hard_label=1)]
+    other = parse_trajectory(MC_TRACE + "\n", problem_id=problem.id)
+    labels = [StepLabel(trajectory_id_of(traj), 1, n_samples=2, n_success=2, hard_label=1)]
+    labels += _labels_for(trajectory_id_of(other), [1, -1, 1, 1, 1, 1])
     out = tmp_path / "prm.jsonl"
-    export_prm_dataset(labels, [traj], [problem], out)
-    rec = read_jsonl(out)[0]
-    assert rec["step_labels"] == [None, 1, None, None, None, None]
+    with caplog.at_level(logging.WARNING):
+        assert export_prm_dataset(labels, [traj, other, traj], [problem], out) == 1
+    assert [r["step_labels"] for r in read_jsonl(out)] == [[1, -1, 1, 1, 1, 1]]
+    assert [r.getMessage() for r in caplog.records] == ["2 of 3 traces left out: not every step has a hard label"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert export_prm_dataset([], [traj], [problem], out) == 0
+    assert read_jsonl(out) == []
+    assert [r.getMessage() for r in caplog.records] == ["1 of 1 traces left out: not every step has a hard label"]
 
 
 def test_export_prm_dataset_refuses_two_labels_for_one_step(tmp_path):
