@@ -1199,6 +1199,14 @@ def _one_error_line(argv, capsys, message, out):
     assert not Path(out).exists()
 
 
+def _twin_message(tid):
+    return (
+        f"trajectory id {tid!r} comes twice with different steps, final answers or n_shots (an id is"
+        " the problem id plus a digest of raw_text, so records without raw_text share one id per"
+        " problem)"
+    )
+
+
 @pytest.mark.parametrize("stage", TRACE_READERS)
 def test_every_trace_reader_refuses_a_twin_with_other_steps(artifacts, tmp_path, capsys, stage):
     # One Observation spoiled, raw_text kept: the same id over other steps.
@@ -1207,11 +1215,7 @@ def test_every_trace_reader_refuses_a_twin_with_other_steps(artifacts, tmp_path,
     i = next(i for i, step in enumerate(record["steps"]) if step["kind"] == "Observation")
     spoiled_step = {"kind": "Observation", "text": "Observation: Mystery(zeta)", "formulas": ["Mystery(zeta)"]}
     spoiled = dict(record, steps=record["steps"][:i] + [spoiled_step] + record["steps"][i + 1 :])
-    message = (
-        f"trajectory id {trajectory_id_of(trajectory_from_dict(record))!r} comes twice with different"
-        " steps, final answers or n_shots (an id is the problem id plus a digest of raw_text, so"
-        " records without raw_text share one id per problem)"
-    )
+    message = _twin_message(trajectory_id_of(trajectory_from_dict(record)))
     path, out = tmp_path / "spoiled-twin-traces.jsonl", tmp_path / "out.jsonl"
     for order in ([spoiled] + traces, traces + [spoiled]):
         write_jsonl(path, order)
@@ -1229,12 +1233,7 @@ def test_label_refuses_twins_sampled_with_other_n_shots(workspace, tmp_path, cap
         lines += out.read_text(encoding="utf-8").splitlines(keepends=True)
     traces, out = tmp_path / "traces.jsonl", tmp_path / "labels.jsonl"
     traces.write_text("".join(lines), encoding="utf-8")
-    first = trajectory_from_dict(json.loads(lines[0]))
-    message = (
-        f"trajectory id {trajectory_id_of(first)!r} comes twice with different steps, final answers or"
-        " n_shots (an id is the problem id plus a digest of raw_text, so records without raw_text"
-        " share one id per problem)"
-    )
+    message = _twin_message(trajectory_id_of(trajectory_from_dict(json.loads(lines[0]))))
     argv = ["label", "--traces", str(traces), "--problems", problems, "--backend", config, "--out", str(out)]
     _one_error_line(argv, capsys, message, out)
 
