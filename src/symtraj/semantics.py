@@ -21,17 +21,27 @@ becomes one clause; ⊕, ↔ and a conjunction nested in a disjunction get fresh
 linear in the size of the ground formulas. A complete DPLL search with unit
 propagation then decides whether the clauses have a model.
 
-budget caps the search at one tick per search node (each probe's root and
-each branch). interpretations_explored reports the ticks used.
+budget caps the work at one tick per ground quantifier instance made and
+one per search node (each probe's root and each branch), so a call that
+would build c^v instances raises BudgetExceeded before it builds them.
+interpretations_explored reports the search nodes alone.
 
 A caller that asks about a growing premise list can keep a Grounding across
-calls: the premise clauses are then extended by the new premises' clauses
-instead of grounded again, while the size and the constants stay the same.
+calls. Its _Grounder holds the premises' clauses in a solver state kept
+after root unit propagation: occurrence lists, counts and assignments. Each
+probe searches a copy of that state with its own clauses added, so nothing
+is undone and the premises are not propagated again. A kept call adds the
+new premises' clauses to the state. When a call needs a larger size (an ∃
+hypothesis or a new constant), the state grows in place: a new constant
+gets a new element, a premise ∀x1..∀xn M with M quantifier-free gains the
+instances that bind a new element, and any other quantified premise is
+grounded again. Every call still grounds at its own size.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .fol import (
@@ -144,9 +154,9 @@ class EntailmentVerdict:
 
 
 class _Grounder:
-    """Clauses over the ground atoms of one domain size, constant i of
-    const_names denoting element i, for the premises and for each probe
-    formula in turn.
+    """Clauses over the ground atoms of one domain size, for the premises and
+    for each probe formula in turn. consts maps each constant to its element,
+    distinct constants to distinct elements.
 
     A clause is a list of literals; literal v (or -v) says variable v is true
     (or false). Variables number the ground atoms P(e1, ..., ek) and the fresh
@@ -158,34 +168,113 @@ class _Grounder:
     clauses of its own (Tseitin), so the clauses have a model exactly when
     the formulas do. An operand of ⊕ or ↔ is defined once per variable
     binding and the definition reused, so nested ⊕/↔ ground in linear size.
+    Every quantifier instance made ticks budget before it is grounded.
+
+    The premises' clauses live in solver, unit-propagated. grow raises the
+    size in place. A premise ∀x1..∀xn M, M without quantifiers (in
+    universal, with M's clauses as (polarity, atom) lists when it needs no
+    fresh variable), then gains the instances that bind a new element; its
+    other clauses stay as they are. Any other premise with a quantifier (in
+    guarded) holds a guard literal g in each of its clauses, and each probe
+    assumes ¬g; grow retires g with the unit clause [g], which satisfies
+    them all, and grounds the premise again under a new guard.
     """
 
-    def __init__(self, size: int, const_names, premises):
+    def __init__(self, size: int, const_names, premises, budget: "_Budget"):
         self.size = size
         self.consts = {name: i for i, name in enumerate(const_names)}
         self.atoms: dict[tuple[str, tuple[int, ...]], int] = {}
-        self.defined: dict[tuple[Formula, tuple], int] = {}
+        self.defined: dict[tuple[Formula, tuple, tuple], int] = {}
         self.n_vars = 0
-        self.premise_clauses: list[list[int]] = []
+        self.solver = _Solver()
+        self.universal: list[tuple[tuple[str, ...], Formula, list | None]] = []
+        self.guarded: list[tuple[Formula, int]] = []
+        self.guard: tuple[int, ...] = ()
+        self.budget = budget
         self.add_premises(premises)
 
     def add_premises(self, premises) -> None:
-        """Append the clauses of more premises to the premise clauses. Atoms a
-        probe made keep their variables and its forgotten definitions' stay
-        unused, so the clauses are those of grounding every premise afresh,
-        in the same order, up to a renaming of variables."""
-        self.clauses = self.premise_clauses
+        """Ground more premises into the solver, and propagate."""
+        self.clauses = []
         for f in premises:
-            self._add(f, True, {}, ())
+            self._premise(f)
+        self._commit()
 
-    def with_premises(self, f: Formula) -> list[list[int]]:
-        """The premise clauses and those of f. Definitions made for f are
-        forgotten afterwards, as their clauses belong to this list only."""
-        defined = dict(self.defined)
-        self.clauses = list(self.premise_clauses)
+    def grow(self, size: int, const_names) -> None:
+        """Ground the premises at size, no smaller than now, with the
+        constants const_names. A new constant denotes an element no held
+        constant denotes, a new one first; a held constant keeps its element."""
+        old, self.size = self.size, size
+        consts = {name: self.consts[name] for name in const_names if name in self.consts}
+        free = [e for e in range(size) if e not in consts.values()]
+        for name in const_names:
+            if name not in consts:
+                consts[name] = free.pop()
+        self.consts = consts
+        if size == old:
+            return
+        self.clauses = []
+        for universal in self.universal:
+            self._instances(*universal, old)
+        guarded, self.guarded = self.guarded, []
+        self.clauses += [[g] for _, g in guarded]
+        for f, _ in guarded:
+            self._premise(f)
+        self._commit()
+
+    def _premise(self, f: Formula) -> None:
+        if f.__class__ is Pred:  # a fact, the commonest premise
+            self._clause([self._atom(f, {})])
+            return
+        variables, matrix = [], f
+        while matrix.__class__ is ForAll:
+            variables.append(matrix.var)
+            matrix = matrix.body
+        if not _has_quantifier(matrix):
+            universal = (tuple(variables), matrix, _clausal(matrix, True))
+            if variables:
+                self.universal.append(universal)
+            self._instances(*universal, 0)
+            return
+        self.guard = (self._fresh(),)
+        self.guarded.append((f, self.guard[0]))
         self._add(f, True, {}, ())
-        clauses, self.defined = self.clauses, defined
-        return clauses
+        self.guard = ()
+
+    def _instances(self, variables, matrix, clauses, old: int) -> None:
+        """Ground ∀variables matrix's instances that bind an element from
+        old up, by its clauses of (polarity, atom) when it has them."""
+        size, n = self.size, len(variables)
+        self.budget.tick(size**n - old**n)
+        for elems in itertools.product(range(size), repeat=n):
+            if n and max(elems) < old:
+                continue
+            env = dict(zip(variables, elems))
+            if clauses is None:
+                self._add(matrix, True, env, ())
+                continue
+            for clause in clauses:
+                self._clause([self._atom(p, env) if positive else -self._atom(p, env) for positive, p in clause])
+
+    def _commit(self) -> None:
+        self.solver.add(self.clauses, self.n_vars)
+        self.solver.propagate()
+        self.solver.trail.clear()  # never undone
+
+    def probe(self, f: Formula) -> _Solver:
+        """A copy of the premises' solver with f's clauses and the guards'
+        negations added, to search whether the premises and f have a model.
+        Definitions made for f are forgotten afterwards, as their clauses
+        belong to that copy only."""
+        defined = dict(self.defined)
+        self.clauses = [[-g] for _, g in self.guarded]
+        try:
+            self._add(f, True, {}, ())
+        finally:
+            self.defined = defined
+        solver = self.solver.copy()
+        solver.add(self.clauses, self.n_vars)
+        return solver
 
     def _fresh(self) -> int:
         self.n_vars += 1
@@ -193,52 +282,63 @@ class _Grounder:
 
     def _clause(self, lits) -> None:
         unique = dict.fromkeys(lits)
-        if not any(-lit in unique for lit in unique):  # else it holds in every model
-            self.clauses.append(list(unique))
+        for lit in unique:
+            if -lit in unique:
+                return  # it holds in every model
+        self.clauses.append([*unique, *self.guard])
+
+    def _atom(self, f: Pred, env: dict[str, int]) -> int:
+        consts = self.consts
+        key = (f.name, tuple([env[t.name] if t.__class__ is Variable else consts[t.name] for t in f.args]))
+        var = self.atoms.get(key)
+        if var is None:
+            var = self.atoms[key] = self._fresh()
+        return var
 
     def _shape(self, f: Formula, positive: bool, env: dict[str, int]):
         """f (¬f when not positive) with its leading ¬s taken off, as
-        (f, positive, shape, literal). shape is "atom" (literal is its
-        literal, else None), "equiv" (⊕, ↔), "and" (∧, ∀, or the negation of
-        a disjunction) or "or" (∨, →, ∃, or the negation of ∧, ∀)."""
-        while isinstance(f, Not):
+        (f, positive, shape, literal). shape is _ATOM (literal is its
+        literal, else 0), _EQUIV (⊕, ↔), _AND (∧, ∀, or the negation of a
+        disjunction) or _OR (∨, →, ∃, or the negation of ∧, ∀)."""
+        kind = f.__class__
+        while kind is Not:
             f, positive = f.body, not positive
-        if isinstance(f, Pred):
-            elems = tuple(env[t.name] if isinstance(t, Variable) else self.consts[t.name] for t in f.args)
-            var = self.atoms.get((f.name, elems))
-            if var is None:
-                var = self.atoms[(f.name, elems)] = self._fresh()
-            return f, positive, "atom", var if positive else -var
-        if isinstance(f, (Xor, Iff)):
-            return f, positive, "equiv", None
-        return f, positive, "and" if isinstance(f, (And, ForAll)) == positive else "or", None
+            kind = f.__class__
+        if kind is Pred:
+            var = self._atom(f, env)
+            return f, positive, _ATOM, var if positive else -var
+        shapes = _SHAPES.get(kind)
+        if shapes is None:
+            raise TypeError(f"not a formula: {f!r}")
+        return f, positive, shapes[positive], 0
 
     def _parts(self, f: Formula, positive: bool, env: dict[str, int]):
         """The operands of the conjunction or disjunction f (¬f when not
         positive), each with its polarity and variable binding."""
-        if isinstance(f, Implies):
+        kind = f.__class__
+        if kind is Implies:
             return ((f.left, not positive, env), (f.right, positive, env))
-        if isinstance(f, (And, Or)):
+        if kind is And or kind is Or:
             return ((f.left, positive, env), (f.right, positive, env))
-        if isinstance(f, (ForAll, Exists)):
-            return [(f.body, positive, {**env, f.var: e}) for e in range(self.size)]
-        raise TypeError(f"not a formula: {f!r}")
+        self.budget.tick(self.size)
+        var, body = f.var, f.body
+        return [(body, positive, {**env, var: e}) for e in range(self.size)]
 
     def _add(self, f: Formula, positive: bool, env: dict[str, int], prefix) -> None:
         """Clauses for prefix ∨ f (prefix ∨ ¬f when not positive), prefix a
         disjunction of literals."""
         f, positive, shape, lit = self._shape(f, positive, env)
-        if shape == "atom":
+        if shape is _ATOM:
             self._clause([*prefix, lit])
-        elif shape == "equiv":
+        elif shape is _EQUIV:
             a, b = self._define(f.left, env), self._define(f.right, env)
-            if positive == isinstance(f, Xor):  # the two sides differ
+            if positive == (f.__class__ is Xor):  # the two sides differ
                 self._clause([*prefix, a, b])
                 self._clause([*prefix, -a, -b])
             else:
                 self._clause([*prefix, -a, b])
                 self._clause([*prefix, a, -b])
-        elif shape == "and":
+        elif shape is _AND:
             for part in self._parts(f, positive, env):
                 self._add(*part, prefix)
         else:
@@ -260,9 +360,9 @@ class _Grounder:
         lits, parts of any other shape to rest."""
         for part in self._parts(f, positive, env):
             g, g_pos, shape, lit = self._shape(*part)
-            if shape == "atom":
+            if shape is _ATOM:
                 lits.append(lit)
-            elif shape == "or":
+            elif shape is _OR:
                 self._disjuncts(g, g_pos, part[2], lits, rest)
             else:
                 rest.append((g, g_pos, part[2]))
@@ -270,8 +370,8 @@ class _Grounder:
     def _define(self, f: Formula, env: dict[str, int]) -> int:
         """A literal true exactly when f is."""
         f, positive, shape, lit = self._shape(f, True, env)
-        if shape != "atom":
-            key = (f, tuple(env.items()))
+        if shape is not _ATOM:
+            key = (f, tuple(env.items()), self.guard)
             var = self.defined.get(key)
             if var is None:
                 var = self.defined[key] = self._fresh()
@@ -279,6 +379,52 @@ class _Grounder:
                 self._add(f, False, env, (var,))
             lit = var if positive else -var
         return lit
+
+
+_ATOM, _EQUIV, _AND, _OR = "atom", "equiv", "and", "or"
+# The shape of each connective, negated and then as is.
+_SHAPES = {
+    And: (_OR, _AND),
+    ForAll: (_OR, _AND),
+    Or: (_AND, _OR),
+    Implies: (_AND, _OR),
+    Exists: (_AND, _OR),
+    Xor: (_EQUIV, _EQUIV),
+    Iff: (_EQUIV, _EQUIV),
+}
+
+
+def _clausal(f: Formula, positive: bool):
+    """The clauses of f (¬f when not positive), f without quantifiers, as
+    lists of (polarity, Pred), when they need no fresh variable; else None."""
+    while f.__class__ is Not:
+        f, positive = f.body, not positive
+    kind = f.__class__
+    if kind is Pred:
+        return [[(positive, f)]]
+    if kind is Xor or kind is Iff:
+        return None
+    left = _clausal(f.left, positive != (kind is Implies))
+    right = _clausal(f.right, positive)
+    if left is None or right is None:
+        return None
+    if _SHAPES[kind][positive] is _AND:
+        return left + right
+    if len(left) > 1:
+        left, right = right, left
+    if len(left) > 1:
+        return None
+    return [left[0] + clause for clause in right]  # distributed over a conjunction
+
+
+def _has_quantifier(f: Formula) -> bool:
+    if isinstance(f, Pred):
+        return False
+    if isinstance(f, Not):
+        return _has_quantifier(f.body)
+    if isinstance(f, (ForAll, Exists)):
+        return True
+    return _has_quantifier(f.left) or _has_quantifier(f.right)
 
 
 class _Budget:
@@ -294,82 +440,134 @@ class _Budget:
             raise BudgetExceeded(f"interpretation budget of {self.cap} exceeded")
 
 
-def _satisfiable(clauses: list[list[int]], n_vars: int, budget: _Budget) -> bool:
-    """Is there a truth assignment to variables 1..n_vars satisfying every clause?
+class _Solver:
+    """DPLL over a clause list that grows.
 
-    DPLL with unit propagation. Each clause counts its true and its unassigned
-    literals, and a clause with no true literal sits in open_by_free[k], k its
-    unassigned count: open_by_free[0] holds conflicts, open_by_free[1] unit
-    clauses, and the branch is a literal of a shortest open clause. Every
-    assignment goes on a trail, and backtracking undoes it in reverse.
+    Each clause counts its true and its unassigned literals, and a clause
+    with no true literal sits in open_by_free[k], k its unassigned count:
+    open_by_free[0] holds conflicts, open_by_free[1] unit clauses, and the
+    branch is a literal of a shortest open clause. occurs lists the clauses
+    of each literal, v at v and -v at 2 * n_vars + 1 - v (negative
+    indexing). add appends clauses under the current assignment, and
+    propagate assigns the unit clauses' literals; what they settle for the
+    premises is kept, and each probe searches a copy. Within a search every
+    assignment goes on the trail, and backtracking undoes it in reverse.
     """
-    # Indexed by literal: v at v, -v at 2 * n_vars + 1 - v (negative indexing).
-    occurs: list[list[int]] = [[] for _ in range(2 * n_vars + 1)]
-    value: list[bool | None] = [None] * (2 * n_vars + 1)
-    n_true = [0] * len(clauses)
-    n_free = [len(c) for c in clauses]
-    open_by_free: list[set[int]] = [set() for _ in range(max(n_free, default=0) + 2)]
-    for ci, clause in enumerate(clauses):
-        open_by_free[len(clause)].add(ci)
-        for lit in clause:
-            occurs[lit].append(ci)
-    conflicts, units = open_by_free[0], open_by_free[1]
-    trail: list[int] = []
 
-    def assign(lit: int) -> None:
+    __slots__ = ("clauses", "n_vars", "occurs", "value", "n_true", "n_free", "open_by_free", "trail")
+
+    def __init__(self):
+        self.clauses: list[list[int]] = []
+        self.n_vars = 0
+        self.occurs: list[list[int]] = [[]]
+        self.value: list[bool | None] = [None]
+        self.n_true: list[int] = []
+        self.n_free: list[int] = []
+        self.open_by_free: list[set[int]] = [set(), set()]
+        self.trail: list[int] = []
+
+    def copy(self) -> "_Solver":
+        other = _Solver.__new__(_Solver)
+        other.clauses = list(self.clauses)
+        other.n_vars = self.n_vars
+        other.occurs = list(map(list.copy, self.occurs))
+        other.value = list(self.value)
+        other.n_true = list(self.n_true)
+        other.n_free = list(self.n_free)
+        other.open_by_free = list(map(set.copy, self.open_by_free))
+        other.trail = []
+        return other
+
+    def add(self, clauses, n_vars: int) -> None:
+        """Append clauses over variables 1..n_vars, counted under the current
+        assignment."""
+        if n_vars > self.n_vars:
+            cut, extra = self.n_vars + 1, 2 * (n_vars - self.n_vars)
+            self.occurs[cut:cut] = [[] for _ in range(extra)]
+            self.value[cut:cut] = [None] * extra
+            self.n_vars = n_vars
+        value, occurs, open_by_free = self.value, self.occurs, self.open_by_free
+        for clause in clauses:
+            ci = len(self.clauses)
+            self.clauses.append(clause)
+            n_true = n_free = 0
+            for lit in clause:
+                occurs[lit].append(ci)
+                if value[lit] is None:
+                    n_free += 1
+                else:
+                    n_true += value[lit]
+            self.n_true.append(n_true)
+            self.n_free.append(n_free)
+            if not n_true:
+                while len(open_by_free) <= n_free + 1:
+                    open_by_free.append(set())
+                open_by_free[n_free].add(ci)
+
+    def assign(self, lit: int) -> None:
+        value, n_true, n_free, open_by_free = self.value, self.n_true, self.n_free, self.open_by_free
         value[lit], value[-lit] = True, False
-        trail.append(lit)
-        for ci in occurs[lit]:
+        self.trail.append(lit)
+        for ci in self.occurs[lit]:
             if n_true[ci] == 0:
                 open_by_free[n_free[ci]].discard(ci)
             n_true[ci] += 1
             n_free[ci] -= 1
-        for ci in occurs[-lit]:
+        for ci in self.occurs[-lit]:
             k = n_free[ci]
             n_free[ci] = k - 1
             if n_true[ci] == 0:
                 open_by_free[k].discard(ci)
                 open_by_free[k - 1].add(ci)
 
-    def undo_to(mark: int) -> None:
+    def undo_to(self, mark: int) -> None:
+        value, n_true, n_free, open_by_free, trail = (
+            self.value, self.n_true, self.n_free, self.open_by_free, self.trail
+        )
         while len(trail) > mark:
             lit = trail.pop()
             value[lit] = value[-lit] = None
-            for ci in occurs[-lit]:
+            for ci in self.occurs[-lit]:
                 k = n_free[ci]
                 n_free[ci] = k + 1
                 if n_true[ci] == 0:
                     open_by_free[k].discard(ci)
                     open_by_free[k + 1].add(ci)
-            for ci in occurs[lit]:
+            for ci in self.occurs[lit]:
                 n_true[ci] -= 1
                 n_free[ci] += 1
                 if n_true[ci] == 0:
                     open_by_free[n_free[ci]].add(ci)
 
-    def free_literal(ci: int) -> int:
-        return next(lit for lit in clauses[ci] if value[lit] is None)
+    def _free_literal(self, ci: int) -> int:
+        value = self.value
+        return next(lit for lit in self.clauses[ci] if value[lit] is None)
 
-    def search() -> bool:
-        budget.tick()
-        mark = len(trail)
+    def propagate(self) -> bool:
+        """Assign unit clauses' literals until none is left; False on a conflict."""
+        conflicts, units = self.open_by_free[0], self.open_by_free[1]
         while units and not conflicts:
-            assign(free_literal(units.pop()))
-        if not conflicts:
-            shortest = next((s for s in open_by_free[2:] if s), None)
+            self.assign(self._free_literal(units.pop()))
+        return not conflicts
+
+    def search(self, budget: "_Budget") -> bool:
+        """Is there an assignment extending the current one that satisfies
+        every clause? One budget tick per search node."""
+        budget.tick()
+        mark = len(self.trail)
+        if self.propagate():
+            shortest = next((s for s in self.open_by_free[2:] if s), None)
             if shortest is None:
                 return True  # every clause has a true literal
-            lit = free_literal(shortest.pop())  # lit satisfies it; undo_to puts it back
+            lit = self._free_literal(shortest.pop())  # lit satisfies it; undo_to puts it back
             for choice in (lit, -lit):
-                before = len(trail)
-                assign(choice)
-                if search():
+                before = len(self.trail)
+                self.assign(choice)
+                if self.search(budget):
                     return True
-                undo_to(before)
-        undo_to(mark)
+                self.undo_to(before)
+        self.undo_to(mark)
         return False
-
-    return search()
 
 
 def _existentials(f: Formula) -> tuple[tuple[int, bool], tuple[int, bool]]:
@@ -407,15 +605,13 @@ class Grounding:
     """What entails() last grounded, kept by a caller that asks again about
     that premise list extended (see entails): the premises, their signature,
     existential witness count and whether a witness sits under a universal,
-    the (size, constant names) they were grounded at, and the _Grounder
-    holding their clauses."""
+    and the _Grounder holding their clauses."""
 
     def __init__(self):
         self.premises: list[Formula] = []
         self.signature = Signature()
         self.witnesses = 0
         self.nested = False
-        self.key: tuple[int, tuple[str, ...]] | None = None
         self.grounder: _Grounder | None = None
 
 
@@ -449,10 +645,13 @@ def entails(
     A caller that asks about a growing premise list passes the same grounding
     each time. When premises extend the list it holds, only the new premises
     and the hypothesis are checked and counted, and the new premises are
-    grounded onto the held clauses if the size and constants stay the same;
-    any other call starts afresh. Once every check has passed, grounding
-    holds this call's premises. Either way the verdict, or the error raised,
-    is that of a call without it.
+    grounded onto the held clauses, grown in place to a larger size first
+    when the call needs one; a call at a smaller size, or about another list,
+    starts afresh. Once every check has passed, grounding holds this call's
+    premises. Either way the verdict, or a ValueError raised, is that of a
+    call without it. The budget counts the instances this call grounds, so
+    with a kept grounding a call may stay within a budget that a call
+    without it exceeds.
     """
     premises = list(premises)
     if grounding is None:
@@ -475,20 +674,24 @@ def entails(
     k = witnesses + max(hyp[0], neg[0])
     exact = not (nested or hyp[1] or neg[1])
     size = max(1, len(const_names) + k) if exact else len(const_names) + max_domain
-    key = (size, const_names)
-    if base.key == key:
-        ground = base.grounder
-        ground.add_premises(new)
+    tracker = _Budget(budget)
+    ground = base.grounder
+    if ground is None or size < ground.size:
+        ground = _Grounder(size, const_names, premises, tracker)
     else:
-        ground = _Grounder(size, const_names, premises)
-    grounding.premises, grounding.key, grounding.grounder = premises, key, ground
+        ground.budget = tracker
+        try:
+            ground.grow(size, const_names)
+            ground.add_premises(new)
+        except BudgetExceeded:
+            grounding.__init__()  # its grounder is half grown
+            raise
+    grounding.premises, grounding.grounder = premises, ground
     grounding.signature, grounding.witnesses, grounding.nested = signature, witnesses, nested
 
-    tracker = _Budget(budget)
-    clauses = ground.with_premises(Not(hypothesis))
-    sat_with_neg = _satisfiable(clauses, ground.n_vars, tracker)
-    clauses = ground.with_premises(hypothesis)
-    sat_with_hyp = _satisfiable(clauses, ground.n_vars, tracker)
+    probes = ground.probe(Not(hypothesis)), ground.probe(hypothesis)
+    grounded = tracker.used
+    sat_with_neg, sat_with_hyp = (probe.search(tracker) for probe in probes)
 
     # Every model of the premises satisfies the hypothesis or its negation,
     # so the premises are satisfiable iff one of the two probes succeeded.
@@ -506,5 +709,5 @@ def entails(
         unsatisfiable_premises=unsat,
         domain_size=size,
         exact=exact,
-        interpretations_explored=tracker.used,
+        interpretations_explored=tracker.used - grounded,
     )

@@ -100,13 +100,19 @@ def step_label_to_dict(label: StepLabel) -> dict:
 
 
 def step_label_from_dict(d: dict) -> StepLabel:
+    completions = tuple([(answer, matched) for answer, matched in d.get("completions", ())])
+    if any(not isinstance(matched, bool) for _, matched in completions):
+        raise ValueError("a completion's matched must be true or false")
+    n_matched = sum(matched for _, matched in completions)
+    if completions and n_matched != d["n_success"]:
+        raise ValueError(f"{n_matched} completions matched, but n_success is {d['n_success']}")
     return StepLabel(
         trajectory_id=d["trajectory_id"],
         step_index=d["step_index"],
         n_samples=d["n_samples"],
         n_success=d["n_success"],
         hard_label=d["hard_label"],
-        completions=tuple([(answer, bool(matched)) for answer, matched in d.get("completions", ())]),
+        completions=completions,
     )
 
 
@@ -139,8 +145,17 @@ def prm_score_from_dict(d: dict) -> PrmScore:
     # dpo-pairs groups scores by problem_id, so it must name the id's own problem.
     if tid.rpartition("#")[0] != problem_id:
         raise ValueError(f"problem_id {problem_id!r} is not the problem of trajectory id {tid!r}")
+    for p in d["step_probs"]:
+        if not is_probability(p):
+            raise ValueError(f"step probability {p!r} is not a number in [0, 1]")
     step_probs = tuple([float(p) for p in d["step_probs"]])
     return PrmScore(tid, step_probs, d.get("trajectory_prob"), problem_id)
+
+
+def is_probability(p) -> bool:
+    """A JSON number in [0, 1]. JSON true and false are not numbers, and NaN
+    fails both comparisons."""
+    return isinstance(p, (int, float)) and not isinstance(p, bool) and 0.0 <= p <= 1.0
 
 
 @dataclass(frozen=True)
@@ -356,8 +371,7 @@ class RemoteScorer:
         if not isinstance(probs, list) or len(probs) != len(traj.steps):
             raise ScorerUnavailable("scorer returned a wrong-length probability list")
         for p in probs:
-            # JSON true and false are not numbers; NaN fails both comparisons.
-            if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+            if not is_probability(p):
                 raise ScorerUnavailable(f"scorer returned {p!r}, not a probability in [0, 1]")
         return [float(p) for p in probs]
 

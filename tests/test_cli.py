@@ -819,8 +819,15 @@ MALFORMED = {
         "problem id not the id's": lambda rec: dict(rec, problem_id="ghost"),
         "probability 1.5": lambda rec: dict(rec, step_probs=[1.5]),
         "not the step product": lambda rec: dict(rec, trajectory_prob=rec["trajectory_prob"] + 0.1),
+        "probability a string or true": lambda rec: dict(rec, step_probs=["0.5", True]),
     },
-    "labels": {"missing key": _without("hard_label")},
+    "labels": {
+        "missing key": _without("hard_label"),
+        "matched not a JSON boolean": lambda rec: dict(
+            rec, n_success=0, completions=[["True", "false"], ["False", 1]]
+        ),
+        "matched count not n_success": lambda rec: dict(rec, n_success=0, completions=[["True", True]]),
+    },
     "pairs": {"missing key": _without("chosen")},
 }
 

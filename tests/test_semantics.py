@@ -139,6 +139,19 @@ def test_entails_budget_exhaustion():
         entails(premises, parse_formula("R(a)"), budget=3)
 
 
+def test_entails_counts_ground_instances_against_the_budget():
+    # Five nested ∀ over a chain of 10 constants make 10^5 ground instances.
+    # Each ticks the budget as it is made, so a budget below that count ends
+    # the call while grounding instead of after building them all.
+    names = [f"c{i}" for i in range(10)]
+    rule = parse_formula("forall x forall y forall z forall u forall v (R(x, y) & R(y, z) & R(z, u) & R(u, v) -> S(x, v))")
+    facts = [parse_formula(f"R({a}, {b})") for a, b in zip(names, names[1:])]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        entails([rule, *facts], parse_formula("S(c0, c9)"), budget=10**5 - 1)
+    assert time.perf_counter() - start < 5.0
+
+
 def test_entails_rejects_open_formulas():
     with pytest.raises(ValueError):
         entails([parse_formula("P(x)", variables={"x"})], parse_formula("P(a)"))
@@ -389,29 +402,53 @@ def test_entails_bound_keeps_countermodels_outside_the_exact_class():
 # ---------------------------------------------------------------------------
 
 
+def _decision(verdict):
+    """What a kept grounding must leave as a fresh call has it."""
+    return verdict.result, verdict.unsatisfiable_premises, verdict.domain_size, verdict.exact
+
+
 def test_entails_with_a_kept_grounding_equals_a_fresh_call():
     # Premise lists grow one formula at a time, as a verified trajectory's
-    # context does: ∃*∀* formulas, ones with an ∃ under a ∀, ⊕ and ↔. Every
-    # call with the kept grounding, whether it extends the grounded clauses,
-    # rebuilds them at a new size or starts over on another list, must give
-    # the fresh call's verdict in every field, interpretations included.
+    # context does: ∃*∀* formulas, ones with an ∃ under a ∀, ⊕ and ↔. A call
+    # with the kept grounding extends the held grounder, grows its domain in
+    # place (for an ∃ hypothesis, a new constant, or both at once), or starts
+    # over when its size falls below the held one or the list is another one.
+    # Each must decide as the fresh call does; interpretations_explored may
+    # differ, as the kept clauses come in another order.
     preds, consts = (("P", 1), ("Q", 1), ("R", 2)), ("a", "b")
     rng = random.Random(31)
     new_constant = Pred("P", (Constant("d"),))
-    seen, extended, rebuilt = set(), 0, 0
+    both = Exists("x", And(Pred("Q", (Variable("x"),)), Pred("P", (Constant("e"),))))
+    seen, extended, rebuilt, grown = set(), 0, 0, dict.fromkeys(("exists", "constant", "both"), 0)
     for _ in range(30):
         premises, grounding = [], Grounding()
         for i in range(8):
             hypothesis = _random_formula(rng, 2, preds, consts)
+            if i == 3:
+                hypothesis = Exists("x", _random_formula(rng, 1, preds, consts, ("x",)))
+            elif i == 7:
+                hypothesis = both
             grounder = grounding.grounder
+            size = grounder.size if grounder else None
             verdict = entails(premises, hypothesis, max_domain=2, grounding=grounding)
-            assert verdict == entails(premises, hypothesis, max_domain=2), (premises, hypothesis)
+            assert _decision(verdict) == _decision(entails(premises, hypothesis, max_domain=2)), (
+                premises,
+                hypothesis,
+            )
             assert grounding.premises == premises
-            if premises[-1:] == [new_constant]:
+            if grounder is not None and verdict.domain_size < size:
                 assert grounding.grounder is not grounder
                 rebuilt += 1
-            elif premises:
-                extended += grounding.grounder is grounder
+            elif grounder is not None:
+                assert grounding.grounder is grounder and grounder.size == verdict.domain_size
+                if verdict.domain_size == size:
+                    extended += 1
+                elif i == 3:
+                    grown["exists"] += 1
+                elif i == 6:
+                    grown["constant"] += 1
+                elif i == 7:
+                    grown["both"] += verdict.domain_size == size + 2
             if i == 5:
                 added = new_constant
             else:
@@ -424,10 +461,23 @@ def test_entails_with_a_kept_grounding_equals_a_fresh_call():
         hypothesis = _random_formula(rng, 2, preds, consts)
         other = premises[1:]
         verdict = entails(other, hypothesis, max_domain=2, grounding=grounding)
-        assert verdict == entails(other, hypothesis, max_domain=2)
+        assert _decision(verdict) == _decision(entails(other, hypothesis, max_domain=2))
         assert grounding.premises == other
     assert seen >= {Xor, Iff, ForAll, Exists, "exists under forall"}
-    assert rebuilt == 30 and extended >= 50, (rebuilt, extended)
+    assert extended >= 50 and rebuilt >= 5 and min(grown.values()) >= 10, (extended, rebuilt, grown)
+
+
+def test_entails_drops_a_kept_grounding_that_ran_out_of_budget_while_growing():
+    grounding = Grounding()
+    premises = [parse_formula("forall x forall y (R(x, y) -> S(y, x))"), parse_formula("R(a, b)")]
+    entails(premises, parse_formula("S(b, a)"), grounding=grounding)
+    # Two new constants add 4 * 4 - 2 * 2 instances of the rule.
+    grown, claim = [*premises, parse_formula("R(c, d)")], parse_formula("S(d, c)")
+    with pytest.raises(BudgetExceeded):
+        entails(grown, claim, budget=5, grounding=grounding)
+    assert (grounding.premises, grounding.grounder) == ([], None)
+    verdict = entails(grown, claim, grounding=grounding)
+    assert _decision(verdict) == _decision(entails(grown, claim)) == (Label.TRUE, False, 4, True)
 
 
 def _outcome(premises, hypothesis, **kwargs):

@@ -189,7 +189,7 @@ def test_readers_return_records_of_tuples_that_hash():
     assert any(s.formulas for s in read.steps)
     assert hash(read.steps) == hash(traj.steps) and read.steps == traj.steps
     label_record = {"trajectory_id": "p#abc", "step_index": 0, "n_samples": 2, "n_success": 1,
-                    "hard_label": 1, "completions": [["True", 1], [None, 0]]}
+                    "hard_label": 1, "completions": [["True", True], [None, False]]}
     label = step_label_from_dict(json.loads(json.dumps(label_record)))
     assert label.completions == (("True", True), (None, False))
     assert [type(matched) for _, matched in label.completions] == [bool, bool]
