@@ -26,22 +26,18 @@ one per search node (each probe's root and each branch), so a call that
 would build c^v instances raises BudgetExceeded before it builds them.
 interpretations_explored reports the search nodes alone.
 
-A caller that asks about a growing premise list can keep a Grounding across
-calls. Its _Grounder holds the premises' clauses in a solver state kept
-after root unit propagation: occurrence lists, counts and assignments. Each
-probe searches a copy of that state with its own clauses added, so nothing
-is undone and the premises are not propagated again. A kept call adds the
-new premises' clauses to the state. When a call needs a larger size (an ∃
-hypothesis or a new constant), the state grows in place: a new constant
-gets a new element, a premise ∀x1..∀xn M with M quantifier-free gains the
-instances that bind a new element, and any other quantified premise is
-grounded again. Every call still grounds at its own size.
+The premises' clauses are held in a solver state kept after root unit
+propagation: occurrence lists, counts and assignments. Each of the two
+probes searches a copy of that state with its own clauses added, so nothing
+is undone and the premises are not propagated again. A caller that asks
+about a growing premise list can keep a Grounding across calls; a call at
+the same size with the same constants adds only the new premises' clauses
+to the held state, and any other call grounds afresh.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 from .fol import (
@@ -154,9 +150,9 @@ class EntailmentVerdict:
 
 
 class _Grounder:
-    """Clauses over the ground atoms of one domain size, for the premises and
-    for each probe formula in turn. consts maps each constant to its element,
-    distinct constants to distinct elements.
+    """Clauses over the ground atoms of one domain size, constant i of
+    const_names denoting element i, for the premises and for each probe
+    formula in turn.
 
     A clause is a list of literals; literal v (or -v) says variable v is true
     (or false). Variables number the ground atoms P(e1, ..., ek) and the fresh
@@ -168,28 +164,17 @@ class _Grounder:
     clauses of its own (Tseitin), so the clauses have a model exactly when
     the formulas do. An operand of ⊕ or ↔ is defined once per variable
     binding and the definition reused, so nested ⊕/↔ ground in linear size.
-    Every quantifier instance made ticks budget before it is grounded.
-
-    The premises' clauses live in solver, unit-propagated. grow raises the
-    size in place. A premise ∀x1..∀xn M, M without quantifiers (in
-    universal, with M's clauses as (polarity, atom) lists when it needs no
-    fresh variable), then gains the instances that bind a new element; its
-    other clauses stay as they are. Any other premise with a quantifier (in
-    guarded) holds a guard literal g in each of its clauses, and each probe
-    assumes ¬g; grow retires g with the unit clause [g], which satisfies
-    them all, and grounds the premise again under a new guard.
+    Every quantifier instance ticks budget before it is grounded.
+    The premises' clauses live in solver, unit-propagated.
     """
 
     def __init__(self, size: int, const_names, premises, budget: "_Budget"):
         self.size = size
         self.consts = {name: i for i, name in enumerate(const_names)}
         self.atoms: dict[tuple[str, tuple[int, ...]], int] = {}
-        self.defined: dict[tuple[Formula, tuple, tuple], int] = {}
+        self.defined: dict[tuple[Formula, tuple], int] = {}
         self.n_vars = 0
         self.solver = _Solver()
-        self.universal: list[tuple[tuple[str, ...], Formula, list | None]] = []
-        self.guarded: list[tuple[Formula, int]] = []
-        self.guard: tuple[int, ...] = ()
         self.budget = budget
         self.add_premises(premises)
 
@@ -197,77 +182,17 @@ class _Grounder:
         """Ground more premises into the solver, and propagate."""
         self.clauses = []
         for f in premises:
-            self._premise(f)
-        self._commit()
-
-    def grow(self, size: int, const_names) -> None:
-        """Ground the premises at size, no smaller than now, with the
-        constants const_names. A new constant denotes an element no held
-        constant denotes, a new one first; a held constant keeps its element."""
-        old, self.size = self.size, size
-        consts = {name: self.consts[name] for name in const_names if name in self.consts}
-        free = [e for e in range(size) if e not in consts.values()]
-        for name in const_names:
-            if name not in consts:
-                consts[name] = free.pop()
-        self.consts = consts
-        if size == old:
-            return
-        self.clauses = []
-        for universal in self.universal:
-            self._instances(*universal, old)
-        guarded, self.guarded = self.guarded, []
-        self.clauses += [[g] for _, g in guarded]
-        for f, _ in guarded:
-            self._premise(f)
-        self._commit()
-
-    def _premise(self, f: Formula) -> None:
-        if f.__class__ is Pred:  # a fact, the commonest premise
-            self._clause([self._atom(f, {})])
-            return
-        variables, matrix = [], f
-        while matrix.__class__ is ForAll:
-            variables.append(matrix.var)
-            matrix = matrix.body
-        if not _has_quantifier(matrix):
-            universal = (tuple(variables), matrix, _clausal(matrix, True))
-            if variables:
-                self.universal.append(universal)
-            self._instances(*universal, 0)
-            return
-        self.guard = (self._fresh(),)
-        self.guarded.append((f, self.guard[0]))
-        self._add(f, True, {}, ())
-        self.guard = ()
-
-    def _instances(self, variables, matrix, clauses, old: int) -> None:
-        """Ground ∀variables matrix's instances that bind an element from
-        old up, by its clauses of (polarity, atom) when it has them."""
-        size, n = self.size, len(variables)
-        self.budget.tick(size**n - old**n)
-        for elems in itertools.product(range(size), repeat=n):
-            if n and max(elems) < old:
-                continue
-            env = dict(zip(variables, elems))
-            if clauses is None:
-                self._add(matrix, True, env, ())
-                continue
-            for clause in clauses:
-                self._clause([self._atom(p, env) if positive else -self._atom(p, env) for positive, p in clause])
-
-    def _commit(self) -> None:
+            self._add(f, True, {}, ())
         self.solver.add(self.clauses, self.n_vars)
         self.solver.propagate()
         self.solver.trail.clear()  # never undone
 
     def probe(self, f: Formula) -> _Solver:
-        """A copy of the premises' solver with f's clauses and the guards'
-        negations added, to search whether the premises and f have a model.
-        Definitions made for f are forgotten afterwards, as their clauses
-        belong to that copy only."""
+        """A copy of the premises' solver with f's clauses added, to search
+        whether the premises and f have a model. Definitions made for f are
+        forgotten afterwards, as their clauses belong to that copy only."""
         defined = dict(self.defined)
-        self.clauses = [[-g] for _, g in self.guarded]
+        self.clauses = []
         try:
             self._add(f, True, {}, ())
         finally:
@@ -282,63 +207,62 @@ class _Grounder:
 
     def _clause(self, lits) -> None:
         unique = dict.fromkeys(lits)
-        for lit in unique:
-            if -lit in unique:
-                return  # it holds in every model
-        self.clauses.append([*unique, *self.guard])
-
-    def _atom(self, f: Pred, env: dict[str, int]) -> int:
-        consts = self.consts
-        key = (f.name, tuple([env[t.name] if t.__class__ is Variable else consts[t.name] for t in f.args]))
-        var = self.atoms.get(key)
-        if var is None:
-            var = self.atoms[key] = self._fresh()
-        return var
+        if not any(-lit in unique for lit in unique):  # else it holds in every model
+            self.clauses.append(list(unique))
 
     def _shape(self, f: Formula, positive: bool, env: dict[str, int]):
         """f (¬f when not positive) with its leading ¬s taken off, as
-        (f, positive, shape, literal). shape is _ATOM (literal is its
-        literal, else 0), _EQUIV (⊕, ↔), _AND (∧, ∀, or the negation of a
-        disjunction) or _OR (∨, →, ∃, or the negation of ∧, ∀)."""
-        kind = f.__class__
-        while kind is Not:
+        (f, positive, shape, literal). shape is "atom" (literal is its
+        literal, else None), "equiv" (⊕, ↔), "and" (∧, ∀, or the negation of
+        a disjunction) or "or" (∨, →, ∃, or the negation of ∧, ∀)."""
+        while isinstance(f, Not):
             f, positive = f.body, not positive
-            kind = f.__class__
-        if kind is Pred:
-            var = self._atom(f, env)
-            return f, positive, _ATOM, var if positive else -var
-        shapes = _SHAPES.get(kind)
-        if shapes is None:
-            raise TypeError(f"not a formula: {f!r}")
-        return f, positive, shapes[positive], 0
+        if isinstance(f, Pred):
+            elems = tuple(env[t.name] if isinstance(t, Variable) else self.consts[t.name] for t in f.args)
+            var = self.atoms.get((f.name, elems))
+            if var is None:
+                var = self.atoms[(f.name, elems)] = self._fresh()
+            return f, positive, "atom", var if positive else -var
+        if isinstance(f, (Xor, Iff)):
+            return f, positive, "equiv", None
+        return f, positive, "and" if isinstance(f, (And, ForAll)) == positive else "or", None
 
     def _parts(self, f: Formula, positive: bool, env: dict[str, int]):
         """The operands of the conjunction or disjunction f (¬f when not
-        positive), each with its polarity and variable binding."""
-        kind = f.__class__
-        if kind is Implies:
+        positive), each with its polarity and variable binding. A run of n
+        nested ∀ (or ∃) gives its size^n instances at once, in the order
+        nesting gives them, after one tick for each."""
+        if isinstance(f, Implies):
             return ((f.left, not positive, env), (f.right, positive, env))
-        if kind is And or kind is Or:
+        if isinstance(f, (And, Or)):
             return ((f.left, positive, env), (f.right, positive, env))
-        self.budget.tick(self.size)
-        var, body = f.var, f.body
-        return [(body, positive, {**env, var: e}) for e in range(self.size)]
+        if isinstance(f, (ForAll, Exists)):
+            variables, body = [f.var], f.body
+            while type(body) is type(f):
+                variables.append(body.var)
+                body = body.body
+            self.budget.tick(self.size ** len(variables))
+            envs = [env]
+            for var in variables:
+                envs = [{**outer, var: e} for outer in envs for e in range(self.size)]
+            return [(body, positive, inner) for inner in envs]
+        raise TypeError(f"not a formula: {f!r}")
 
     def _add(self, f: Formula, positive: bool, env: dict[str, int], prefix) -> None:
         """Clauses for prefix ∨ f (prefix ∨ ¬f when not positive), prefix a
         disjunction of literals."""
         f, positive, shape, lit = self._shape(f, positive, env)
-        if shape is _ATOM:
+        if shape == "atom":
             self._clause([*prefix, lit])
-        elif shape is _EQUIV:
+        elif shape == "equiv":
             a, b = self._define(f.left, env), self._define(f.right, env)
-            if positive == (f.__class__ is Xor):  # the two sides differ
+            if positive == isinstance(f, Xor):  # the two sides differ
                 self._clause([*prefix, a, b])
                 self._clause([*prefix, -a, -b])
             else:
                 self._clause([*prefix, -a, b])
                 self._clause([*prefix, a, -b])
-        elif shape is _AND:
+        elif shape == "and":
             for part in self._parts(f, positive, env):
                 self._add(*part, prefix)
         else:
@@ -360,9 +284,9 @@ class _Grounder:
         lits, parts of any other shape to rest."""
         for part in self._parts(f, positive, env):
             g, g_pos, shape, lit = self._shape(*part)
-            if shape is _ATOM:
+            if shape == "atom":
                 lits.append(lit)
-            elif shape is _OR:
+            elif shape == "or":
                 self._disjuncts(g, g_pos, part[2], lits, rest)
             else:
                 rest.append((g, g_pos, part[2]))
@@ -370,8 +294,8 @@ class _Grounder:
     def _define(self, f: Formula, env: dict[str, int]) -> int:
         """A literal true exactly when f is."""
         f, positive, shape, lit = self._shape(f, True, env)
-        if shape is not _ATOM:
-            key = (f, tuple(env.items()), self.guard)
+        if shape != "atom":
+            key = (f, tuple(env.items()))
             var = self.defined.get(key)
             if var is None:
                 var = self.defined[key] = self._fresh()
@@ -379,52 +303,6 @@ class _Grounder:
                 self._add(f, False, env, (var,))
             lit = var if positive else -var
         return lit
-
-
-_ATOM, _EQUIV, _AND, _OR = "atom", "equiv", "and", "or"
-# The shape of each connective, negated and then as is.
-_SHAPES = {
-    And: (_OR, _AND),
-    ForAll: (_OR, _AND),
-    Or: (_AND, _OR),
-    Implies: (_AND, _OR),
-    Exists: (_AND, _OR),
-    Xor: (_EQUIV, _EQUIV),
-    Iff: (_EQUIV, _EQUIV),
-}
-
-
-def _clausal(f: Formula, positive: bool):
-    """The clauses of f (¬f when not positive), f without quantifiers, as
-    lists of (polarity, Pred), when they need no fresh variable; else None."""
-    while f.__class__ is Not:
-        f, positive = f.body, not positive
-    kind = f.__class__
-    if kind is Pred:
-        return [[(positive, f)]]
-    if kind is Xor or kind is Iff:
-        return None
-    left = _clausal(f.left, positive != (kind is Implies))
-    right = _clausal(f.right, positive)
-    if left is None or right is None:
-        return None
-    if _SHAPES[kind][positive] is _AND:
-        return left + right
-    if len(left) > 1:
-        left, right = right, left
-    if len(left) > 1:
-        return None
-    return [left[0] + clause for clause in right]  # distributed over a conjunction
-
-
-def _has_quantifier(f: Formula) -> bool:
-    if isinstance(f, Pred):
-        return False
-    if isinstance(f, Not):
-        return _has_quantifier(f.body)
-    if isinstance(f, (ForAll, Exists)):
-        return True
-    return _has_quantifier(f.left) or _has_quantifier(f.right)
 
 
 class _Budget:
@@ -605,13 +483,15 @@ class Grounding:
     """What entails() last grounded, kept by a caller that asks again about
     that premise list extended (see entails): the premises, their signature,
     existential witness count and whether a witness sits under a universal,
-    and the _Grounder holding their clauses."""
+    the (size, constant names) they were grounded at, and the _Grounder
+    holding their clauses."""
 
     def __init__(self):
         self.premises: list[Formula] = []
         self.signature = Signature()
         self.witnesses = 0
         self.nested = False
+        self.key: tuple[int, tuple[str, ...]] | None = None
         self.grounder: _Grounder | None = None
 
 
@@ -645,13 +525,15 @@ def entails(
     A caller that asks about a growing premise list passes the same grounding
     each time. When premises extend the list it holds, only the new premises
     and the hypothesis are checked and counted, and the new premises are
-    grounded onto the held clauses, grown in place to a larger size first
-    when the call needs one; a call at a smaller size, or about another list,
-    starts afresh. Once every check has passed, grounding holds this call's
-    premises. Either way the verdict, or a ValueError raised, is that of a
-    call without it. The budget counts the instances this call grounds, so
-    with a kept grounding a call may stay within a budget that a call
-    without it exceeds.
+    grounded onto the held clauses if the size and constants stay the same;
+    any other call starts afresh. Once every check has passed, grounding
+    holds this call's premises. Either way the result, the unsatisfiable
+    flag, the size and exactness, or a ValueError raised, are those of a
+    call without it. Only the work can differ: the budget counts the
+    instances this call grounds, so with a kept grounding a call may stay
+    within a budget that a call without it exceeds, and
+    interpretations_explored may differ as the search starts from the kept
+    propagated state.
     """
     premises = list(premises)
     if grounding is None:
@@ -675,18 +557,18 @@ def entails(
     exact = not (nested or hyp[1] or neg[1])
     size = max(1, len(const_names) + k) if exact else len(const_names) + max_domain
     tracker = _Budget(budget)
-    ground = base.grounder
-    if ground is None or size < ground.size:
-        ground = _Grounder(size, const_names, premises, tracker)
-    else:
+    key = (size, const_names)
+    if base.key == key:
+        ground = base.grounder
         ground.budget = tracker
         try:
-            ground.grow(size, const_names)
             ground.add_premises(new)
         except BudgetExceeded:
-            grounding.__init__()  # its grounder is half grown
+            grounding.__init__()  # its grounder is half extended
             raise
-    grounding.premises, grounding.grounder = premises, ground
+    else:
+        ground = _Grounder(size, const_names, premises, tracker)
+    grounding.premises, grounding.key, grounding.grounder = premises, key, ground
     grounding.signature, grounding.witnesses, grounding.nested = signature, witnesses, nested
 
     probes = ground.probe(Not(hypothesis)), ground.probe(hypothesis)
