@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from conftest import completion_messages
 
-from symtraj import cli, fol, trajectory
+from symtraj import cli, fol, rules, trajectory
 from symtraj.cli import (
     ConfigError,
     PipelineConfig,
@@ -1366,3 +1366,21 @@ def test_evaluate_traces_skips_unknown_problems():
     stats = evaluate_traces(trajs, problems)
     assert stats["total"] == 0
     assert stats["accuracy"] == 0.0
+
+
+def test_verify_trajectory_with_kept_groundings_equals_fresh_oracle_calls(artifacts, monkeypatch):
+    # A trajectory's Context keeps one grounding across its oracle calls;
+    # every step must get the verdict that fresh oracle calls give it.
+    problems = {p.id: p for p in load_problems(artifacts["problems"])}
+    items = [(problems[t.problem_id], t) for t in map(trajectory_from_dict, read_jsonl(artifacts["traces"]))]
+    held = []
+
+    def kept(premises, claimed, grounding):
+        held.append(grounding.grounder is not None)
+        return entails(premises, claimed, grounding=grounding)
+
+    monkeypatch.setattr(rules, "entails", kept)
+    with_kept = [verify_trajectory(problem, traj) for problem, traj in items]
+    monkeypatch.setattr(rules, "entails", lambda premises, claimed, grounding: entails(premises, claimed))
+    assert [verify_trajectory(problem, traj) for problem, traj in items] == with_kept
+    assert any(held)
