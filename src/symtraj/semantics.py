@@ -179,7 +179,10 @@ class _Grounder:
         self.add_premises(premises)
 
     def add_premises(self, premises) -> None:
-        """Ground more premises into the solver, and propagate."""
+        """Ground more premises into the solver, and propagate. Atoms a probe
+        made keep their variables and its forgotten definitions' stay unused,
+        so the premise clauses are those of grounding every premise afresh,
+        in the same order, up to a renaming of variables."""
         self.clauses = []
         for f in premises:
             self._add(f, True, {}, ())
