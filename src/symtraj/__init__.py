@@ -95,7 +95,6 @@ from .supervision import (
     prm_loss,
     score_trajectory,
     select_trajectories,
-    trajectory_id_of,
 )
 from .trajectory import (
     CONTINUATION_REQUEST,

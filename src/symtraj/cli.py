@@ -63,7 +63,6 @@ from .supervision import (
     select_trajectories,
     step_label_from_dict,
     step_label_to_dict,
-    trajectory_id_of,
     with_problems,
 )
 from .trajectory import (
@@ -142,13 +141,11 @@ class PipelineConfig:
             raise ConfigError(f"temperature {self.temperature} must be finite and at least 0")
 
 
-def load_config(path: str | None) -> PipelineConfig:
+def load_config(path: str) -> PipelineConfig:
     """Config file -> PipelineConfig; flags overlay later via replace().
 
     The one file shape is {"backend": {"kind": ..., <options>}, <pipeline keys>}.
     """
-    if path is None:
-        return PipelineConfig(backend_kind="scripted")
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -232,9 +229,14 @@ def _check_finite(flag: str, value: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _write_judged(path, records, what: str, n_distinct: int, n_traces: int) -> None:
-    write_jsonl(path, records)
-    print(f"wrote {len(records)} {what} to {path} ({n_distinct} distinct of {n_traces} trajectories)")
+def _judge_traces(items, judge, records_of, out, what: str) -> None:
+    """Judge each distinct trace of the (problem, trajectory) items once
+    (judge_distinct), write records_of(problem, trajectory, result) for every
+    item to out, in order, and report the counts."""
+    results, n_distinct = judge_distinct(items, judge)
+    records = [rec for (problem, traj), result in zip(items, results) for rec in records_of(problem, traj, result)]
+    write_jsonl(out, records)
+    print(f"wrote {len(records)} {what} to {out} ({n_distinct} distinct of {len(items)} trajectories)")
 
 
 def cmd_gen_problems(args) -> int:
@@ -310,11 +312,14 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _label_records(problem, traj, labels) -> list[dict]:
+    return [{**step_label_to_dict(label), "problem_id": problem.id} for label in labels]
+
+
 def cmd_label(args) -> int:
     cfg = _overlay_flags(load_config(args.backend), args)
     problems = load_problems(args.problems)
-    trajectories = read_jsonl(args.traces, trajectory_from_dict)
-    items = with_problems(trajectories, problems)
+    items = with_problems(read_jsonl(args.traces, trajectory_from_dict), problems)
     backend = build_backend(cfg, problems)
     try:
         labeler = mc_labeler(
@@ -325,46 +330,46 @@ def cmd_label(args) -> int:
             max_tokens=cfg.max_tokens,
             parallelism=cfg.parallelism,
         )
-        all_labels, n_distinct = judge_distinct(items, labeler)
+        _judge_traces(items, labeler, _label_records, args.out, "step labels")
     finally:
         _close(backend)
-    records = [
-        {**step_label_to_dict(label), "problem_id": problem.id}
-        for (problem, _), labels in zip(items, all_labels)
-        for label in labels
-    ]
-    _write_judged(args.out, records, "step labels", n_distinct, len(items))
     return 0
+
+
+def _verdict_records(problem, traj, verdicts) -> list[dict]:
+    return [
+        {
+            "problem_id": problem.id,
+            "trajectory_id": traj.trajectory_id,
+            "step_index": i,
+            "status": verdict.status.value,
+            "rule": verdict.rule.rule.value if verdict.rule else None,
+            "note": verdict.note,
+        }
+        for i, verdict in enumerate(verdicts)
+    ]
 
 
 def cmd_verify(args) -> int:
     problems = load_problems(args.problems)
-    trajectories = read_jsonl(args.traces, trajectory_from_dict)
-    items = with_problems(trajectories, problems)
-    all_verdicts, n_distinct = judge_distinct(items, verify_trajectory)
-    records = []
-    for (problem, traj), verdicts in zip(items, all_verdicts):
-        tid = trajectory_id_of(traj)
-        for i, verdict in enumerate(verdicts):
-            records.append(
-                {
-                    "problem_id": problem.id,
-                    "trajectory_id": tid,
-                    "step_index": i,
-                    "status": verdict.status.value,
-                    "rule": verdict.rule.rule.value if verdict.rule else None,
-                    "note": verdict.note,
-                }
-            )
-    _write_judged(args.out, records, "step verdicts", n_distinct, len(items))
+    items = with_problems(read_jsonl(args.traces, trajectory_from_dict), problems)
+    _judge_traces(items, verify_trajectory, _verdict_records, args.out, "step verdicts")
     return 0
+
+
+def _score_records(problem, traj, result) -> list[dict]:
+    # A failure is the result that twins share: each is skipped with a warning.
+    if isinstance(result, ScorerUnavailable):
+        logger.warning("scoring %s failed: %s", traj.trajectory_id, result)
+        return []
+    return [prm_score_to_dict(result)]
 
 
 def cmd_score(args) -> int:
     if args.remote_url and args.scorer != "remote":
         raise ConfigError("--remote-url is read only with --scorer remote")
     problems = load_problems(args.problems)
-    trajectories = read_jsonl(args.traces, trajectory_from_dict)
+    items = with_problems(read_jsonl(args.traces, trajectory_from_dict), problems)
     if args.scorer == "symbolic":
         scorer = SymbolicScorer()
     else:
@@ -376,24 +381,15 @@ def cmd_score(args) -> int:
             raise ConfigError(f"--remote-url: {exc}") from None
 
     def score(problem, traj):
-        # A failure is the result that twins share: each is skipped below.
         try:
             return score_trajectory(problem, traj, scorer)
         except ScorerUnavailable as exc:
             return exc
 
-    items = with_problems(trajectories, problems)
     try:
-        scores, n_distinct = judge_distinct(items, score)
+        _judge_traces(items, score, _score_records, args.out, "trajectory scores")
     finally:
         _close(scorer)
-    records = []
-    for (_, traj), result in zip(items, scores):
-        if isinstance(result, ScorerUnavailable):
-            logger.warning("scoring %s failed: %s", trajectory_id_of(traj), result)
-        else:
-            records.append(prm_score_to_dict(result))
-    _write_judged(args.out, records, "trajectory scores", n_distinct, len(items))
     return 0
 
 

@@ -67,19 +67,12 @@ class RuleApplication:
 
 
 class VerdictStatus(enum.Enum):
+    """Declared best first: a step of several formulas takes the latest."""
+
     VERIFIED_BY_RULE = "VerifiedByRule"
     VERIFIED_SEMANTICALLY = "VerifiedSemantically"
-    INVALID = "Invalid"
     UNPARSEABLE = "Unparseable"
-
-
-# Aggregation severity, best first.
-_SEVERITY = [
-    VerdictStatus.VERIFIED_BY_RULE,
-    VerdictStatus.VERIFIED_SEMANTICALLY,
-    VerdictStatus.UNPARSEABLE,
-    VerdictStatus.INVALID,
-]
+    INVALID = "Invalid"
 
 
 @dataclass(frozen=True)
@@ -417,8 +410,9 @@ def _judge_formalization(formulas, action: str, context: Context, sig: fol.Signa
 def _judge_claims(formulas, action: str, context: Context, sig: fol.Signature) -> StepVerdict:
     """Each formula in turn goes through verify_step, hinted by the action,
     and then joins the context and sig whatever its verdict. The step takes
-    the most severe status, the first formula's rule if that status is
-    VerifiedByRule, and the formulas' notes joined by "; "."""
+    the worst status (the latest declared in VerdictStatus), the first
+    formula's rule if that status is VerifiedByRule, and the formulas' notes
+    joined by "; "."""
     hint = hint_from_text(action)
     verdicts = []
     for f in formulas:
@@ -426,7 +420,7 @@ def _judge_claims(formulas, action: str, context: Context, sig: fol.Signature) -
         with suppress(ArityConflict):
             sig.add_formula(f)
         context.add(f)
-    status = max((v.status for v in verdicts), key=_SEVERITY.index)
+    status = max((v.status for v in verdicts), key=list(VerdictStatus).index)
     rule = verdicts[0].rule if status is VerdictStatus.VERIFIED_BY_RULE else None
     return StepVerdict(status, rule, "; ".join(v.note for v in verdicts))
 

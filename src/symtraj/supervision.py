@@ -35,9 +35,9 @@ from .trajectory import (
     _final_answer,
     build_completion_prompt,
     build_sampling_prompt,
-    make_trajectory_id,
     n_shots_of,
     parse_trajectory,  # noqa: F401  (perfbench/layers.py wraps supervision.parse_trajectory)
+    problem_id_of,
     render_step,
 )
 
@@ -63,10 +63,6 @@ class LengthMismatch(ValueError):
 
 class ScorerUnavailable(RuntimeError):
     """The scoring service cannot judge this trajectory."""
-
-
-def trajectory_id_of(traj: Trajectory) -> str:
-    return traj.trajectory_id
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,7 @@ def prm_score_to_dict(score: PrmScore) -> dict:
 def prm_score_from_dict(d: dict) -> PrmScore:
     tid, problem_id = d["trajectory_id"], d["problem_id"]
     # dpo-pairs groups scores by problem_id, so it must name the id's own problem.
-    if tid.rpartition("#")[0] != problem_id:
+    if problem_id_of(tid) != problem_id:
         raise ValueError(f"problem_id {problem_id!r} is not the problem of trajectory id {tid!r}")
     for p in d["step_probs"]:
         if not is_probability(p):
@@ -202,10 +198,8 @@ def with_problems(trajs, problems) -> list[tuple[Problem, Trajectory]]:
         else:
             joined.append((problem, traj))
     index_once(
-        (((t.problem_id, t.raw_text), (t.steps, t.final_answer, n_shots_of(t))) for _, t in joined),
-        lambda key: f"trajectory id {make_trajectory_id(*key)!r} comes twice with different steps,"
-        " final answers or n_shots (an id is the problem id plus a digest of raw_text, so records"
-        " without raw_text share one id per problem)",
+        ((t.trajectory_id, (t.steps, t.final_answer, n_shots_of(t))) for _, t in joined),
+        lambda tid: f"trajectory id {tid!r} comes twice with different steps, final answers or n_shots",
     )
     return joined
 
@@ -220,7 +214,7 @@ def judge_distinct(items, judge) -> tuple[list, int]:
     judged: dict[str, object] = {}
     results = []
     for problem, traj in items:
-        tid = trajectory_id_of(traj)
+        tid = traj.trajectory_id
         if tid not in judged:
             judged[tid] = judge(problem, traj)
         results.append(judged[tid])
@@ -269,7 +263,7 @@ def mc_labeler(
     def label(problem: Problem, traj: Trajectory) -> list[StepLabel]:
         if not traj.steps:
             raise ValueError("trajectory has no steps to label")
-        tid = trajectory_id_of(traj)
+        tid = traj.trajectory_id
         sampling = build_sampling_prompt(problem, n_shots_of(traj))
         rendered = [render_step(s) for s in traj.steps]
         prefix_keys = []
@@ -378,7 +372,7 @@ class RemoteScorer:
 
 def score_trajectory(problem: Problem, traj: Trajectory, scorer) -> PrmScore:
     return PrmScore(
-        trajectory_id=trajectory_id_of(traj),
+        trajectory_id=traj.trajectory_id,
         step_probs=tuple(scorer.step_probs(problem, traj)),
         problem_id=traj.problem_id,
     )
@@ -406,6 +400,15 @@ def _hard_labels(labels) -> dict[str, dict[int, int]]:
     return by_id
 
 
+def _step_labels(label_map, traj: Trajectory) -> list[int] | None:
+    """traj's hard labels in step order (label_map as _hard_labels builds
+    it), or None unless every step has one."""
+    per_step = label_map.get(traj.trajectory_id, {})
+    if per_step.keys() != set(range(len(traj.steps))):
+        return None
+    return [per_step[i] for i in range(len(traj.steps))]
+
+
 def select_trajectories(
     trajs,
     problems,
@@ -427,14 +430,12 @@ def select_trajectories(
     for problem, traj in with_problems(trajs, problems):
         if traj.final_answer is not problem.label:
             continue
-        tid = trajectory_id_of(traj)
         ok = True
         if labels is not None:
-            per_step = label_map.get(tid, {})
-            ok &= per_step.keys() == set(range(len(traj.steps)))
-            ok &= all(hard_label > 0 for hard_label in per_step.values())
+            hard_labels = _step_labels(label_map, traj)
+            ok &= hard_labels is not None and all(hard_label > 0 for hard_label in hard_labels)
         if ok and scores is not None:
-            score = score_map.get(tid)
+            score = score_map.get(traj.trajectory_id)
             ok &= (
                 score is not None
                 and len(score.step_probs) == len(traj.steps)
@@ -484,14 +485,14 @@ def export_prm_dataset(labels, trajectories, problems, path) -> int:
     items = with_problems(trajectories, problems)
     records = []
     for problem, traj in items:
-        per_step = label_map.get(trajectory_id_of(traj), {})
-        if per_step.keys() != set(range(len(traj.steps))):
+        hard_labels = _step_labels(label_map, traj)
+        if hard_labels is None:
             continue
         records.append(
             {
                 "prompt": _prompt_text(problem, traj),
                 "steps": [render_step(s) for s in traj.steps],
-                "step_labels": [per_step[i] for i in range(len(traj.steps))],
+                "step_labels": hard_labels,
             }
         )
     left_out = len(items) - len(records)
@@ -514,7 +515,7 @@ def export_sft_dataset(selected, problems, path) -> int:
 def export_dpo_dataset(pairs, trajectories, problems, path) -> int:
     """DPO records {prompt, chosen, rejected}; returns the record count.
     A pair must join two traces of its problem sampled with one n_shots."""
-    by_tid = {trajectory_id_of(t): (p, t) for p, t in with_problems(trajectories, problems)}
+    by_tid = {t.trajectory_id: (p, t) for p, t in with_problems(trajectories, problems)}
     records = []
     for pair in pairs:
         if pair.chosen not in by_tid or pair.rejected not in by_tid:

@@ -68,6 +68,11 @@ def make_trajectory_id(problem_id: str, raw_text: str) -> str:
     return f"{problem_id}#{digest}"
 
 
+def problem_id_of(trajectory_id: str) -> str:
+    """The problem id that make_trajectory_id put in trajectory_id."""
+    return trajectory_id.rpartition("#")[0]
+
+
 def n_shots_of(traj: Trajectory) -> int:
     """The demonstrations traj was sampled with: its recorded n_shots, else
     DEFAULT_N_SHOTS (traces written before sample recorded it)."""
@@ -281,7 +286,7 @@ def trajectory_from_dict(d: dict) -> Trajectory:
     traj = Trajectory(
         steps=tuple(steps),
         final_answer=answer,
-        raw_text=d.get("raw_text", ""),
+        raw_text=d["raw_text"],
         problem_id=d.get("problem_id", ""),
         generator=d.get("generator", ""),
         seed_meta=meta,

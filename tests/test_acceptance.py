@@ -33,7 +33,6 @@ from symtraj.supervision import (
     prm_loss,
     select_trajectories,
     step_label_to_dict,
-    trajectory_id_of,
 )
 from symtraj.trajectory import StepKind, parse_trajectory
 
@@ -232,7 +231,7 @@ def test_criterion_7_selection_semantics():
         text = f"Thought: candidate {i}.\nObservation: Tea(alice)\nAction: Finish [{answer}]"
         traj = parse_trajectory(text, problem_id=problem.id)
         trajs.append(traj)
-        tid = trajectory_id_of(traj)
+        tid = traj.trajectory_id
         hard = [rng.choice((1, -1)) for _ in traj.steps]
         labels.extend(
             StepLabel(tid, j, n_samples=1, n_success=1 if h > 0 else 0, hard_label=h)

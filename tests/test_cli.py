@@ -42,7 +42,6 @@ from symtraj.supervision import (
     score_trajectory,
     step_label_from_dict,
     step_label_to_dict,
-    trajectory_id_of,
 )
 from symtraj.trajectory import build_sampling_prompt, parse_trajectory, trajectory_from_dict, trajectory_to_dict
 
@@ -91,13 +90,6 @@ def workspace(tmp_path):
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
-
-
-def test_load_config_defaults_without_file():
-    # No config file means no network: the inert scripted backend is the default.
-    cfg = load_config(None)
-    assert cfg.backend_kind == "scripted"
-    assert cfg.n_samples == 10 and cfg.k == 1
 
 
 def test_load_config_nested_backend(tmp_path):
@@ -930,7 +922,7 @@ def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(
         assert len(read_jsonl(out)) == len(traces) - 1
         assert warning in caplog.text
         # The warning names the dropped trace, not only its problem.
-        assert f"scoring {trajectory_id_of(trajectory_from_dict(traces[0]))} failed" in caplog.text
+        assert f"scoring {trajectory_from_dict(traces[0]).trajectory_id} failed" in caplog.text
     assert len(sleeps) == MAX_ATTEMPTS - 1
 
 
@@ -955,7 +947,7 @@ def test_verify_and_score_write_each_twin_what_it_gets_alone(artifacts, twin_tra
     verdicts = [
         {
             "problem_id": traj.problem_id,
-            "trajectory_id": trajectory_id_of(traj),
+            "trajectory_id": traj.trajectory_id,
             "step_index": i,
             "status": v.status.value,
             "rule": v.rule.rule.value if v.rule else None,
@@ -1028,13 +1020,13 @@ def test_remote_scorer_sends_twins_one_request_and_skips_each_on_failure(
     assert len(local_server.requests) == MAX_ATTEMPTS + len(trajs) // 2 - 1
     assert len(sleeps) == MAX_ATTEMPTS - 1
     # Both twins are skipped, each with a warning of its own.
-    failed = trajectory_id_of(trajs[0])
+    failed = trajs[0].trajectory_id
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert [w for w in warnings if w.startswith(f"scoring {failed} failed")] == [
         f"scoring {failed} failed: scorer request failed: giving up after {MAX_ATTEMPTS} attempts: HTTP 503"
     ] * 2
     assert [r["trajectory_id"] for r in read_jsonl(out)] == [
-        trajectory_id_of(t) for t in trajs if trajectory_id_of(t) != failed
+        t.trajectory_id for t in trajs if t.trajectory_id != failed
     ]
 
 
@@ -1207,11 +1199,7 @@ def _one_error_line(argv, capsys, message, out):
 
 
 def _twin_message(tid):
-    return (
-        f"trajectory id {tid!r} comes twice with different steps, final answers or n_shots (an id is"
-        " the problem id plus a digest of raw_text, so records without raw_text share one id per"
-        " problem)"
-    )
+    return f"trajectory id {tid!r} comes twice with different steps, final answers or n_shots"
 
 
 @pytest.mark.parametrize("stage", TRACE_READERS)
@@ -1222,11 +1210,21 @@ def test_every_trace_reader_refuses_a_twin_with_other_steps(artifacts, tmp_path,
     i = next(i for i, step in enumerate(record["steps"]) if step["kind"] == "Observation")
     spoiled_step = {"kind": "Observation", "text": "Observation: Mystery(zeta)", "formulas": ["Mystery(zeta)"]}
     spoiled = dict(record, steps=record["steps"][:i] + [spoiled_step] + record["steps"][i + 1 :])
-    message = _twin_message(trajectory_id_of(trajectory_from_dict(record)))
+    message = _twin_message(trajectory_from_dict(record).trajectory_id)
     path, out = tmp_path / "spoiled-twin-traces.jsonl", tmp_path / "out.jsonl"
     for order in ([spoiled] + traces, traces + [spoiled]):
         write_jsonl(path, order)
         _one_error_line(_argv(stage, dict(artifacts, traces=str(path), out=str(out))), capsys, message, out)
+
+
+@pytest.mark.parametrize("stage", TRACE_READERS)
+def test_every_trace_reader_refuses_a_record_without_raw_text(artifacts, tmp_path, capsys, stage):
+    # A trajectory id digests raw_text, so without it a record names no trace.
+    traces = read_jsonl(artifacts["traces"])
+    path, out = tmp_path / "bare-traces.jsonl", tmp_path / "out.jsonl"
+    write_jsonl(path, traces[:1] + [_without("raw_text")(traces[1])])
+    message = f"{path}:2: missing key 'raw_text'"
+    _one_error_line(_argv(stage, dict(artifacts, traces=str(path), out=str(out))), capsys, message, out)
 
 
 def test_label_refuses_twins_sampled_with_other_n_shots(workspace, tmp_path, capsys):
@@ -1240,7 +1238,7 @@ def test_label_refuses_twins_sampled_with_other_n_shots(workspace, tmp_path, cap
         lines += out.read_text(encoding="utf-8").splitlines(keepends=True)
     traces, out = tmp_path / "traces.jsonl", tmp_path / "labels.jsonl"
     traces.write_text("".join(lines), encoding="utf-8")
-    message = _twin_message(trajectory_id_of(trajectory_from_dict(json.loads(lines[0]))))
+    message = _twin_message(trajectory_from_dict(json.loads(lines[0])).trajectory_id)
     argv = ["label", "--traces", str(traces), "--problems", problems, "--backend", config, "--out", str(out)]
     _one_error_line(argv, capsys, message, out)
 

@@ -66,7 +66,7 @@ def test_verify_trajectory_calls_the_names_the_traced_run_wraps(monkeypatch):
     assert counts == {"verify_step": 1, "entails": 1}
 
 
-def test_mc_label_all_calls_the_names_the_traced_run_wraps(monkeypatch):
+def test_mc_labeler_calls_the_names_the_traced_run_wraps(monkeypatch):
     # trajectory.prompt_s times supervision.build_completion_prompt, and
     # llm.generate_calls counts OracleMockBackend.generate: one call per
     # prefix of each distinct trace (a twin is labelled once), and one per
@@ -91,7 +91,7 @@ def test_mc_label_all_calls_the_names_the_traced_run_wraps(monkeypatch):
             items.append((p, parse_trajectory(text, problem_id=p.id)))
     calls.update(generate=0)
     supervision.judge_distinct(items, supervision.mc_labeler(backend, n_samples=3))
-    traces = {(supervision.trajectory_id_of(t), t.steps): (p, t) for p, t in items}
+    traces = {(t.trajectory_id, t.steps): (p, t) for p, t in items}
     assert len(traces) < len(items)
     prefixes = [(p, t, n) for p, t in traces.values() for n in range(1, len(t.steps) + 1)]
     distinct = {llm.prompt_key(completion_messages(p, t, n)) for p, t, n in prefixes}

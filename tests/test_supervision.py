@@ -28,9 +28,10 @@ from symtraj.llm import (
 )
 from symtraj.mock import OracleMockBackend
 from symtraj.problems import Problem, Statement, generate_logicasker
-from symtraj.rules import verify_trajectory
+from symtraj.rules import VerdictStatus, verify_trajectory
 from symtraj.semantics import Label
 from symtraj.supervision import (
+    VERDICT_PROBS,
     PreferencePair,
     PrmScore,
     RemoteScorer,
@@ -43,7 +44,6 @@ from symtraj.supervision import (
     export_sft_dataset,
     index_once,
     judge_distinct,
-    make_trajectory_id,
     mc_label,
     mc_labeler,
     prm_loss,
@@ -52,10 +52,16 @@ from symtraj.supervision import (
     select_trajectories,
     step_label_from_dict,
     step_label_to_dict,
-    trajectory_id_of,
     with_problems,
 )
-from symtraj.trajectory import build_sampling_prompt, parse_trajectory, trajectory_from_dict, trajectory_to_dict
+from symtraj.trajectory import (
+    build_sampling_prompt,
+    make_trajectory_id,
+    parse_trajectory,
+    problem_id_of,
+    trajectory_from_dict,
+    trajectory_to_dict,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -225,6 +231,18 @@ def test_make_trajectory_id_is_stable():
     assert tid == "prob-7#" + hashlib.sha1(b"some raw text").hexdigest()[:12]
     assert make_trajectory_id("prob-7", "some raw text") == tid
     assert make_trajectory_id("prob-7", "other text") != tid
+
+
+@pytest.mark.parametrize("problem_id", ["prob-7", "folio#12", ""])
+def test_problem_id_of_reads_back_the_problem_an_id_was_made_with(problem_id):
+    assert problem_id_of(make_trajectory_id(problem_id, "some raw text")) == problem_id
+
+
+def test_verdict_probs_fall_along_the_declared_status_order():
+    # VerdictStatus is declared best first: each status scores below the one before.
+    probs = [VERDICT_PROBS[status] for status in VerdictStatus]
+    assert len(probs) == len(VERDICT_PROBS)
+    assert all(better > worse for better, worse in zip(probs, probs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +457,7 @@ def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch):
         for seed in (0, 1, 0):  # the repeated seed gives a twin trace
             text = backend.generate(GenerationRequest(messages=messages, seed=seed)).text
             items.append((p, parse_trajectory(text, problem_id=p.id)))
-    assert len({(trajectory_id_of(t), t.steps) for _, t in items}) < len(items)
+    assert len({(t.trajectory_id, t.steps) for _, t in items}) < len(items)
     fillers = (mock._SLOPPY_FORMULA, mock._SLOPPY_PROSE)
     assert any(f"Observation: {filler}" in t.raw_text for _, t in items for filler in fillers)
     digests = []
@@ -552,7 +570,7 @@ def test_symbolic_scorer_probabilities():
 def test_score_trajectory_wraps_probs():
     problem, traj = _mc_fixture()
     score = score_trajectory(problem, traj, SymbolicScorer())
-    assert score.trajectory_id == trajectory_id_of(traj)
+    assert score.trajectory_id == traj.trajectory_id
     assert score.trajectory_prob == pytest.approx(math.prod(score.step_probs))
 
 
@@ -677,7 +695,7 @@ def test_judge_distinct_calls_the_judge_once_per_distinct_trace():
     calls = []
 
     def judge(problem, traj):
-        calls.append(trajectory_id_of(traj))
+        calls.append(traj.trajectory_id)
         return verify_trajectory(problem, traj)
 
     results, n_distinct = judge_distinct(items, judge)
@@ -695,24 +713,14 @@ def test_with_problems_refuses_a_twin_id_with_other_steps():
     steps = list(traj.steps)
     steps[4] = parse_trajectory("Observation: Cook(bob)").steps[0]
     edited = dataclasses.replace(traj, steps=tuple(steps))
-    assert trajectory_id_of(edited) == trajectory_id_of(traj)
+    assert edited.trajectory_id == traj.trajectory_id
     twin = parse_trajectory(MC_TRACE, problem_id=problem.id)
     assert with_problems([traj, twin], [problem]) == [(problem, traj), (problem, twin)]
     other_answer = dataclasses.replace(traj, final_answer=Label.FALSE)
-    message = re.escape(f"trajectory id {trajectory_id_of(traj)!r} comes twice with different steps")
+    message = re.escape(f"trajectory id {traj.trajectory_id!r} comes twice with different steps")
     for trajs in ([traj, edited], [edited, twin], [traj, other_answer]):
         with pytest.raises(FormatError, match=message):
             with_problems(trajs, [problem])
-
-
-def test_with_problems_refuses_two_traces_without_raw_text_for_one_problem():
-    problem, other = _chain_problem(), _chain_problem("other")
-    short = parse_trajectory("Thought: immediate.\nAction: Finish [True]", problem_id=problem.id)
-    bare = [dataclasses.replace(t, raw_text="") for t in (_mc_fixture()[1], short)]
-    elsewhere = dataclasses.replace(bare[1], problem_id=other.id)
-    assert len(with_problems([bare[0], elsewhere], [problem, other])) == 2
-    with pytest.raises(FormatError, match="records without raw_text share one id per problem"):
-        with_problems(bare, [problem])
 
 
 def test_index_once_keeps_one_value_per_key_and_refuses_another():
@@ -737,7 +745,7 @@ def _judged_set(n_traj: int, rng: random.Random):
         text = f"Thought: variant {i}.\nAction: Finish [{answer}]"
         traj = parse_trajectory(text, problem_id="sel")
         trajs.append(traj)
-        tid = trajectory_id_of(traj)
+        tid = traj.trajectory_id
         hard = [rng.choice((1, -1)) for _ in traj.steps]
         labels.extend(_labels_for(tid, hard))
         probs = tuple(rng.choice((0.99, 0.9, 0.3)) for _ in traj.steps)
@@ -761,7 +769,7 @@ def test_select_by_labels_exact_semantics():
         t
         for t in trajs
         if t.final_answer is problem.label
-        and all(l.hard_label > 0 for l in by_tid[trajectory_id_of(t)])
+        and all(l.hard_label > 0 for l in by_tid[t.trajectory_id])
     ]
     assert selected == expected
 
@@ -774,21 +782,21 @@ def test_select_by_scores_strict_threshold():
         t
         for t in trajs
         if t.final_answer is problem.label
-        and all(p > 0.5 for p in score_map[trajectory_id_of(t)].step_probs)
+        and all(p > 0.5 for p in score_map[t.trajectory_id].step_probs)
     ]
     assert selected == expected
     # Probability exactly at the threshold is rejected.
     traj = trajs[0]
-    tid = trajectory_id_of(traj)
+    tid = traj.trajectory_id
     flat = [PrmScore(tid, tuple(0.5 for _ in traj.steps))]
-    gold = [t for t in trajs if trajectory_id_of(t) == tid and t.final_answer is problem.label]
+    gold = [t for t in trajs if t.trajectory_id == tid and t.final_answer is problem.label]
     assert select_trajectories(gold, [problem], scores=flat, step_threshold=0.5) == []
 
 
 def test_select_requires_complete_judgments():
     problem, traj = _mc_fixture()
     assert traj.final_answer is problem.label
-    tid = trajectory_id_of(traj)
+    tid = traj.trajectory_id
     partial = _labels_for(tid, [1] * (len(traj.steps) - 1))
     assert select_trajectories([traj], [problem], labels=partial) == []
     full = _labels_for(tid, [1] * len(traj.steps))
@@ -797,7 +805,7 @@ def test_select_requires_complete_judgments():
 
 def test_select_with_both_sources_needs_both_to_pass():
     problem, traj = _mc_fixture()
-    tid = trajectory_id_of(traj)
+    tid = traj.trajectory_id
     good_labels = _labels_for(tid, [1] * len(traj.steps))
     good_score = [PrmScore(tid, tuple(0.9 for _ in traj.steps))]
     bad_score = [PrmScore(tid, tuple(0.2 for _ in traj.steps))]
@@ -832,7 +840,7 @@ def test_select_keeps_identical_samples():
     # id twice; both copies are still fully and positively judged.
     problem, traj = _mc_fixture()
     twin = parse_trajectory(MC_TRACE, problem_id=problem.id)
-    assert trajectory_id_of(twin) == trajectory_id_of(traj)
+    assert twin.trajectory_id == traj.trajectory_id
     backend = CountingBackend(succeed_first=10)
     labels = mc_label(problem, traj, backend) + mc_label(problem, twin, backend)
     assert select_trajectories([traj, twin], [problem], labels=labels) == [traj, twin]
@@ -847,7 +855,7 @@ def test_select_keeps_identical_samples():
 
 def test_select_refuses_two_scores_for_one_id():
     problem, traj = _mc_fixture()
-    tid = trajectory_id_of(traj)
+    tid = traj.trajectory_id
     good, bad = (PrmScore(tid, tuple(p for _ in traj.steps)) for p in (0.9, 0.2))
     assert select_trajectories([traj], [problem], scores=[good, good]) == [traj]
     for scores in ([bad, good], [good, bad]):
@@ -858,7 +866,7 @@ def test_select_refuses_two_scores_for_one_id():
 def test_select_drops_unknown_problems():
     problem, traj = _mc_fixture()
     stray = parse_trajectory(MC_TRACE, problem_id="elsewhere")
-    tid = trajectory_id_of(stray)
+    tid = stray.trajectory_id
     labels = _labels_for(tid, [1] * len(stray.steps))
     assert select_trajectories([stray], [problem], labels=labels) == []
 
@@ -952,7 +960,7 @@ def test_build_dpo_pairs_chosen_always_outranks_rejected():
 
 def test_export_prm_dataset_round_trip(tmp_path):
     problem, traj = _mc_fixture()
-    tid = trajectory_id_of(traj)
+    tid = traj.trajectory_id
     labels = _labels_for(tid, [1, 1, 1, -1, -1, -1])
     out = tmp_path / "prm.jsonl"
     count = export_prm_dataset(labels, [traj], [problem], out)
@@ -971,8 +979,8 @@ def test_export_prm_dataset_leaves_out_traces_not_labelled_at_every_step(tmp_pat
     # training record holds a label for every step.
     problem, traj = _mc_fixture()
     other = parse_trajectory(MC_TRACE + "\n", problem_id=problem.id)
-    labels = [StepLabel(trajectory_id_of(traj), 1, n_samples=2, n_success=2, hard_label=1)]
-    labels += _labels_for(trajectory_id_of(other), [1, -1, 1, 1, 1, 1])
+    labels = [StepLabel(traj.trajectory_id, 1, n_samples=2, n_success=2, hard_label=1)]
+    labels += _labels_for(other.trajectory_id, [1, -1, 1, 1, 1, 1])
     out = tmp_path / "prm.jsonl"
     with caplog.at_level(logging.WARNING):
         assert export_prm_dataset(labels, [traj, other, traj], [problem], out) == 1
@@ -987,7 +995,7 @@ def test_export_prm_dataset_leaves_out_traces_not_labelled_at_every_step(tmp_pat
 
 def test_export_prm_dataset_refuses_two_labels_for_one_step(tmp_path):
     problem, traj = _mc_fixture()
-    tid = trajectory_id_of(traj)
+    tid = traj.trajectory_id
     labels = _labels_for(tid, [1] * len(traj.steps))
     out = tmp_path / "prm.jsonl"
     assert export_prm_dataset(labels + labels, [traj], [problem], out) == 1
@@ -1020,7 +1028,7 @@ def test_export_dpo_dataset(tmp_path):
     problem = _chain_problem("dpo")
     good = parse_trajectory(MC_TRACE, problem_id="dpo")
     bad = parse_trajectory("Thought: guesswork.\nAction: Finish [False]", problem_id="dpo")
-    pair = PreferencePair("dpo", trajectory_id_of(good), trajectory_id_of(bad), 0.7)
+    pair = PreferencePair("dpo", good.trajectory_id, bad.trajectory_id, 0.7)
     out = tmp_path / "dpo.jsonl"
     count = export_dpo_dataset([pair], [good, bad], [problem], out)
     assert count == 1
@@ -1033,7 +1041,7 @@ def test_export_dpo_dataset(tmp_path):
 def test_export_dpo_skips_incomplete_pairs(tmp_path):
     problem = _chain_problem("dpo")
     good = parse_trajectory(MC_TRACE, problem_id="dpo")
-    pair = PreferencePair("dpo", trajectory_id_of(good), "dpo#missing00000", 0.5)
+    pair = PreferencePair("dpo", good.trajectory_id, "dpo#missing00000", 0.5)
     out = tmp_path / "dpo.jsonl"
     assert export_dpo_dataset([pair], [good], [problem], out) == 0
     assert out.read_text(encoding="utf-8") == ""
@@ -1043,7 +1051,7 @@ def test_export_dpo_refuses_a_pair_of_traces_sampled_with_other_n_shots(tmp_path
     problem = _chain_problem("dpo")
     good = parse_trajectory(MC_TRACE, problem_id="dpo", seed_meta={"n_shots": 2})
     bad = parse_trajectory("Thought: guesswork.\nAction: Finish [False]", problem_id="dpo")
-    pair = PreferencePair("dpo", trajectory_id_of(good), trajectory_id_of(bad), 0.7)
+    pair = PreferencePair("dpo", good.trajectory_id, bad.trajectory_id, 0.7)
     out = tmp_path / "dpo.jsonl"
     with pytest.raises(FormatError, match="sampled with n_shots 2 and 1"):
         export_dpo_dataset([pair], [good, bad], [problem], out)
@@ -1056,7 +1064,7 @@ def test_export_dpo_refuses_a_pair_that_is_not_two_traces_of_its_problem(tmp_pat
     bad = parse_trajectory("Thought: guesswork.\nAction: Finish [False]", problem_id="other")
     out = tmp_path / "dpo.jsonl"
     for problem_id in ("dpo", "other"):
-        pair = PreferencePair(problem_id, trajectory_id_of(good), trajectory_id_of(bad), 0.7)
+        pair = PreferencePair(problem_id, good.trajectory_id, bad.trajectory_id, 0.7)
         with pytest.raises(FormatError, match=f"is not two traces of its problem '{problem_id}'"):
             export_dpo_dataset([pair], [good, bad], problems, out)
     assert not out.exists()
