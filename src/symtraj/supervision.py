@@ -401,8 +401,7 @@ def _hard_labels(labels) -> dict[str, dict[int, int]]:
 
 
 def _step_labels(label_map, traj: Trajectory) -> list[int] | None:
-    """traj's hard labels in step order (label_map as _hard_labels builds
-    it), or None unless every step has one."""
+    """traj's hard labels (from _hard_labels) in step order, or None unless every step has one."""
     per_step = label_map.get(traj.trajectory_id, {})
     if per_step.keys() != set(range(len(traj.steps))):
         return None
