@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import inspect
 import json
 import logging
@@ -30,7 +31,7 @@ from symtraj.fol import parse_formula
 from symtraj.jsonl import read_jsonl, write_jsonl
 from symtraj.llm import MAX_ATTEMPTS, HttpBackend, ScriptedMockBackend, prompt_key
 from symtraj.mock import OracleMockBackend
-from symtraj.problems import Problem, Statement, load_problems
+from symtraj.problems import InvariantViolation, Problem, Statement, load_problems
 from symtraj.semantics import Label, entails
 from symtraj.rules import verify_trajectory
 from symtraj.supervision import (
@@ -1126,6 +1127,66 @@ def test_main_reuses_one_parser_that_parses_as_a_fresh_one(artifacts, tmp_path, 
         if isinstance(fresh[0], int):
             assert capsys.readouterr() == fresh[1], argv
     assert Path(out).exists()
+
+
+def _run_command(monkeypatch, command):
+    """main() with command standing in for the parsed subcommand's func."""
+    parser = Namespace(parse_args=lambda argv: Namespace(func=command))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    return main([])
+
+
+def test_a_command_runs_with_only_generation_0s_threshold_raised(monkeypatch):
+    seen = []
+    caller = gc.get_threshold()
+    assert _run_command(monkeypatch, lambda args: seen.append(gc.get_threshold()) or 0) == 0
+    assert seen == [(cli.COMMAND_GC_THRESHOLD, *caller[1:])]
+
+
+def _config_error(args):
+    raise ConfigError("bad key")
+
+
+def _invariant_violation(args):
+    raise InvariantViolation("oracle disagrees")
+
+
+def _crash(args):
+    raise RuntimeError("crash")
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [(lambda args: 0, 0), (_config_error, 1), (_invariant_violation, 2), (_crash, None)],
+    ids=["success", "config-error", "invariant-violation", "exception"],
+)
+def test_main_restores_the_callers_gc_thresholds_on_every_exit(monkeypatch, capsys, command, code):
+    saved = gc.get_threshold()
+    gc.set_threshold(321, 7, 9)
+    try:
+        if code is None:
+            with pytest.raises(RuntimeError, match="crash"):
+                _run_command(monkeypatch, command)
+        else:
+            assert _run_command(monkeypatch, command) == code
+        assert gc.get_threshold() == (321, 7, 9)
+    finally:
+        gc.set_threshold(*saved)
+
+
+@pytest.mark.parametrize("stage", READERS)
+def test_a_command_leaves_no_cyclic_garbage(artifacts, tmp_path, capsys, stage):
+    # The premise of COMMAND_GC_THRESHOLD: a command's objects hold no
+    # reference cycles. The first call may leave one-time set-up behind.
+    argv = _argv(stage, dict(artifacts, out=str(tmp_path / "out.jsonl")))
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _as_json(value):

@@ -328,7 +328,7 @@ def test_mc_label_rejects_bad_arguments():
     assert empty.steps  # sanity: the Finish line itself is a step
 
 
-# The test_mc_label_all_* tests below label a whole stage the way the label
+# The test_mc_labeler_* tests below label a whole stage the way the label
 # command does: judge_distinct(items, mc_labeler(backend, **options)).
 
 MC_TRACE_BRANCH = MC_TRACE.replace(
@@ -346,7 +346,7 @@ def _dedup_fixture():
     return problem, [traj, twin, branch, short]
 
 
-def test_mc_label_all_sends_each_distinct_request_once():
+def test_mc_labeler_sends_each_distinct_request_once():
     problem, trajs = _dedup_fixture()
     backend = RecordingBackend()
     judge_distinct([(problem, t) for t in trajs], mc_labeler(backend, n_samples=3, parallelism=2))
@@ -356,7 +356,7 @@ def test_mc_label_all_sends_each_distinct_request_once():
     assert len(counts) == (6 + 0 + 2 + 2) * 3
 
 
-def test_mc_label_all_equals_per_trajectory_mc_label():
+def test_mc_labeler_equals_per_trajectory_mc_label():
     problem, trajs = _dedup_fixture()
     for make_backend in (lambda: CountingBackend(2), lambda: FlakyBackend({1})):
         together = judge_distinct([(problem, t) for t in trajs], mc_labeler(make_backend(), n_samples=3))[0]
@@ -364,7 +364,7 @@ def test_mc_label_all_equals_per_trajectory_mc_label():
         assert together == one_by_one
 
 
-def test_mc_label_all_sends_a_failed_request_once_and_labels_twins_alike():
+def test_mc_labeler_sends_a_failed_request_once_and_labels_twins_alike():
     problem, trajs = _dedup_fixture()
     traj, twin = trajs[:2]
     messages = completion_messages(problem, traj, 2)
@@ -379,7 +379,7 @@ def test_mc_label_all_sends_a_failed_request_once_and_labels_twins_alike():
     assert set(counts.values()) == {1}
 
 
-def test_mc_label_all_labels_twins_once_and_logs_their_failures_once(caplog):
+def test_mc_labeler_labels_twins_once_and_logs_their_failures_once(caplog):
     problem, trajs = _dedup_fixture()
     traj, twin = trajs[:2]
     with caplog.at_level(logging.WARNING):
@@ -396,7 +396,7 @@ def test_mc_label_all_labels_twins_once_and_logs_their_failures_once(caplog):
 
 
 @pytest.mark.parametrize("n_shots", [1, 2])
-def test_mc_label_all_sends_the_prompt_of_each_prefix(n_shots):
+def test_mc_labeler_sends_the_prompt_of_each_prefix(n_shots):
     problem, traj = _mc_fixture()
     traj = dataclasses.replace(traj, seed_meta={"n_shots": n_shots})
     # Two identical steps still make two prefixes, each with its own prompt.
@@ -418,7 +418,7 @@ def test_mc_label_all_sends_the_prompt_of_each_prefix(n_shots):
     assert backend.messages == expected
 
 
-def test_mc_label_all_skips_only_the_prefixes_with_too_long_prompts():
+def test_mc_labeler_skips_only_the_prefixes_with_too_long_prompts():
     problem, trajs = _dedup_fixture()
     traj, _, branch, short = trajs
     sizes = [
@@ -446,7 +446,7 @@ def _record_requests(monkeypatch, backend) -> list[tuple]:
     return sent
 
 
-def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch):
+def test_mc_labeler_digests_each_distinct_prompt_sent_once(monkeypatch):
     # The oracle mock digests a prompt to seed its answers; the labeller
     # knows a request by what its prompt is built from and digests nothing.
     problems = generate_logicasker(2, [3], seed=5)
@@ -476,7 +476,7 @@ def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch):
     assert len(digests) == len(distinct)
 
 
-def test_mc_label_all_sends_each_problems_prompts_for_one_trace_text(monkeypatch):
+def test_mc_labeler_sends_each_problems_prompts_for_one_trace_text(monkeypatch):
     # One trace text under two problems with different gold labels: a
     # request is known by its problem's prompt, not by the trace alone.
     tea = _chain_problem("tea")
