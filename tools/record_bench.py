@@ -1,17 +1,19 @@
 """Record a BENCH file: the benchmark's result for every workload, plus its rounds.
 
-    python3 tools/record_bench.py [--seed 7] [--seconds 40]
+    python3 tools/record_bench.py
 
 For each workload that BENCHMARK.json declares it runs
 
-    perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0
+    perfbench/run.py --workload W --seed 7 --seconds RUN_SECONDS --trace 0
 
-and keeps the result line and the per-round values its medians came from
-(round seeds, pipeline_s, wall_s, host_speed, setup_s). A run is time-boxed,
-so two commits may reach different round seeds; to compare rounds seed by
-seed it also runs perfbench/worker.py on the fixed round seeds ROUND_SEEDS and
-keeps each round's result and the SHA-256 of each artifact it wrote. Two BENCH
-files then show byte-identity as equal digests.
+with BENCHMARK.json's run_seconds, and keeps the result line and the
+per-round values its medians came from (round seeds, pipeline_s, wall_s,
+host_speed, setup_s). The seed and the time box are fixed, so that two BENCH
+files compare. A run is time-boxed, so two commits may reach different round
+seeds; to compare rounds seed by seed it also runs perfbench/worker.py on the
+fixed round seeds ROUND_SEEDS and keeps each round's result and the SHA-256
+of each artifact it wrote. Two BENCH files then show byte-identity as equal
+digests.
 
 It writes BENCH_<date>_<short commit>.json at the repo root, with the commit,
 whether a tracked file differs from it, and the host. This script imports
@@ -22,7 +24,6 @@ only while this process peaks below it.
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import hashlib
 import json
@@ -34,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
 ROUND_SEEDS = (2003, 3005)
 RUN_DETAIL_KEYS = ("round_seeds", "pipeline_s", "wall_s", "host_speed", "setup_s")
 WORKER_KEYS = ("pipeline_s", "wall_s", "peak_rss_mb", "backend_calls", "prompt_mb", "stage_rc")
@@ -88,26 +90,21 @@ def run_round(workload: str, seed: int) -> dict:
 
 def main() -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=7, help="run.py's seed (default 7)")
-    parser.add_argument("--seconds", type=float, default=declared["run_seconds"],
-                        help="run.py's time box (default: BENCHMARK.json's run_seconds)")
-    args = parser.parse_args()
-
+    seconds = declared["run_seconds"]
     commit = git("rev-parse", "HEAD")
     bench = {
         "commit": commit,
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "date": datetime.datetime.now(datetime.timezone.utc).date().isoformat(),
         "host": host(),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": seconds,
         "workloads": {},
     }
     for w in declared["workloads"]:
         name = w["name"]
-        print(f"{name}: run.py for {args.seconds:g} s", file=sys.stderr)
-        entry = run_benchmark(name, args.seed, args.seconds)
+        print(f"{name}: run.py for {seconds:g} s", file=sys.stderr)
+        entry = run_benchmark(name, SEED, seconds)
         entry["round_results"] = {}
         for seed in ROUND_SEEDS:
             print(f"{name}: worker round {seed}", file=sys.stderr)
