@@ -1138,8 +1138,13 @@ def _run_command(monkeypatch, command):
 
 def test_a_command_runs_with_only_generation_0s_threshold_raised(monkeypatch):
     seen = []
+
+    def command(args):
+        seen.append(gc.get_threshold())
+        return 0
+
     caller = gc.get_threshold()
-    assert _run_command(monkeypatch, lambda args: seen.append(gc.get_threshold()) or 0) == 0
+    assert _run_command(monkeypatch, command) == 0
     assert seen == [(cli.COMMAND_GC_THRESHOLD, *caller[1:])]
 
 
