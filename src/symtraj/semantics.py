@@ -26,13 +26,11 @@ one per search node (each probe's root and each branch), so a call that
 would build c^v instances raises BudgetExceeded before it builds them.
 interpretations_explored reports the search nodes alone.
 
-The premises' clauses are held in a solver state kept after root unit
-propagation: occurrence lists, counts and assignments. Each of the two
-probes searches a copy of that state with its own clauses added, so nothing
-is undone and the premises are not propagated again. A caller that asks
-about a growing premise list can keep a Grounding across calls; a call at
-the same size with the same constants adds only the new premises' clauses
-to the held state, and any other call grounds afresh.
+A caller that asks about a growing premise list can keep a Grounding
+across calls: it holds the premises' clause list, and a call at the same
+size with the same constants grounds only the new premises onto it, while
+any other call grounds afresh. The search keeps nothing: each of the two
+probes builds its DPLL state from the premise clauses and its own.
 """
 
 from __future__ import annotations
@@ -165,7 +163,7 @@ class _Grounder:
     the formulas do. An operand of ⊕ or ↔ is defined once per variable
     binding and the definition reused, so nested ⊕/↔ ground in linear size.
     Every quantifier instance ticks budget before it is grounded.
-    The premises' clauses live in solver, unit-propagated.
+    The premises' clauses are kept in premise_clauses.
     """
 
     def __init__(self, size: int, const_names, premises, budget: "_Budget"):
@@ -174,35 +172,30 @@ class _Grounder:
         self.atoms: dict[tuple[str, tuple[int, ...]], int] = {}
         self.defined: dict[tuple[Formula, tuple], int] = {}
         self.n_vars = 0
-        self.solver = _Solver()
+        self.premise_clauses: list[list[int]] = []
+        self.clauses = self.premise_clauses  # where _clause appends
         self.budget = budget
         self.add_premises(premises)
 
     def add_premises(self, premises) -> None:
-        """Ground more premises into the solver, and propagate. Atoms a probe
-        made keep their variables and its forgotten definitions' stay unused,
-        so the premise clauses are those of grounding every premise afresh,
-        in the same order, up to a renaming of variables."""
-        self.clauses = []
+        """Ground more premises onto premise_clauses. Atoms a probe made keep
+        their variables and its forgotten definitions' stay unused, so the
+        premise clauses are those of grounding every premise afresh, in the
+        same order, up to a renaming of variables."""
         for f in premises:
             self._add(f, True, {}, ())
-        self.solver.add(self.clauses, self.n_vars)
-        self.solver.propagate()
-        self.solver.trail.clear()  # never undone
 
-    def probe(self, f: Formula) -> _Solver:
-        """A copy of the premises' solver with f's clauses added, to search
-        whether the premises and f have a model. Definitions made for f are
-        forgotten afterwards, as their clauses belong to that copy only."""
+    def probe(self, f: Formula) -> list[list[int]]:
+        """The premise clauses and then f's, a new list, to search whether
+        the premises and f have a model. Definitions made for f are
+        forgotten afterwards, as their clauses belong to this list only."""
         defined = dict(self.defined)
-        self.clauses = []
+        clauses = self.clauses = list(self.premise_clauses)
         try:
             self._add(f, True, {}, ())
         finally:
-            self.defined = defined
-        solver = self.solver.copy()
-        solver.add(self.clauses, self.n_vars)
-        return solver
+            self.defined, self.clauses = defined, self.premise_clauses
+        return clauses
 
     def _fresh(self) -> int:
         self.n_vars += 1
@@ -322,68 +315,34 @@ class _Budget:
 
 
 class _Solver:
-    """DPLL over a clause list that grows.
+    """DPLL over one probe's clauses, variables 1..n_vars.
 
     Each clause counts its true and its unassigned literals, and a clause
     with no true literal sits in open_by_free[k], k its unassigned count:
     open_by_free[0] holds conflicts, open_by_free[1] unit clauses, and the
     branch is a literal of a shortest open clause. occurs lists the clauses
     of each literal, v at v and -v at 2 * n_vars + 1 - v (negative
-    indexing). add appends clauses under the current assignment, and
-    propagate assigns the unit clauses' literals; what they settle for the
-    premises is kept, and each probe searches a copy. Within a search every
-    assignment goes on the trail, and backtracking undoes it in reverse.
+    indexing). Every assignment goes on the trail, and backtracking undoes
+    it in reverse. A class, not closures over the state: a recursive search
+    closure refers to itself through its cell, a reference cycle that only
+    the cyclic collector frees, and a command must leave no cyclic garbage.
     """
 
-    __slots__ = ("clauses", "n_vars", "occurs", "value", "n_true", "n_free", "open_by_free", "trail")
+    __slots__ = ("clauses", "occurs", "value", "n_true", "n_free", "open_by_free", "trail")
 
-    def __init__(self):
-        self.clauses: list[list[int]] = []
-        self.n_vars = 0
-        self.occurs: list[list[int]] = [[]]
-        self.value: list[bool | None] = [None]
-        self.n_true: list[int] = []
-        self.n_free: list[int] = []
-        self.open_by_free: list[set[int]] = [set(), set()]
-        self.trail: list[int] = []
-
-    def copy(self) -> "_Solver":
-        other = _Solver.__new__(_Solver)
-        other.clauses = list(self.clauses)
-        other.n_vars = self.n_vars
-        other.occurs = list(map(list.copy, self.occurs))
-        other.value = list(self.value)
-        other.n_true = list(self.n_true)
-        other.n_free = list(self.n_free)
-        other.open_by_free = list(map(set.copy, self.open_by_free))
-        other.trail = []
-        return other
-
-    def add(self, clauses, n_vars: int) -> None:
-        """Append clauses over variables 1..n_vars, counted under the current
-        assignment."""
-        if n_vars > self.n_vars:
-            cut, extra = self.n_vars + 1, 2 * (n_vars - self.n_vars)
-            self.occurs[cut:cut] = [[] for _ in range(extra)]
-            self.value[cut:cut] = [None] * extra
-            self.n_vars = n_vars
-        value, occurs, open_by_free = self.value, self.occurs, self.open_by_free
-        for clause in clauses:
-            ci = len(self.clauses)
-            self.clauses.append(clause)
-            n_true = n_free = 0
+    def __init__(self, clauses: list[list[int]], n_vars: int):
+        self.clauses = clauses
+        occurs: list[list[int]] = [[] for _ in range(2 * n_vars + 1)]
+        self.value: list[bool | None] = [None] * (2 * n_vars + 1)
+        self.n_true = [0] * len(clauses)
+        self.n_free = [len(c) for c in clauses]
+        open_by_free: list[set[int]] = [set() for _ in range(max(self.n_free, default=0) + 2)]
+        for ci, clause in enumerate(clauses):
+            open_by_free[len(clause)].add(ci)
             for lit in clause:
                 occurs[lit].append(ci)
-                if value[lit] is None:
-                    n_free += 1
-                else:
-                    n_true += value[lit]
-            self.n_true.append(n_true)
-            self.n_free.append(n_free)
-            if not n_true:
-                while len(open_by_free) <= n_free + 1:
-                    open_by_free.append(set())
-                open_by_free[n_free].add(ci)
+        self.occurs, self.open_by_free = occurs, open_by_free
+        self.trail: list[int] = []
 
     def assign(self, lit: int) -> None:
         value, n_true, n_free, open_by_free = self.value, self.n_true, self.n_free, self.open_by_free
@@ -532,11 +491,12 @@ def entails(
     any other call starts afresh. Once every check has passed, grounding
     holds this call's premises. Either way the result, the unsatisfiable
     flag, the size and exactness, or a ValueError raised, are those of a
-    call without it. Only the work can differ: the budget counts the
-    instances this call grounds, so with a kept grounding a call may stay
-    within a budget that a call without it exceeds, and
-    interpretations_explored may differ as the search starts from the kept
-    propagated state.
+    call without it, and so is interpretations_explored: each probe
+    searches the fresh call's clauses, in the same order, up to a renaming
+    of variables. Only the grounding work differs, and the budget it
+    spends: the budget counts the instances this call grounds, so with a
+    kept grounding a call may stay within a budget that a call without it
+    exceeds.
     """
     premises = list(premises)
     if grounding is None:
@@ -576,7 +536,7 @@ def entails(
 
     probes = ground.probe(Not(hypothesis)), ground.probe(hypothesis)
     grounded = tracker.used
-    sat_with_neg, sat_with_hyp = (probe.search(tracker) for probe in probes)
+    sat_with_neg, sat_with_hyp = (_Solver(clauses, ground.n_vars).search(tracker) for clauses in probes)
 
     # Every model of the premises satisfies the hypothesis or its negation,
     # so the premises are satisfiable iff one of the two probes succeeded.

@@ -431,6 +431,31 @@ def test_sample_is_deterministic(workspace):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize(
+    "reply", [None, "The premises leave me unsure where to begin."], ids=["backend error", "no steps"]
+)
+def test_sample_counts_a_failed_reply_and_writes_no_trace_for_it(workspace, tmp_path, capsys, reply):
+    # Two problems: the first gets a sound reply; the second gets reply, or,
+    # with no script entry and no default_text, a backend error.
+    problems = tmp_path / "two.jsonl"
+    write_jsonl(problems, read_jsonl(workspace["problems"])[:2])
+    first, second = (
+        prompt_key(tuple(build_sampling_prompt(p, PipelineConfig.n_shots).to_messages()))
+        for p in load_problems(str(problems))
+    )
+    script = {first: "Thought: The premises settle it.\nAction: Finish [True]"}
+    if reply is not None:
+        script[second] = reply
+    cfg = _write_json(tmp_path / "scripted.json", {"backend": {"kind": "scripted", "script": script}})
+    out = tmp_path / "traces.jsonl"
+    capsys.readouterr()
+    argv = ["sample", "--problems", str(problems), "--backend", cfg, "--n", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert f"wrote 1 trajectories to {out} (1 failures)" in capsys.readouterr().out
+    (record,) = read_jsonl(out)
+    assert record["problem_id"] == read_jsonl(problems)[0]["id"]
+
+
 def test_label_matches_per_trajectory_mc_label_byte_for_byte(workspace):
     d = workspace["dir"]
     problems = str(workspace["problems"])
@@ -613,12 +638,19 @@ def _fails_with_one_config_line(argv, capsys, name):
         ({"backend": {"kind": "oracle-mock", "sloppyness": 1.0}}, "'sloppyness'"),
         ({"backend": dict(HTTP, timeout=1)}, "'timeout'"),
         ({"backend": dict(HTTP, session=None)}, "'session'"),
+        ([{"backend": {"kind": "oracle-mock"}}], "expected a JSON object"),
+        ({"temperature": 0.3}, "needs a 'backend' object"),
     ],
 )
 def test_config_setting_nothing_reads_fails(workspace, tmp_path, capsys, config, name):
     cfg = _write_json(tmp_path / "cfg.json", config)
     argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg]
     _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, name)
+
+
+def test_config_path_that_cannot_be_read_is_one_config_line(workspace, tmp_path, capsys):
+    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", str(tmp_path)]
+    _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, str(tmp_path))
 
 
 def test_zero_shots_fails(workspace, tmp_path, capsys):
@@ -806,6 +838,7 @@ MALFORMED = {
         "n_shots 0": _n_shots(0),
         "n_shots a string": _n_shots("2"),
         "n_shots true": _n_shots(True),
+        "line not an object": lambda rec: [rec],
     },
     "scores": {
         "missing key": _without("trajectory_id"),
@@ -1054,6 +1087,13 @@ def test_remote_url_that_is_not_http_is_a_config_error(artifacts, tmp_path, caps
     _fails_with_one_config_line(argv + ["--scorer", "remote", "--remote-url", "scorer:8000"], capsys, "--remote-url")
 
 
+def test_remote_scorer_without_remote_url_is_a_config_error(artifacts, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    argv = _argv("score", dict(artifacts, out=str(out)))
+    _fails_with_one_config_line(argv + ["--scorer", "remote"], capsys, "needs --remote-url")
+    assert not out.exists()
+
+
 def test_http_base_url_that_is_not_http_is_a_config_error(workspace, tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"backend": dict(HTTP, base_url="localhost:8000/v1")})
     argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg]
@@ -1068,6 +1108,13 @@ def test_count_below_one_is_a_config_error(workspace, tmp_path, capsys, command,
     }[command]
     out = tmp_path / "out.jsonl"
     _fails_with_one_config_line(argv + [flag, "0", "--out", str(out)], capsys, flag)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lengths", ["a,b", "0"])
+def test_bad_lengths_is_a_config_error(tmp_path, capsys, lengths):
+    out = tmp_path / "out.jsonl"
+    _fails_with_one_config_line(["gen-problems", "--lengths", lengths, "--out", str(out)], capsys, "--lengths")
     assert not out.exists()
 
 
