@@ -8,9 +8,10 @@ import threading
 import pytest
 from conftest import completion_messages
 
+from symtraj.fol import parse_formula
 from symtraj.llm import BackendUnavailable, GenerationRequest, PromptTooLong, prompt_key
 from symtraj.mock import OracleMockBackend
-from symtraj.problems import generate_logicasker
+from symtraj.problems import Problem, Statement, generate_logicasker
 from symtraj.rules import VerdictStatus, verify_trajectory
 from symtraj.semantics import Label
 from symtraj.trajectory import build_sampling_prompt, parse_trajectory
@@ -144,6 +145,33 @@ def test_mock_completion_mode(problems):
     assert "Finish [" in text
     completion = parse_trajectory(text)
     assert completion.final_answer is p.label
+
+
+def test_mock_on_a_problem_with_no_chain():
+    # A FOLIO record has no meta chain, and a premise may have no formula.
+    problem = Problem(
+        id="folio-0000",
+        premises=(
+            Statement(nl="All dogs bark.", formula=parse_formula("forall x (Dog(x) -> Bark(x))")),
+            Statement(nl="Rex is loud."),
+        ),
+        hypothesis=Statement(nl="Rex barks."),
+        label=Label.UNCERTAIN,
+        source="folio",
+    )
+    backend = OracleMockBackend([problem], seed=0, accuracy=0.0)
+    text = backend.generate(_sample_req(problem)).text
+    assert text.splitlines() == [
+        "Thought: Translate the context into first-order logic.",
+        "Action: Translate each context statement into a logic premise",
+        "Observation:",
+        "∀x (Dog(x) → Bark(x)) ::: All dogs bark.",
+        "Thought: Chain the implications toward the target statement.",
+        "Action: Finish [True]",
+    ]
+    messages = completion_messages(problem, parse_trajectory(text), 1)
+    reply = backend.generate(GenerationRequest(messages=messages, seed=0)).text
+    assert reply == "Observation: the remaining steps settle the statement.\nAction: Finish [True]"
 
 
 def test_mock_unknown_prompt(problems):
