@@ -81,9 +81,10 @@ class OracleMockBackend:
         for order, (task, problem) in enumerate(zip(tasks, problems)):
             self._by_key.setdefault(task[: self._key_len], []).append((order, task, problem))
         self._last: tuple | None = None
-        # A closing reply depends on the problem, the answer and max_tokens
-        # only: (position, answer, max_tokens) -> the reply at prompt_tokens 0.
-        self._closings: dict[tuple[int, Label, int], GenerationResponse] = {}
+        # A continuation reply depends on the problem, the answer, max_tokens
+        # and the prompt's chars // 4 only: (position, answer, max_tokens) ->
+        # the last reply built, whose usage holds the chars // 4 it was for.
+        self._replies: dict[tuple[int, Label, int], GenerationResponse] = {}
 
     def _match_problem(self, user_text: str) -> tuple[int, Problem]:
         """The first problem, in list order, whose task occurs in the prompt,
@@ -101,22 +102,22 @@ class OracleMockBackend:
 
     def _read(self, messages: tuple[dict, ...]) -> tuple:
         """What a reply depends on in the prompt: (messages, char count,
-        prompt_key digest, problem position, problem, continuation flag, no
-        replies yet)."""
+        prompt_key digest, problem position, problem, continuation flag).
+        Built once per distinct prompt and never changed."""
         chars = check_prompt_length(messages, self.max_prompt_chars)
         user_text = "\n".join(m.get("content", "") for m in messages)
         order, problem = self._match_problem(user_text)
         continuation = CONTINUATION_REQUEST in user_text
-        return (messages, chars, prompt_key(messages), order, problem, continuation, ())
+        return (messages, chars, prompt_key(messages), order, problem, continuation)
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         # A label batch sends each prompt n_samples times in a row, so the
-        # last prompt's reading is kept, in one tuple that is replaced and
-        # never changed: a thread holding it sees one prompt's reading whole.
+        # last prompt's reading is kept. It is replaced whole, so a thread
+        # holding it sees one prompt's reading.
         reading = self._last
         if reading is None or reading[0] != req.messages:
             reading = self._last = self._read(req.messages)
-        _, chars, digest, order, problem, continuation, replies = reading
+        _, chars, digest, order, problem, continuation = reading
         if continuation and not 0 < self.accuracy < 1:
             # No draw can change this answer: random() < 1 always holds and
             # random() < 0 never does. A sampling prompt draws regardless,
@@ -127,37 +128,23 @@ class OracleMockBackend:
             answer = problem.label if rng.random() < self.accuracy else _flip(problem.label)
             if not continuation:
                 return _mock_reply(self._trajectory_text(problem, rng, answer), req.max_tokens, chars)
-        # A completion reply depends on the prompt, the answer and max_tokens only.
-        key = (answer, req.max_tokens)
-        for known, reply in replies:
-            if known == key:
-                return reply
-        closing = self._closings.get((order, answer, req.max_tokens))
-        if closing is None:
-            closing = _mock_reply(self._completion_text(problem, answer), req.max_tokens, 0)
-            self._closings[order, answer, req.max_tokens] = closing
-        usage = Usage(prompt_tokens=chars // 4, completion_tokens=closing.usage.completion_tokens)
-        reply = GenerationResponse(text=closing.text, finish_reason=closing.finish_reason, usage=usage)
-        self._last = (*reading[:-1], replies + ((key, reply),))
+        key = (order, answer, req.max_tokens)
+        reply = self._replies.get(key)
+        if reply is not None and reply.usage.prompt_tokens == chars // 4:
+            return reply
+        if reply is None:
+            reply = _mock_reply(self._completion_text(problem, answer), req.max_tokens, chars)
+        else:
+            # The closing is built once; another prompt only gets its own usage.
+            usage = Usage(prompt_tokens=chars // 4, completion_tokens=reply.usage.completion_tokens)
+            reply = GenerationResponse(text=reply.text, finish_reason=reply.finish_reason, usage=usage)
+        self._replies[key] = reply
         return reply
 
-    def _conclusion(self, problem: Problem) -> Formula | None:
-        meta = problem.meta
-        chain = meta.get("chain")
-        if not chain:
-            return None
-        terminal = chain[-1]
-        if meta.get("shape") == "grounded":
-            fact: Formula = Pred(terminal, (Constant(meta["constant"]),))
-            return Not(fact) if meta.get("negated_terminal") else fact
-        var = meta.get("variable", "x")
-        return Exists(var, Pred(terminal, (Variable(var),)))
-
     def _completion_text(self, problem: Problem, answer: Label) -> str:
-        conclusion = self._conclusion(problem)
-        if conclusion is None:
-            return f"Observation: the remaining steps settle the statement.\nAction: Finish [{answer}]"
-        return f"Observation: {print_formula(conclusion)}\nAction: Finish [{answer}]"
+        derivation = self._derivation_lines(problem)
+        observation = derivation[-1] if derivation else "Observation: the remaining steps settle the statement."
+        return f"{observation}\nAction: Finish [{answer}]"
 
     def _trajectory_text(self, problem: Problem, rng: random.Random, answer: Label) -> str:
         lines = [
@@ -227,10 +214,9 @@ class OracleMockBackend:
 
         first_fact = 1
         if shape == "disjunctive":
-            case_a = Implies(pred(chain[0], subject), pred(chain[1], subject))
-            case_b = Implies(pred(meta["branch"], subject), pred(chain[1], subject))
+            # links[1] and links[0] are the two case implications.
             lines.append("Action: Apply conjunction introduction to the two case implications")
-            lines.append(f"Observation: {print_formula(And(case_a, case_b))}")
+            lines.append(f"Observation: {print_formula(And(links[1], links[0]))}")
             lines.append("Action: Apply case analysis to the disjunction")
             lines.append(f"Observation: {print_formula(pred(chain[1], subject))}")
             first_fact = 2
