@@ -433,9 +433,7 @@ def verify_trajectory(problem, traj) -> list[StepVerdict]:
     to _judge_formalization after a formalization action, else to
     _judge_claims; both grow one Context, started from the premise formulas.
     An oracle-judged claim gets the verdict verify_step gives it over a plain
-    list of the same formulas, except near the oracle's budget: the Context's
-    kept grounding spends budget only on the formulas added since its last
-    call, so a call may finish here that runs out of budget on a plain list.
+    list of the same formulas, budget failures included.
     """
     context = Context(problem.premise_formulas)
     sig = fol.collect_signature(context)

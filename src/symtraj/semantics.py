@@ -163,7 +163,8 @@ class _Grounder:
     the formulas do. An operand of ⊕ or ↔ is defined once per variable
     binding and the definition reused, so nested ⊕/↔ ground in linear size.
     Every quantifier instance ticks budget before it is grounded.
-    The premises' clauses are kept in premise_clauses.
+    The premises' clauses are kept in premise_clauses, and the ticks their
+    grounding took in premise_ticks.
     """
 
     def __init__(self, size: int, const_names, premises, budget: "_Budget"):
@@ -173,6 +174,7 @@ class _Grounder:
         self.defined: dict[tuple[Formula, tuple], int] = {}
         self.n_vars = 0
         self.premise_clauses: list[list[int]] = []
+        self.premise_ticks = 0
         self.clauses = self.premise_clauses  # where _clause appends
         self.budget = budget
         self.add_premises(premises)
@@ -182,8 +184,10 @@ class _Grounder:
         their variables and its forgotten definitions' stay unused, so the
         premise clauses are those of grounding every premise afresh, in the
         same order, up to a renaming of variables."""
+        used = self.budget.used
         for f in premises:
             self._add(f, True, {}, ())
+        self.premise_ticks += self.budget.used - used
 
     def probe(self, f: Formula) -> list[list[int]]:
         """The premise clauses and then f's, a new list, to search whether
@@ -489,14 +493,13 @@ def entails(
     and the hypothesis are checked and counted, and the new premises are
     grounded onto the held clauses if the size and constants stay the same;
     any other call starts afresh. Once every check has passed, grounding
-    holds this call's premises. Either way the result, the unsatisfiable
-    flag, the size and exactness, or a ValueError raised, are those of a
-    call without it, and so is interpretations_explored: each probe
+    holds this call's premises; a BudgetExceeded while grounding the new
+    premises empties it. Either way the result, the unsatisfiable flag, the
+    size and exactness, or a ValueError or BudgetExceeded raised, are those
+    of a call without it, and so is interpretations_explored: each probe
     searches the fresh call's clauses, in the same order, up to a renaming
-    of variables. Only the grounding work differs, and the budget it
-    spends: the budget counts the instances this call grounds, so with a
-    kept grounding a call may stay within a budget that a call without it
-    exceeds.
+    of variables, and the held premises tick the budget for the instances
+    their grounding took. Only the grounding work differs.
     """
     premises = list(premises)
     if grounding is None:
@@ -525,6 +528,7 @@ def entails(
         ground = base.grounder
         ground.budget = tracker
         try:
+            tracker.tick(ground.premise_ticks)  # what grounding them afresh would spend
             ground.add_premises(new)
         except BudgetExceeded:
             grounding.__init__()  # its grounder is half extended

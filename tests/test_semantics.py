@@ -483,7 +483,7 @@ def _outcome(premises, hypothesis, **kwargs):
     """entails' verdict, or the type and message of what it raised."""
     try:
         return entails(premises, hypothesis, **kwargs)
-    except ValueError as exc:  # ArityConflict is a ValueError
+    except (ValueError, BudgetExceeded) as exc:  # ArityConflict is a ValueError
         return type(exc), str(exc)
 
 
@@ -494,6 +494,7 @@ def test_entails_with_a_kept_grounding_raises_what_a_fresh_call_raises():
     # The parser reads an unbound name as a constant, so open formulas are built.
     milk_x, tea_y = Pred("Milk", (Variable("x"),)), Pred("Tea", (Variable("y"),))
     base = ["∀x (Cook(x) → Tea(x))", "Cook(alice)", "Likes(alice, bob)"]
+    rule = ["∀x ∀y (R(x, y) → S(y, x))", "R(a, b)"]
     calls = [
         (base, "Tea(alice)", 3),
         (base, "∃y Tea(y)", 3),  # an ∃ claim raises the domain size
@@ -512,18 +513,25 @@ def test_entails_with_a_kept_grounding_raises_what_a_fresh_call_raises():
         (base[::-1], "Tea(alice)", 3),  # a list that does not extend the held one
         (base[::-1] + ["¬Tea(bob)"], "Cook(bob)", 3),
         (base[:1], "Tea(alice)", 3),  # nor does a shorter one
+        # A budget (the fourth field) counts the held premises' 2 * 2 rule
+        # instances too: a fresh call grounds them before its 4 search nodes.
+        (rule, "S(b, a)", 3),
+        (rule + ["R(b, a)"], "S(a, b)", 3, 4),
+        (rule + ["R(b, a)"], "S(a, b)", 3, 7),
+        (rule + ["R(b, a)"], "S(a, b)", 3, 8),
     ]
     grounding, held, errors = Grounding(), [], set()
-    for premise_texts, hypothesis_text, max_domain in calls:
+    for premise_texts, hypothesis_text, *options in calls:
         premises = [parse_formula(t) if isinstance(t, str) else t for t in premise_texts]
         hypothesis = parse_formula(hypothesis_text) if isinstance(hypothesis_text, str) else hypothesis_text
-        kept = _outcome(premises, hypothesis, max_domain=max_domain, grounding=grounding)
-        fresh = _outcome(premises, hypothesis, max_domain=max_domain)
-        assert kept == fresh, (premise_texts, hypothesis_text)
-        if isinstance(fresh, tuple):
+        kwargs = dict(zip(("max_domain", "budget"), options))
+        kept = _outcome(premises, hypothesis, grounding=grounding, **kwargs)
+        fresh = _outcome(premises, hypothesis, **kwargs)
+        assert kept == fresh, (premise_texts, hypothesis_text, options)
+        if isinstance(fresh, tuple) and fresh[0] is not BudgetExceeded:
             errors.add(fresh[1].split(",")[0].split(" used")[0])
         else:
-            held = premises
+            held = premises  # every check passed; these budgets run out in the search
         assert grounding.premises == held
     assert errors == {
         "formula is not closed",
