@@ -367,15 +367,11 @@ def _score_records(problem, traj, result) -> list[dict]:
 
 
 def cmd_score(args) -> int:
-    if args.remote_url and args.scorer != "remote":
-        raise ConfigError("--remote-url is read only with --scorer remote")
     problems = load_problems(args.problems)
     items = with_problems(read_jsonl(args.traces, trajectory_from_dict), problems)
-    if args.scorer == "symbolic":
+    if args.remote_url is None:
         scorer = SymbolicScorer()
     else:
-        if not args.remote_url:
-            raise ConfigError("--scorer remote needs --remote-url")
         try:
             scorer = RemoteScorer(args.remote_url)
         except ValueError as exc:
@@ -538,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="per-step probabilities for each trajectory")
     p.add_argument("--traces", required=True)
     p.add_argument("--problems", required=True)
-    p.add_argument("--scorer", choices=("symbolic", "remote"), default="symbolic")
     p.add_argument("--remote-url", dest="remote_url", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)

@@ -941,7 +941,7 @@ def test_remote_scorer_skips_a_trace_whose_reply_is_no_probability(
     sleeps = []
     monkeypatch.setattr(cli, "RemoteScorer", functools.partial(RemoteScorer, sleep=sleeps.append))
     out = tmp_path / "scores.jsonl"
-    argv = _argv("score", dict(artifacts, out=str(out))) + ["--scorer", "remote", "--remote-url", local_server.url]
+    argv = _argv("score", dict(artifacts, out=str(out))) + ["--remote-url", local_server.url]
     # The first trace gets an answer that is not a probability, or only 503s;
     # the rest get 0.5s.
     for script, warning in (
@@ -1045,7 +1045,7 @@ def test_remote_scorer_sends_twins_one_request_and_skips_each_on_failure(
     monkeypatch.setattr(cli, "RemoteScorer", functools.partial(RemoteScorer, sleep=sleeps.append))
     out = tmp_path / "scores.jsonl"
     files = dict(artifacts, traces=twin_traces, out=str(out))
-    argv = _argv("score", files) + ["--scorer", "remote", "--remote-url", local_server.url]
+    argv = _argv("score", files) + ["--remote-url", local_server.url]
     # The first trace's one request meets only 503s; every other trace is scored.
     local_server.script = [(503, {})] * MAX_ATTEMPTS
     with caplog.at_level(logging.WARNING):
@@ -1071,9 +1071,8 @@ def test_remote_scorer_sends_twins_one_request_and_skips_each_on_failure(
         ("export-sft", ["--pairs", "{pairs}"]),
         ("export-prm", ["--pairs", "{pairs}"]),
         ("export-dpo", ["--labels", "{labels}"]),
-        ("score", ["--remote-url", "http://localhost:1"]),
     ],
-    ids=["sft-labels", "sft-pairs", "prm-pairs", "dpo-labels", "symbolic-score-remote-url"],
+    ids=["sft-labels", "sft-pairs", "prm-pairs", "dpo-labels"],
 )
 def test_a_flag_the_chosen_mode_does_not_read_is_a_config_error(artifacts, tmp_path, capsys, stage, flags):
     out = tmp_path / "out.jsonl"
@@ -1084,14 +1083,7 @@ def test_a_flag_the_chosen_mode_does_not_read_is_a_config_error(artifacts, tmp_p
 
 def test_remote_url_that_is_not_http_is_a_config_error(artifacts, tmp_path, capsys):
     argv = _argv("score", dict(artifacts, out=str(tmp_path / "out.jsonl")))
-    _fails_with_one_config_line(argv + ["--scorer", "remote", "--remote-url", "scorer:8000"], capsys, "--remote-url")
-
-
-def test_remote_scorer_without_remote_url_is_a_config_error(artifacts, tmp_path, capsys):
-    out = tmp_path / "out.jsonl"
-    argv = _argv("score", dict(artifacts, out=str(out)))
-    _fails_with_one_config_line(argv + ["--scorer", "remote"], capsys, "needs --remote-url")
-    assert not out.exists()
+    _fails_with_one_config_line(argv + ["--remote-url", "scorer:8000"], capsys, "--remote-url")
 
 
 def test_http_base_url_that_is_not_http_is_a_config_error(workspace, tmp_path, capsys):
