@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import completion_messages
+from conftest import PROXY_VARIABLES, completion_messages
 
 from symtraj import cli, fol, rules, trajectory
 from symtraj.cli import (
@@ -640,6 +640,7 @@ def _fails_with_one_config_line(argv, capsys, name):
         ({"backend": dict(HTTP, session=None)}, "'session'"),
         ([{"backend": {"kind": "oracle-mock"}}], "expected a JSON object"),
         ({"temperature": 0.3}, "needs a 'backend' object"),
+        ({"backend": {"kind": "scripted"}}, "needs a 'script' object"),
     ],
 )
 def test_config_setting_nothing_reads_fails(workspace, tmp_path, capsys, config, name):
@@ -1090,6 +1091,18 @@ def test_http_base_url_that_is_not_http_is_a_config_error(workspace, tmp_path, c
     cfg = _write_json(tmp_path / "cfg.json", {"backend": dict(HTTP, base_url="localhost:8000/v1")})
     argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg]
     _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, "localhost:8000/v1")
+
+
+def test_https_proxy_is_a_config_error(workspace, tmp_path, capsys, monkeypatch):
+    # The client speaks plain HTTP to a proxy, also to tunnel to an https:// base_url.
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("HTTPS_PROXY", "https://127.0.0.1:1")
+    cfg = _write_json(tmp_path / "cfg.json", {"backend": dict(HTTP, base_url="https://127.0.0.1:2/v1")})
+    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", cfg]
+    err = _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, "'https://127.0.0.1:1'")
+    assert "only http:// proxies are supported" in err
 
 
 @pytest.mark.parametrize("command, flag", [("gen-problems", "--count"), ("sample", "--n")])

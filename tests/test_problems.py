@@ -93,6 +93,15 @@ def test_generate_counts_ids_and_lengths():
         assert len(p.premises) == expected
 
 
+@pytest.mark.parametrize(
+    "count, lengths, message",
+    [(0, [3], "count_per_length"), (1, [], "lengths must be nonempty"), (1, [3, 0], "reasoning length")],
+)
+def test_generate_refuses_an_empty_request(count, lengths, message):
+    with pytest.raises(ValueError, match=message):
+        generate_logicasker(count, lengths)
+
+
 def test_generate_label_balance_alternates():
     problems = generate_logicasker(10, [3], seed=2)
     labels = [p.label for p in problems]
@@ -200,10 +209,14 @@ def test_save_and_load_native(tmp_path):
 
 def test_load_problems_missing_field_is_format_error(tmp_path):
     path = tmp_path / "bad.jsonl"
+    # No hypothesis reads as a FOLIO record with no conclusion; then one with no premises.
     write_jsonl(path, [{"id": "x"}])
     with pytest.raises(FormatError) as exc:
         load_problems(path)
     assert "record 0" in str(exc.value)
+    write_jsonl(path, [{"conclusion": "Rex barks.", "label": "True"}])
+    with pytest.raises(FormatError, match="record 0: missing field 'premises'"):
+        load_problems(path)
 
 
 def test_load_problems_invariant_violation_names_record(tmp_path):
@@ -254,11 +267,14 @@ def test_folio_loader_tolerates_formula_problems(tmp_path):
                 "hypothesis": "Rex barks.",
                 "label": "uncertain",
             },
+            # an unparseable conclusion formula -> a hypothesis with none
+            _folio_record(**{"example_id": 19, "conclusion-FOL": "Bark(rex"}),
         ],
     )
-    a, b, c = load_problems(path)
+    a, b, c, d = load_problems(path)
     assert a.premises[0].formula is not None and a.premises[1].formula is None
     assert all(s.formula is None for s in b.premises)
+    assert (d.hypothesis.nl, d.hypothesis.formula) == ("Rex barks.", None)
     assert c.id == "folio-0002"
     assert c.label is Label.UNCERTAIN
     assert c.premises[0].nl == "All dogs bark."

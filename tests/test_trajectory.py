@@ -115,6 +115,8 @@ def test_final_answer_variants():
     # the last finish marker wins
     two = "Action: Finish [True]\nAction: Finish [False]\n"
     assert parse_trajectory(two).final_answer is Label.FALSE
+    # a last marker that names no label gives no answer
+    assert parse_trajectory("Action: Finish [True]\nAction: Finish [maybe]").final_answer is None
 
 
 def test_final_answer_alone_matches_the_full_parse():
@@ -145,6 +147,8 @@ def test_extract_formulas_cuts_gloss_and_noise():
     assert got == (parse_formula("P(a)"),)
     got = extract_formulas("Case A: Q(a) holds.")
     assert got == (parse_formula("Q(a)"),)
+    # a line that is only a bullet or a number holds nothing
+    assert extract_formulas("- \n 2.\n* 3)\n•") == ()
 
 
 def test_extract_formulas_scans_prose():
