@@ -82,9 +82,9 @@ class OracleMockBackend:
             self._by_key.setdefault(task[: self._key_len], []).append((order, task, problem))
         self._last: tuple | None = None
         # A continuation reply depends on the problem, the answer, max_tokens
-        # and the prompt's chars // 4 only: (position, answer, max_tokens) ->
-        # the last reply built, whose usage holds the chars // 4 it was for.
-        self._replies: dict[tuple[int, Label, int], GenerationResponse] = {}
+        # and the prompt's chars // 4 only: (position, answer is gold,
+        # max_tokens) -> the last reply built (a bool hashes faster than a Label).
+        self._replies: dict[tuple[int, bool, int], GenerationResponse] = {}
 
     def _match_problem(self, user_text: str) -> tuple[int, Problem]:
         """The first problem, in list order, whose task occurs in the prompt,
@@ -128,7 +128,7 @@ class OracleMockBackend:
             answer = problem.label if rng.random() < self.accuracy else _flip(problem.label)
             if not continuation:
                 return _mock_reply(self._trajectory_text(problem, rng, answer), req.max_tokens, chars)
-        key = (order, answer, req.max_tokens)
+        key = (order, answer is problem.label, req.max_tokens)
         reply = self._replies.get(key)
         if reply is not None and reply.usage.prompt_tokens == chars // 4:
             return reply
