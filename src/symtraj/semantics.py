@@ -29,7 +29,9 @@ interpretations_explored reports the search nodes alone.
 A caller that asks about a growing premise list can keep a Grounding
 across calls: it holds the premises' clause list, and a call at the same
 size with the same constants grounds only the new premises onto it, while
-any other call grounds afresh. The search keeps nothing: each of the two
+any other call grounds afresh. It still ticks the budget for the held
+premises' instances, so it runs out of budget where a fresh call does.
+The search keeps nothing: each of the two
 probes builds its DPLL state from the premise clauses and its own.
 """
 
