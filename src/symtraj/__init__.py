@@ -91,7 +91,7 @@ from .supervision import (
     export_prm_dataset,
     export_sft_dataset,
     mc_label,
-    mc_labeler,
+    mc_label_all,
     prm_loss,
     score_trajectory,
     select_trajectories,

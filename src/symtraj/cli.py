@@ -55,7 +55,7 @@ from .supervision import (
     export_sft_dataset,
     judge_distinct,
     mc_label,  # noqa: F401  (perfbench/layers.py wraps cli.mc_label)
-    mc_labeler,
+    mc_label_all,
     preference_pair_from_dict,
     preference_pair_to_dict,
     prm_score_from_dict,
@@ -323,7 +323,8 @@ def cmd_label(args) -> int:
     items = with_problems(read_jsonl(args.traces, trajectory_from_dict), problems)
     backend = build_backend(cfg, problems)
     try:
-        labeler = mc_labeler(
+        labels = mc_label_all(
+            items,
             backend,
             n_samples=cfg.n_samples,
             k=cfg.k,
@@ -331,9 +332,9 @@ def cmd_label(args) -> int:
             max_tokens=cfg.max_tokens,
             parallelism=cfg.parallelism,
         )
-        _judge_traces(items, labeler, _label_records, args.out, "step labels")
     finally:
         _close(backend)
+    _judge_traces(items, lambda p, t: labels[t.trajectory_id], _label_records, args.out, "step labels")
     return 0
 
 

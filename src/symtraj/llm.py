@@ -369,6 +369,7 @@ def generate_batch(backend, reqs, parallelism: int = DEFAULT_PARALLELISM) -> lis
     """Run requests through the backend, at most `parallelism` in flight
     (one at a time, in the calling thread, for an in-process backend).
 
+    An in-process backend takes each of reqs after answering the one before.
     Results come back in request order; a failing request becomes a response
     with finish_reason="error" carrying the exception, never a batch failure.
     """

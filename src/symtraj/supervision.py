@@ -29,7 +29,6 @@ from .llm import (
 )
 from .problems import Problem
 from .rules import VerdictStatus, verify_trajectory
-from .semantics import Label
 from .trajectory import (
     Trajectory,
     _final_answer,
@@ -96,6 +95,9 @@ def step_label_to_dict(label: StepLabel) -> dict:
 
 
 def step_label_from_dict(d: dict) -> StepLabel:
+    for name in ("step_index", "n_samples", "n_success", "hard_label"):
+        if not isinstance(d[name], int) or isinstance(d[name], bool):
+            raise ValueError(f"{name} must be an integer, got {d[name]!r}")
     completions = tuple([(answer, matched) for answer, matched in d.get("completions", ())])
     if any(not isinstance(matched, bool) for _, matched in completions):
         raise ValueError("a completion's matched must be true or false")
@@ -167,6 +169,8 @@ def preference_pair_to_dict(pair: PreferencePair) -> dict:
 
 
 def preference_pair_from_dict(d: dict) -> PreferencePair:
+    if d["chosen"] == d["rejected"]:
+        raise ValueError(f"preference pair chooses trajectory {d['chosen']!r} over itself")
     return PreferencePair(d["problem_id"], d["chosen"], d["rejected"], d["gap"])
 
 
@@ -227,20 +231,21 @@ def judge_distinct(items, judge) -> tuple[list, int]:
 
 
 def mc_label(problem: Problem, traj: Trajectory, backend, **options) -> list[StepLabel]:
-    """One StepLabel per prefix of the trajectory; options as for mc_labeler."""
-    return mc_labeler(backend, **options)(problem, traj)
+    """One StepLabel per prefix of the trajectory; options as for mc_label_all."""
+    return mc_label_all([(problem, traj)], backend, **options)[traj.trajectory_id]
 
 
-def mc_labeler(
+def mc_label_all(
+    items,
     backend,
     n_samples: int = DEFAULT_N_SAMPLES,
     k: int = DEFAULT_K,
     temperature: float = DEFAULT_TEMPERATURE,
     max_tokens: int = DEFAULT_MAX_TOKENS,
     parallelism: int = DEFAULT_PARALLELISM,
-):
-    """label(problem, trajectory) -> one StepLabel per prefix, a judge for
-    judge_distinct.
+) -> dict[str, list[StepLabel]]:
+    """{trajectory id: one StepLabel per prefix} for the (problem, trajectory)
+    items; twins, records of one id, are labelled once.
 
     The label for step_index p-1 counts completions sampled after the first p
     steps that end on the gold answer; hard_label is +1 iff at least k do.
@@ -249,45 +254,44 @@ def mc_labeler(
     Backend failures count as non-matching; a too-long prompt skips that
     prefix with a logged reason.
 
-    A trajectory's requests go out in one batch. Identical requests get
-    identical outcomes: each distinct request is sent at most once over all
-    calls of one labeler, and a failed one counts as failed for every
-    trajectory that needs it.
+    All requests go out in one batch: each distinct prefix (sampling prompt,
+    rendered steps) is sent once, with seeds 0..n_samples-1, and a failed
+    request counts as failed for every trajectory that needs it.
     """
     if not 1 <= k <= n_samples:
         raise ValueError(f"need 1 <= k <= n_samples, got k={k} n_samples={n_samples}")
-    # ((sampling prompt, rendered prefix), seed) -> (error, final answer) of
-    # every request sent; temperature, max_tokens and model are the same for all.
-    outcomes: dict[tuple[tuple, int], tuple[str | None, Label | None]] = {}
-
-    def label(problem: Problem, traj: Trajectory) -> list[StepLabel]:
+    # Plan: each distinct trace's prefix keys; each distinct key's batch place.
+    traces: dict[str, tuple[Problem, list[tuple]]] = {}
+    places: dict[tuple, int] = {}
+    for problem, traj in items:
+        tid = traj.trajectory_id
+        if tid in traces:
+            continue
         if not traj.steps:
             raise ValueError("trajectory has no steps to label")
-        tid = traj.trajectory_id
         sampling = build_sampling_prompt(problem, n_shots_of(traj))
-        rendered = [render_step(s) for s in traj.steps]
-        prefix_keys = []
-        pending: dict[tuple[tuple, int], GenerationRequest] = {}
-        for prefix_len in range(1, len(traj.steps) + 1):
-            prompt = build_completion_prompt(sampling, rendered, prefix_len)
-            messages = tuple(prompt.to_messages())
-            request = (sampling, tuple(rendered[:prefix_len]))
-            keys = [(request, seed) for seed in range(n_samples)]
-            for key in keys:
-                if key not in outcomes and key not in pending:
-                    pending[key] = GenerationRequest(
-                        messages=messages, temperature=temperature, max_tokens=max_tokens, seed=key[1]
-                    )
-            prefix_keys.append(keys)
-        if pending:
-            responses = generate_batch(backend, list(pending.values()), parallelism)
-            # Each distinct reply text is parsed once.
-            answers = {text: _final_answer(text) for text in {r.text for r in responses if not r.error}}
-            for key, r in zip(pending, responses):
-                outcomes[key] = (r.error, None) if r.error else (None, answers[r.text])
-        labels: list[StepLabel] = []
-        for prefix_len, keys in enumerate(prefix_keys, start=1):
-            results = [outcomes[key] for key in keys]
+        rendered = tuple([render_step(s) for s in traj.steps])
+        keys = [(sampling, rendered[:n]) for n in range(1, len(rendered) + 1)]
+        for key in keys:
+            places.setdefault(key, len(places))
+        traces[tid] = (problem, keys)
+
+    def requests():
+        # Built as the batch takes them, each distinct prefix's messages once.
+        for sampling, prefix in places:
+            messages = tuple(build_completion_prompt(sampling, prefix, len(prefix)).to_messages())
+            for seed in range(n_samples):
+                yield GenerationRequest(messages=messages, temperature=temperature, max_tokens=max_tokens, seed=seed)
+
+    responses = generate_batch(backend, requests(), parallelism)
+    answer_of = functools.cache(_final_answer)  # each distinct reply text is parsed once
+    outcomes = [(r.error, None) if r.error else (None, answer_of(r.text)) for r in responses]
+    labelled: dict[str, list[StepLabel]] = {}
+    for tid, (problem, keys) in traces.items():
+        labels = labelled[tid] = []
+        for prefix_len, key in enumerate(keys, start=1):
+            start = places[key] * n_samples
+            results = outcomes[start : start + n_samples]
             if any(error and error.startswith("PromptTooLong") for error, _ in results):
                 logger.warning("%s: prefix %d skipped: prompt too long", tid, prefix_len)
                 continue
@@ -311,9 +315,7 @@ def mc_labeler(
                     completions=tuple(completions),
                 )
             )
-        return labels
-
-    return label
+    return labelled
 
 
 # ---------------------------------------------------------------------------

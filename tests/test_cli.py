@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from conftest import PROXY_VARIABLES, completion_messages
 
-from symtraj import cli, fol, rules, trajectory
+from symtraj import cli, fol, rules, supervision, trajectory
 from symtraj.cli import (
     ConfigError,
     PipelineConfig,
@@ -854,8 +854,14 @@ MALFORMED = {
             rec, n_success=0, completions=[["True", "false"], ["False", 1]]
         ),
         "matched count not n_success": lambda rec: dict(rec, n_success=0, completions=[["True", True]]),
+        "hard_label true": lambda rec: dict(rec, hard_label=True),
+        "n_success a float": lambda rec: dict(rec, n_success=float(rec["n_success"])),
+        "step_index a string": lambda rec: dict(rec, step_index=str(rec["step_index"])),
     },
-    "pairs": {"missing key": _without("chosen")},
+    "pairs": {
+        "missing key": _without("chosen"),
+        "chosen is rejected": lambda rec: dict(rec, rejected=rec["chosen"]),
+    },
 }
 
 
@@ -1026,6 +1032,17 @@ def test_label_writes_each_twin_what_it_gets_alone(artifacts, twin_traces, tmp_p
         for label in mc_label(by_id[t.problem_id], t, build_backend(cfg, problems), **options)
     ]
     assert read_jsonl(files["out"]) == labels
+
+
+def test_label_sends_one_batch_for_traces_that_share_prefixes(artifacts, twin_traces, tmp_path, monkeypatch):
+    trajs = {t.trajectory_id: t for t in map(trajectory_from_dict, read_jsonl(twin_traces))}.values()
+    prefixes = [(t.problem_id, t.steps[:n]) for t in trajs for n in range(1, len(t.steps) + 1)]
+    assert len(set(prefixes)) < len(prefixes)  # distinct traces share prefixes, besides the twins
+    batches = []
+    generate_batch = supervision.generate_batch
+    monkeypatch.setattr(supervision, "generate_batch", lambda *a: batches.append(a) or generate_batch(*a))
+    assert main(_argv("label", dict(artifacts, traces=twin_traces, out=str(tmp_path / "out.jsonl")))) == 0
+    assert len(batches) == 1
 
 
 @pytest.mark.parametrize("stage", ["verify", "label", "score"])

@@ -378,6 +378,26 @@ def test_generate_batch_runs_in_process_backends_on_the_calling_thread():
     assert responses[1].error.startswith("BackendUnavailable")
 
 
+def test_generate_batch_takes_each_request_after_answering_the_one_before():
+    # The label stage builds its requests in a generator and relies on an
+    # in-process backend holding one request at a time.
+    events = []
+
+    class LoggingBackend(ScriptedMockBackend):
+        def generate(self, req):
+            events.append(("answer", req.seed))
+            return super().generate(req)
+
+    def requests():
+        for seed in range(3):
+            events.append(("take", seed))
+            yield GenerationRequest(messages=MESSAGES, seed=seed)
+
+    responses = generate_batch(LoggingBackend({prompt_key(MESSAGES): "yes"}), requests(), parallelism=4)
+    assert [r.text for r in responses] == ["yes"] * 3
+    assert events == [(event, seed) for seed in range(3) for event in ("take", "answer")]
+
+
 def test_generate_batch_validates_parallelism():
     with pytest.raises(ValueError):
         generate_batch(ScriptedMockBackend({}), [], parallelism=0)

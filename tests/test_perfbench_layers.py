@@ -69,9 +69,9 @@ def test_verify_trajectory_calls_the_names_the_traced_run_wraps(monkeypatch):
 def test_mc_labeler_calls_the_names_the_traced_run_wraps(monkeypatch):
     # trajectory.prompt_s times supervision.build_completion_prompt, and
     # llm.generate_calls counts OracleMockBackend.generate: one call per
-    # prefix of each distinct trace (a twin is labelled once), and one per
-    # distinct request, however much of a prompt's reading the mock keeps
-    # between calls.
+    # distinct prefix (traces and twins that share a prefix build its prompt
+    # once), and one per distinct request, however much of a prompt's
+    # reading the mock keeps between calls.
     calls = dict.fromkeys(("build_completion_prompt", "generate"), 0)
     wrapped = ((supervision, "build_completion_prompt"), (mock.OracleMockBackend, "generate"))
     for owner, name in wrapped:
@@ -90,10 +90,10 @@ def test_mc_labeler_calls_the_names_the_traced_run_wraps(monkeypatch):
             text = backend.generate(llm.GenerationRequest(messages=messages, seed=seed)).text
             items.append((p, parse_trajectory(text, problem_id=p.id)))
     calls.update(generate=0)
-    supervision.judge_distinct(items, supervision.mc_labeler(backend, n_samples=3))
+    supervision.mc_label_all(items, backend, n_samples=3)
     traces = {(t.trajectory_id, t.steps): (p, t) for p, t in items}
     assert len(traces) < len(items)
     prefixes = [(p, t, n) for p, t in traces.values() for n in range(1, len(t.steps) + 1)]
     distinct = {llm.prompt_key(completion_messages(p, t, n)) for p, t, n in prefixes}
     assert len(distinct) < len(prefixes)
-    assert calls == {"build_completion_prompt": len(prefixes), "generate": 3 * len(distinct)}
+    assert calls == {"build_completion_prompt": len(distinct), "generate": 3 * len(distinct)}

@@ -45,7 +45,7 @@ from symtraj.supervision import (
     index_once,
     judge_distinct,
     mc_label,
-    mc_labeler,
+    mc_label_all,
     prm_loss,
     prm_score_from_dict,
     score_trajectory,
@@ -328,8 +328,9 @@ def test_mc_label_rejects_bad_arguments():
     assert empty.steps  # sanity: the Finish line itself is a step
 
 
-# The test_mc_labeler_* tests below label a whole stage the way the label
-# command does: judge_distinct(items, mc_labeler(backend, **options)).
+# The test_mc_label_all_* tests below label a whole stage the way the label
+# command does: mc_label_all(items, backend, **options), one list of labels
+# per trajectory id.
 
 MC_TRACE_BRANCH = MC_TRACE.replace(
     "Action: Finish [True]", "Thought: Double-check.\nAction: Finish [True]"
@@ -346,31 +347,33 @@ def _dedup_fixture():
     return problem, [traj, twin, branch, short]
 
 
-def test_mc_labeler_sends_each_distinct_request_once():
+def test_mc_label_all_sends_each_distinct_request_once():
     problem, trajs = _dedup_fixture()
     backend = RecordingBackend()
-    judge_distinct([(problem, t) for t in trajs], mc_labeler(backend, n_samples=3, parallelism=2))
+    mc_label_all([(problem, t) for t in trajs], backend, n_samples=3, parallelism=2)
     counts = Counter(backend.sent)
     assert set(counts.values()) == {1}
     # 6 prefixes, then the twin's none, the branch's last two, and the short trace's two.
     assert len(counts) == (6 + 0 + 2 + 2) * 3
 
 
-def test_mc_labeler_equals_per_trajectory_mc_label():
+def test_mc_label_all_equals_per_trajectory_mc_label():
     problem, trajs = _dedup_fixture()
     for make_backend in (lambda: CountingBackend(2), lambda: FlakyBackend({1})):
-        together = judge_distinct([(problem, t) for t in trajs], mc_labeler(make_backend(), n_samples=3))[0]
+        labels = mc_label_all([(problem, t) for t in trajs], make_backend(), n_samples=3)
+        together = [labels[t.trajectory_id] for t in trajs]
         one_by_one = [mc_label(problem, t, make_backend(), n_samples=3) for t in trajs]
         assert together == one_by_one
 
 
-def test_mc_labeler_sends_a_failed_request_once_and_labels_twins_alike():
+def test_mc_label_all_sends_a_failed_request_once_and_labels_twins_alike():
     problem, trajs = _dedup_fixture()
     traj, twin = trajs[:2]
     messages = completion_messages(problem, traj, 2)
     flaky = (prompt_key(messages), 1, DEFAULT_TEMPERATURE, DEFAULT_MAX_TOKENS, "")
     backend = RecordingBackend(fail_once={flaky})
-    (first, second), _ = judge_distinct([(problem, traj), (problem, twin)], mc_labeler(backend, n_samples=3))
+    labels = mc_label_all([(problem, traj), (problem, twin)], backend, n_samples=3)
+    first, second = labels[traj.trajectory_id], labels[twin.trajectory_id]
     # The failure stands for the twin too: same prefix, same completions.
     assert first[1].completions == (("True", True), (None, False), ("True", True))
     assert second == first
@@ -379,24 +382,23 @@ def test_mc_labeler_sends_a_failed_request_once_and_labels_twins_alike():
     assert set(counts.values()) == {1}
 
 
-def test_mc_labeler_labels_twins_once_and_logs_their_failures_once(caplog):
+def test_mc_label_all_labels_twins_once_and_logs_their_failures_once(caplog):
     problem, trajs = _dedup_fixture()
     traj, twin = trajs[:2]
     with caplog.at_level(logging.WARNING):
-        (alone,), _ = judge_distinct([(problem, traj)], mc_labeler(FlakyBackend({1}), n_samples=3))
+        alone = mc_label_all([(problem, traj)], FlakyBackend({1}), n_samples=3)[traj.trajectory_id]
     failures = [r.getMessage() for r in caplog.records]
     assert len(failures) == len(traj.steps)  # seed 1 fails after every prefix
     caplog.clear()
     with caplog.at_level(logging.WARNING):
-        (first, second), _ = judge_distinct(
-            [(problem, traj), (problem, twin)], mc_labeler(FlakyBackend({1}), n_samples=3)
-        )
+        labels = mc_label_all([(problem, traj), (problem, twin)], FlakyBackend({1}), n_samples=3)
+    first, second = labels[traj.trajectory_id], labels[twin.trajectory_id]
     assert first is second and first == alone
     assert [r.getMessage() for r in caplog.records] == failures
 
 
 @pytest.mark.parametrize("n_shots", [1, 2])
-def test_mc_labeler_sends_the_prompt_of_each_prefix(n_shots):
+def test_mc_label_all_sends_the_prompt_of_each_prefix(n_shots):
     problem, traj = _mc_fixture()
     traj = dataclasses.replace(traj, seed_meta={"n_shots": n_shots})
     # Two identical steps still make two prefixes, each with its own prompt.
@@ -408,7 +410,7 @@ def test_mc_labeler_sends_the_prompt_of_each_prefix(n_shots):
     assert repeated.steps[0] == repeated.steps[1]
     backend = RecordingBackend()
     items = [(problem, traj), (problem, repeated)]
-    judge_distinct(items, mc_labeler(backend, n_samples=2, parallelism=1))
+    mc_label_all(items, backend, n_samples=2, parallelism=1)
     expected = [
         completion_messages(problem, t, p, n_shots)
         for t in (traj, repeated)
@@ -418,7 +420,7 @@ def test_mc_labeler_sends_the_prompt_of_each_prefix(n_shots):
     assert backend.messages == expected
 
 
-def test_mc_labeler_skips_only_the_prefixes_with_too_long_prompts():
+def test_mc_label_all_skips_only_the_prefixes_with_too_long_prompts():
     problem, trajs = _dedup_fixture()
     traj, _, branch, short = trajs
     sizes = [
@@ -426,9 +428,8 @@ def test_mc_labeler_skips_only_the_prefixes_with_too_long_prompts():
         for p in range(1, len(traj.steps) + 1)
     ]
     cutoff = (sizes[2] + sizes[3]) // 2
-    got, _ = judge_distinct(
-        [(problem, t) for t in (traj, branch, short)], mc_labeler(SizeLimitedBackend(cutoff), n_samples=3)
-    )
+    labels = mc_label_all([(problem, t) for t in (traj, branch, short)], SizeLimitedBackend(cutoff), n_samples=3)
+    got = [labels[t.trajectory_id] for t in (traj, branch, short)]
     assert [[l.step_index for l in labels] for labels in got] == [[0, 1, 2], [0, 1, 2], [0, 1]]
     assert all(l.hard_label == 1 for labels in got for l in labels)
 
@@ -446,7 +447,7 @@ def _record_requests(monkeypatch, backend) -> list[tuple]:
     return sent
 
 
-def test_mc_labeler_digests_each_distinct_prompt_sent_once(monkeypatch):
+def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch):
     # The oracle mock digests a prompt to seed its answers; the labeller
     # knows a request by what its prompt is built from and digests nothing.
     problems = generate_logicasker(2, [3], seed=5)
@@ -470,13 +471,13 @@ def test_mc_labeler_digests_each_distinct_prompt_sent_once(monkeypatch):
 
         monkeypatch.setattr(module, "prompt_key", counting, raising=False)
     sent = _record_requests(monkeypatch, backend)
-    judge_distinct(items, mc_labeler(backend, n_samples=3))
+    mc_label_all(items, backend, n_samples=3)
     distinct = {prompt_key(messages) for messages in sent}
     assert len(sent) == 3 * len(distinct)
     assert len(digests) == len(distinct)
 
 
-def test_mc_labeler_sends_each_problems_prompts_for_one_trace_text(monkeypatch):
+def test_mc_label_all_sends_each_problems_prompts_for_one_trace_text(monkeypatch):
     # One trace text under two problems with different gold labels: a
     # request is known by its problem's prompt, not by the trace alone.
     tea = _chain_problem("tea")
@@ -488,7 +489,8 @@ def test_mc_labeler_sends_each_problems_prompts_for_one_trace_text(monkeypatch):
     items = [(p, parse_trajectory(MC_TRACE, problem_id=p.id)) for p in (tea, no_tea)]
     backend = OracleMockBackend([tea, no_tea])
     sent = _record_requests(monkeypatch, backend)
-    together, _ = judge_distinct(items, mc_labeler(backend, n_samples=3))
+    labels = mc_label_all(items, backend, n_samples=3)
+    together = [labels[t.trajectory_id] for _, t in items]
     assert together == [mc_label(p, t, OracleMockBackend([tea, no_tea]), n_samples=3) for p, t in items]
     assert all(l.n_success == 3 for labels in together for l in labels)
     assert sent == [
