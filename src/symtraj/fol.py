@@ -281,10 +281,10 @@ class _Parser:
         self.i = i + 1
         return self.texts[i]
 
-    def parse(self, require_end: bool) -> tuple[Formula, int]:
-        """(formula, characters consumed). With require_end the whole text is
-        one formula; without it, the longest formula at its start, read up to
-        the first unreadable character (which must not be the first one)."""
+    def parse(self, require_end: bool) -> Formula:
+        """With require_end the whole text is one formula; without it, the
+        longest formula at its start, read up to the first unreadable
+        character (which must not be the first one)."""
         unread = self.texts[-1]
         stop = len(self.text) - len(unread)
         if unread and (require_end or stop == 0):
@@ -292,7 +292,11 @@ class _Parser:
         f = self._expr(1)
         if require_end and self.kinds[self.i] is not None:
             self._fail("end of input")
-        return f, self._start(self.i - 1) + len(self.texts[self.i - 1])
+        return f
+
+    def consumed(self) -> int:
+        """Characters up to the end of the last token parse read."""
+        return self._start(self.i - 1) + len(self.texts[self.i - 1])
 
     def _expr(self, min_prec: int) -> Formula:
         left = self._unary()
@@ -360,8 +364,7 @@ def _parse_cached(text: str, variables: frozenset[str]) -> Formula:
     # Only results are cached: malformed text raises on every call.
     if not text.strip():
         raise FormulaSyntaxError("empty input", 0, "a formula")
-    f, _ = _Parser(text, variables).parse(require_end=True)
-    return f
+    return _Parser(text, variables).parse(require_end=True)
 
 
 def parse_formula(text: str, variables: frozenset[str] | set[str] = frozenset()) -> Formula:
@@ -385,7 +388,8 @@ def parse_prefix(text: str, variables: frozenset[str] | set[str] = frozenset()) 
     Returns (formula, consumed_chars); trailing input is left alone, and a
     character the tokenizer cannot read merely bounds the prefix.
     """
-    return _Parser(text, frozenset(variables)).parse(require_end=False)
+    parser = _Parser(text, frozenset(variables))
+    return parser.parse(require_end=False), parser.consumed()
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +470,9 @@ class Signature:
             if seen is not None and seen != len(f.args):
                 raise ArityConflict(f.name, seen, len(f.args))
             self.predicates[f.name] = len(f.args)
-            self.constants.update(t.name for t in f.args if isinstance(t, Constant))
+            for t in f.args:
+                if isinstance(t, Constant):
+                    self.constants.add(t.name)
         elif isinstance(f, Not):
             self.add_formula(f.body)
         elif isinstance(f, _Binary):

@@ -112,11 +112,13 @@ def _mock_reply(text: str, max_tokens: int, prompt_chars: int) -> GenerationResp
     """A mock backend's answer: text cut after max_tokens words, word-count usage."""
     # Words stand in for tokens; good enough to exercise length handling.
     # The text is cut after the last kept word, so line breaks survive.
-    words = list(re.finditer(r"\S+", text))
+    n_words = len(text.split())
     finish = "stop"
-    if len(words) > max_tokens:
+    if n_words > max_tokens:
+        words = list(re.finditer(r"\S+", text))
         text, finish = text[: words[max_tokens - 1].end()], "length"
-    usage = Usage(prompt_tokens=prompt_chars // 4, completion_tokens=len(text.split()))
+        n_words = len(text.split())
+    usage = Usage(prompt_tokens=prompt_chars // 4, completion_tokens=n_words)
     return GenerationResponse(text=text, finish_reason=finish, usage=usage)
 
 

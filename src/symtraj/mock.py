@@ -103,12 +103,15 @@ class OracleMockBackend:
     def _read(self, messages: tuple[dict, ...]) -> tuple:
         """What a reply depends on in the prompt: (messages, char count,
         prompt_key digest, problem position, problem, continuation flag).
-        Built once per distinct prompt and never changed."""
+        Built once per distinct prompt and never changed. The digest only
+        seeds draws, so it is None for a continuation prompt that draws
+        nothing (accuracy 0 or 1)."""
         chars = check_prompt_length(messages, self.max_prompt_chars)
         user_text = "\n".join(m.get("content", "") for m in messages)
         order, problem = self._match_problem(user_text)
         continuation = CONTINUATION_REQUEST in user_text
-        return (messages, chars, prompt_key(messages), order, problem, continuation)
+        draws = not continuation or 0 < self.accuracy < 1
+        return (messages, chars, prompt_key(messages) if draws else None, order, problem, continuation)
 
     def generate(self, req: GenerationRequest) -> GenerationResponse:
         # A label batch sends each prompt n_samples times in a row, so the
@@ -118,7 +121,7 @@ class OracleMockBackend:
         if reading is None or reading[0] != req.messages:
             reading = self._last = self._read(req.messages)
         _, chars, digest, order, problem, continuation = reading
-        if continuation and not 0 < self.accuracy < 1:
+        if digest is None:
             # No draw can change this answer: random() < 1 always holds and
             # random() < 0 never does. A sampling prompt draws regardless,
             # as its sloppiness draws continue the same stream.

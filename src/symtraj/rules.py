@@ -75,6 +75,9 @@ class VerdictStatus(enum.Enum):
     INVALID = "Invalid"
 
 
+_STATUS_ORDER = tuple(VerdictStatus)
+
+
 @dataclass(frozen=True)
 class StepVerdict:
     status: VerdictStatus
@@ -287,6 +290,13 @@ _RULES = {
     Rule.CASE_ANALYSIS: _case_analysis,
 }
 
+# The (rule, matcher) pairs verify_step tries for each hint, in order: the
+# hinted rule first, then the others in catalog order (the sort is stable).
+_RULE_ORDER = {
+    hint: tuple((rule, _RULES[rule]) for rule in sorted(Rule, key=lambda r: r is not hint))
+    for hint in (None, *Rule)
+}
+
 
 def verify_step(
     context,
@@ -304,8 +314,8 @@ def verify_step(
         context = Context(context)
     if claimed in context:
         return StepVerdict(VerdictStatus.VERIFIED_SEMANTICALLY, note="restates an earlier formula")
-    for rule in ([hint] if hint is not None else []) + [r for r in Rule if r is not hint]:
-        app = _RULES[rule](context, claimed)
+    for rule, matcher in _RULE_ORDER[hint]:
+        app = matcher(context, claimed)
         if app is not None:
             return StepVerdict(VerdictStatus.VERIFIED_BY_RULE, rule=app, note=rule.value)
     try:
@@ -420,7 +430,7 @@ def _judge_claims(formulas, action: str, context: Context, sig: fol.Signature) -
         with suppress(ArityConflict):
             sig.add_formula(f)
         context.add(f)
-    status = max((v.status for v in verdicts), key=list(VerdictStatus).index)
+    status = max((v.status for v in verdicts), key=_STATUS_ORDER.index)
     rule = verdicts[0].rule if status is VerdictStatus.VERIFIED_BY_RULE else None
     return StepVerdict(status, rule, "; ".join(v.note for v in verdicts))
 

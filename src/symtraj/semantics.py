@@ -38,6 +38,7 @@ probes builds its DPLL state from the premise clauses and its own.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from .fol import (
@@ -209,7 +210,7 @@ class _Grounder:
 
     def _clause(self, lits) -> None:
         unique = dict.fromkeys(lits)
-        if not any(-lit in unique for lit in unique):  # else it holds in every model
+        if unique.keys().isdisjoint(map(operator.neg, unique)):  # else it holds in every model
             self.clauses.append(list(unique))
 
     def _shape(self, f: Formula, positive: bool, env: dict[str, int]):

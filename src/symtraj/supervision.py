@@ -95,9 +95,16 @@ def step_label_to_dict(label: StepLabel) -> dict:
 
 
 def step_label_from_dict(d: dict) -> StepLabel:
+    if not isinstance(d["trajectory_id"], str):
+        raise ValueError(f"trajectory_id must be a string, got {d['trajectory_id']!r}")
     for name in ("step_index", "n_samples", "n_success", "hard_label"):
         if not isinstance(d[name], int) or isinstance(d[name], bool):
             raise ValueError(f"{name} must be an integer, got {d[name]!r}")
+    for name, least in (("step_index", 0), ("n_samples", 1)):
+        if d[name] < least:
+            raise ValueError(f"{name} must be at least {least}, got {d[name]}")
+    if d["hard_label"] == 1 and d["n_success"] == 0:
+        raise ValueError("hard_label is +1, but no completion succeeded (n_success 0)")
     completions = tuple([(answer, matched) for answer, matched in d.get("completions", ())])
     if any(not isinstance(matched, bool) for _, matched in completions):
         raise ValueError("a completion's matched must be true or false")

@@ -857,6 +857,10 @@ MALFORMED = {
         "hard_label true": lambda rec: dict(rec, hard_label=True),
         "n_success a float": lambda rec: dict(rec, n_success=float(rec["n_success"])),
         "step_index a string": lambda rec: dict(rec, step_index=str(rec["step_index"])),
+        "step_index -1": lambda rec: dict(rec, step_index=-1),
+        "n_samples 0": lambda rec: dict(rec, n_samples=0, n_success=0, hard_label=-1, completions=[]),
+        "trajectory_id not a string": lambda rec: dict(rec, trajectory_id=5),
+        "hard_label +1 with n_success 0": lambda rec: dict(rec, n_success=0, hard_label=1, completions=[]),
     },
     "pairs": {
         "missing key": _without("chosen"),

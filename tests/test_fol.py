@@ -196,7 +196,7 @@ def test_cached_parse_is_shared_and_equals_a_fresh_parse():
         text = print_formula(random_closed_formula(rng, depth=4))
         first = parse_formula(text)
         assert parse_formula(text) is first
-        assert first == _Parser(text, frozenset()).parse(require_end=True)[0]
+        assert first == _Parser(text, frozenset()).parse(require_end=True)
 
 
 # Messages reach users verbatim through load_problems' "record i: ..." lines,

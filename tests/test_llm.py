@@ -8,6 +8,7 @@ import threading
 import pytest
 from conftest import DROP, closed_port
 
+from symtraj import llm
 from symtraj.llm import (
     BackendUnavailable,
     GenerationRequest,
@@ -328,6 +329,20 @@ def test_scripted_mock_truncates_to_max_tokens():
     resp = backend.generate(GenerationRequest(messages=MESSAGES, max_tokens=2))
     assert resp.text == "one two"
     assert resp.finish_reason == "length"
+
+
+@pytest.mark.parametrize(
+    "max_tokens, text, finish, words",
+    [
+        (2, "one\n two", "length", 2),
+        (4, "one\n two\tthree\u2003four", "stop", 4),
+        (9, "one\n two\tthree\u2003four", "stop", 4),
+    ],
+)
+def test_mock_reply_counts_words_and_cuts_after_the_last_kept_one(max_tokens, text, finish, words):
+    # \u2003 (an em space) separates words as str.split does.
+    resp = llm._mock_reply("one\n two\tthree\u2003four", max_tokens, prompt_chars=9)
+    assert (resp.text, resp.finish_reason, resp.usage) == (text, finish, Usage(2, words))
 
 
 def test_generate_batch_preserves_order_and_wraps_errors():

@@ -66,7 +66,7 @@ def test_verify_trajectory_calls_the_names_the_traced_run_wraps(monkeypatch):
     assert counts == {"verify_step": 1, "entails": 1}
 
 
-def test_mc_labeler_calls_the_names_the_traced_run_wraps(monkeypatch):
+def test_mc_label_all_calls_the_names_the_traced_run_wraps(monkeypatch):
     # trajectory.prompt_s times supervision.build_completion_prompt, and
     # llm.generate_calls counts OracleMockBackend.generate: one call per
     # distinct prefix (traces and twins that share a prefix build its prompt

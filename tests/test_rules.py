@@ -381,6 +381,14 @@ def test_verify_step_by_rule_with_hint():
     assert verdict.rule.rule is Rule.UNIVERSAL_INSTANTIATION
 
 
+def test_rule_order_tries_the_hint_first_then_the_catalog():
+    for hint in (None, *Rule):
+        expected = ([hint] if hint is not None else []) + [r for r in Rule if r is not hint]
+        order = rules._RULE_ORDER[hint]
+        assert [rule for rule, _ in order] == expected
+        assert all(matcher is rules._RULES[rule] for rule, matcher in order)
+
+
 def test_verify_step_wrong_hint_still_finds_rule():
     context = [parse_formula("P(a) -> Q(a)"), P_a]
     verdict = verify_step(context, Q_a, hint=Rule.DE_MORGAN)

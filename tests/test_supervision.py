@@ -447,11 +447,14 @@ def _record_requests(monkeypatch, backend) -> list[tuple]:
     return sent
 
 
-def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch):
-    # The oracle mock digests a prompt to seed its answers; the labeller
-    # knows a request by what its prompt is built from and digests nothing.
+@pytest.mark.parametrize("accuracy", [0.5, 1.0, 0.0])
+def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch, accuracy):
+    # The oracle mock digests a prompt to seed its answers' draws, so only
+    # when 0 < accuracy < 1 does a continuation prompt draw and get digested;
+    # the labeller knows a request by what its prompt is built from and
+    # digests nothing.
     problems = generate_logicasker(2, [3], seed=5)
-    backend = OracleMockBackend(problems, seed=1, sloppiness=0.5)
+    backend = OracleMockBackend(problems, seed=1, accuracy=accuracy, sloppiness=0.5)
     items = []
     for p in problems:
         messages = tuple(build_sampling_prompt(p).to_messages())
@@ -465,8 +468,8 @@ def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch):
     for module in (llm, mock, supervision):
         original = getattr(module, "prompt_key", prompt_key)
 
-        def counting(messages, _original=original):
-            digests.append(messages)
+        def counting(messages, _original=original, _module=module):
+            digests.append((_module, messages))
             return _original(messages)
 
         monkeypatch.setattr(module, "prompt_key", counting, raising=False)
@@ -474,7 +477,8 @@ def test_mc_label_all_digests_each_distinct_prompt_sent_once(monkeypatch):
     mc_label_all(items, backend, n_samples=3)
     distinct = {prompt_key(messages) for messages in sent}
     assert len(sent) == 3 * len(distinct)
-    assert len(digests) == len(distinct)
+    assert all(module is mock for module, _ in digests)
+    assert len(digests) == (len(distinct) if 0 < accuracy < 1 else 0)
 
 
 def test_mc_label_all_sends_each_problems_prompts_for_one_trace_text(monkeypatch):
