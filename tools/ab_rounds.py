@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import gc
 import hashlib
-import importlib
 import importlib.util
 import io
 import logging
