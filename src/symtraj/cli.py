@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fol import clear_parse_cache
@@ -143,7 +143,7 @@ class PipelineConfig:
 
 
 def load_config(path: str) -> PipelineConfig:
-    """Config file -> PipelineConfig; flags overlay later via replace().
+    """Config file -> PipelineConfig, the one source of the pipeline keys.
 
     The one file shape is {"backend": {"kind": ..., <options>}, <pipeline keys>}.
     """
@@ -165,15 +165,6 @@ def load_config(path: str) -> PipelineConfig:
     kind = options.pop("kind", PipelineConfig.backend_kind)
     knobs = {key: data[key] for key in PIPELINE_KEYS if key in data}
     return PipelineConfig(backend_kind=kind, backend_options=options, **knobs)
-
-
-def _overlay_flags(cfg: PipelineConfig, args) -> PipelineConfig:
-    updates = {}
-    for key in PIPELINE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = value
-    return replace(cfg, **updates) if updates else cfg
 
 
 def build_backend(cfg: PipelineConfig, problems: list[Problem]):
@@ -258,7 +249,7 @@ def cmd_gen_problems(args) -> int:
 
 def cmd_sample(args) -> int:
     _check_count("--n", args.n)
-    cfg = _overlay_flags(load_config(args.backend), args)
+    cfg = load_config(args.backend)
     problems = load_problems(args.problems)
     backend = build_backend(cfg, problems)
     # The backend fills in its configured model; this name only labels traces.
@@ -318,7 +309,7 @@ def _label_records(problem, traj, labels) -> list[dict]:
 
 
 def cmd_label(args) -> int:
-    cfg = _overlay_flags(load_config(args.backend), args)
+    cfg = load_config(args.backend)
     problems = load_problems(args.problems)
     items = with_problems(read_jsonl(args.traces, trajectory_from_dict), problems)
     backend = build_backend(cfg, problems)
@@ -511,19 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", required=True, help="backend config JSON")
     p.add_argument("--n", type=int, default=4, help="trajectories per problem")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="completion seed of sample 0")
-    p.add_argument("--n-shots", dest="n_shots", type=int, default=None)
-    _add_knob_flags(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("label", help="Monte Carlo step labels from completions")
     p.add_argument("--traces", required=True)
     p.add_argument("--problems", required=True)
     p.add_argument("--backend", required=True)
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", required=True)
-    _add_knob_flags(p)
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("verify", help="rule and semantic step verdicts")
@@ -571,12 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     return parser
-
-
-def _add_knob_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int, default=None)
-    p.add_argument("--parallelism", type=int, default=None)
 
 
 # Generation 0's collection threshold while a command runs (CPython's default

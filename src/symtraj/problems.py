@@ -80,6 +80,10 @@ class Problem:
 
 def validate_problem(p: Problem) -> None:
     """Raise InvariantViolation on a structurally broken problem."""
+    if not isinstance(p.id, str):
+        raise InvariantViolation(f"problem id {p.id!r} is not a string")
+    if not isinstance(p.meta, dict):
+        raise InvariantViolation(f"{p.id}: meta must be an object, got {p.meta!r}")
     if p.source not in SOURCES:
         raise InvariantViolation(f"{p.id}: unknown source {p.source!r}")
     if not p.premises:

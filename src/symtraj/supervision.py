@@ -176,8 +176,13 @@ def preference_pair_to_dict(pair: PreferencePair) -> dict:
 
 
 def preference_pair_from_dict(d: dict) -> PreferencePair:
+    for name in ("problem_id", "chosen", "rejected"):
+        if not isinstance(d[name], str):
+            raise ValueError(f"{name} must be a string, got {d[name]!r}")
     if d["chosen"] == d["rejected"]:
         raise ValueError(f"preference pair chooses trajectory {d['chosen']!r} over itself")
+    if not is_probability(d["gap"]):
+        raise ValueError(f"gap {d['gap']!r} is not a number in [0, 1]")
     return PreferencePair(d["problem_id"], d["chosen"], d["rejected"], d["gap"])
 
 

@@ -273,6 +273,8 @@ def trajectory_from_dict(d: dict) -> Trajectory:
             kind = _STEP_KINDS[s["kind"]]
         except (KeyError, TypeError):
             kind = StepKind(s["kind"])  # raises the error that names the bad kind
+        if not isinstance(s["text"], str):
+            raise ValueError(f"step text must be a string, got {s['text']!r}")
         steps.append(Step(kind, s["text"], tuple([parse_formula(t) for t in s.get("formulas", [])])))
     word = d.get("final_answer")
     answer = None if word is None else Label.from_text(word)
@@ -280,6 +282,9 @@ def trajectory_from_dict(d: dict) -> Trajectory:
         raise ValueError(f"final_answer {word!r} names no label")
     if not steps:
         raise EmptyTrajectory("trace has no steps")
+    for name in ("raw_text", "problem_id", "generator"):
+        if not isinstance(d.get(name, ""), str):
+            raise ValueError(f"{name} must be a string, got {d[name]!r}")
     meta = d.get("seed_meta", {})
     if not isinstance(meta, dict):
         raise ValueError(f"seed_meta must be an object, got {meta!r}")

@@ -21,7 +21,6 @@ from symtraj import cli, fol, rules, supervision, trajectory
 from symtraj.cli import (
     ConfigError,
     PipelineConfig,
-    _overlay_flags,
     build_backend,
     evaluate_traces,
     load_config,
@@ -214,16 +213,14 @@ def test_non_finite_temperature_fails_before_any_request(workspace, tmp_path, lo
     problems = str(workspace["problems"])
     traces = str(tmp_path / "traces.jsonl")
     assert main(["sample", "--problems", problems, "--backend", str(workspace["config"]), "--out", traces]) == 0
-    http = {"backend": dict(HTTP, base_url=local_server.url)}
-    flagged = _write_json(tmp_path / "http.json", http)
-    in_file = _write_json(tmp_path / "http-temperature.json", dict(http, temperature=float(value)))
+    http = {"backend": dict(HTTP, base_url=local_server.url), "temperature": float(value)}
+    config = _write_json(tmp_path / "http-temperature.json", http)
     out = tmp_path / "out.jsonl"
-    for config, flags in ((flagged, ["--temperature", value]), (in_file, [])):
-        for argv in (
-            ["sample", "--problems", problems, "--backend", config],
-            ["label", "--traces", traces, "--problems", problems, "--backend", config],
-        ):
-            _fails_with_one_config_line(argv + flags + ["--out", str(out)], capsys, "temperature")
+    for argv in (
+        ["sample", "--problems", problems, "--backend", config],
+        ["label", "--traces", traces, "--problems", problems, "--backend", config],
+    ):
+        _fails_with_one_config_line(argv + ["--out", str(out)], capsys, "temperature")
     assert local_server.requests == []
     assert not out.exists()
 
@@ -239,18 +236,6 @@ def test_pipeline_config_validation():
         PipelineConfig(parallelism=0)
     with pytest.raises(ConfigError):
         PipelineConfig(temperature=-0.1)
-
-
-def test_overlay_flags_prefer_cli_values(tmp_path):
-    path = _write_json(
-        tmp_path / "cfg.json", {"backend": {"kind": "oracle-mock"}, "temperature": 0.3}
-    )
-    cfg = load_config(path)
-    assert cfg.temperature == 0.3
-    args = Namespace(temperature=0.9, n_shots=None, max_tokens=None, seed=None, parallelism=None)
-    merged = _overlay_flags(cfg, args)
-    assert merged.temperature == 0.9
-    assert merged.backend_kind == "oracle-mock"
 
 
 def test_build_backend_requires_http_base_url():
@@ -273,7 +258,7 @@ def test_backend_options_are_the_constructor_parameters(kind):
 
 
 def test_pipeline_keys_are_the_config_fields():
-    # A field no config key or flag can set, or a key no field holds, fails here.
+    # A field no config key can set, or a key no field holds, fails here.
     fields = {f.name for f in dataclasses.fields(cli.PipelineConfig)} - {"backend_kind", "backend_options"}
     assert set(cli.PIPELINE_KEYS) == fields
 
@@ -334,22 +319,9 @@ def test_full_pipeline_over_mock_backend(workspace, capsys):
     assert "Invalid" not in statuses and "Unparseable" not in statuses
 
     labels = d / "labels.jsonl"
+    labelling = _write_json(d / "label.json", {"backend": {"kind": "oracle-mock"}, "n_samples": 3, "k": 1})
     rc = main(
-        [
-            "label",
-            "--traces",
-            str(traces),
-            "--problems",
-            problems,
-            "--backend",
-            config,
-            "--n-samples",
-            "3",
-            "--k",
-            "1",
-            "--out",
-            str(labels),
-        ]
+        ["label", "--traces", str(traces), "--problems", problems, "--backend", labelling, "--out", str(labels)]
     )
     assert rc == 0
     label_records = read_jsonl(labels)
@@ -461,7 +433,7 @@ def test_label_matches_per_trajectory_mc_label_byte_for_byte(workspace):
     problems = str(workspace["problems"])
     config = _write_json(
         d / "noisy.json",
-        {"backend": {"kind": "oracle-mock", "accuracy": 0.6, "sloppiness": 0.5}, "seed": 0},
+        {"backend": {"kind": "oracle-mock", "accuracy": 0.6, "sloppiness": 0.5}, "seed": 0, "n_samples": 3, "k": 2},
     )
     traces = d / "traces.jsonl"
     assert main(["sample", "--problems", problems, "--backend", config, "--n", "4", "--out", str(traces)]) == 0
@@ -471,7 +443,7 @@ def test_label_matches_per_trajectory_mc_label_byte_for_byte(workspace):
 
     labels = d / "labels.jsonl"
     argv = ["label", "--traces", str(traces), "--problems", problems, "--backend", config]
-    assert main(argv + ["--n-samples", "3", "--k", "2", "--out", str(labels)]) == 0
+    assert main(argv + ["--out", str(labels)]) == 0
 
     # One mc_label call per trajectory, as the command used to label them.
     cfg = load_config(config)
@@ -656,8 +628,9 @@ def test_config_path_that_cannot_be_read_is_one_config_line(workspace, tmp_path,
 
 def test_zero_shots_fails(workspace, tmp_path, capsys):
     # label and export read n_shots from each trace (MALFORMED["traces"]).
-    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", str(workspace["config"])]
-    _fails_with_one_config_line(argv + ["--n-shots", "0", "--out", str(tmp_path / "t.jsonl")], capsys, "n_shots")
+    config = _write_json(tmp_path / "cfg.json", {"backend": {"kind": "oracle-mock"}, "n_shots": 0})
+    argv = ["sample", "--problems", str(workspace["problems"]), "--backend", config]
+    _fails_with_one_config_line(argv + ["--out", str(tmp_path / "t.jsonl")], capsys, "n_shots")
 
 
 def _prompt_text(problem, n_shots):
@@ -668,10 +641,12 @@ def test_label_and_export_prompt_with_the_recorded_n_shots(workspace, tmp_path, 
     problems, d = str(workspace["problems"]), workspace["dir"]
     by_id = {p.id: p for p in load_problems(problems)}
     # Spoiled samples score lower than clean ones, so dpo-pairs finds pairs.
-    config = _write_json(d / "sloppy.json", {"backend": {"kind": "oracle-mock", "sloppiness": 0.5}, "n_samples": 2})
+    sloppy = {"backend": {"kind": "oracle-mock", "sloppiness": 0.5}, "n_samples": 2}
+    config = _write_json(d / "sloppy.json", sloppy)  # label's, at the default n_shots
+    two_shots = _write_json(d / "sloppy-2-shots.json", dict(sloppy, n_shots=2))
     files = {name: str(tmp_path / f"{name}.jsonl") for name in ("traces", "labels", "scores", "pairs")}
     for argv in (
-        f"sample --problems {problems} --backend {config} --n 3 --n-shots 2 --out {files['traces']}",
+        f"sample --problems {problems} --backend {two_shots} --n 3 --out {files['traces']}",
         f"score --traces {files['traces']} --problems {problems} --out {files['scores']}",
         f"dpo-pairs --scores {files['scores']} --threshold 0 --out {files['pairs']}",
     ):
@@ -710,13 +685,56 @@ def test_label_and_export_prompt_with_the_recorded_n_shots(workspace, tmp_path, 
         assert exc.value.code == 2, command
 
 
-def test_label_rejects_seed_flag(workspace, tmp_path):
-    # label always uses completion seeds 0..n_samples-1, so --seed is not one of its flags.
-    argv = ["label", "--traces", str(tmp_path / "t.jsonl"), "--problems", str(workspace["problems"])]
-    argv += ["--backend", str(workspace["config"]), "--seed", "5", "--out", str(tmp_path / "o")]
+# Each pipeline key's value, none of them the default, so a key the commands ignored fails.
+CONFIG_ONLY = {
+    "temperature": 0.25, "max_tokens": 2048, "parallelism": 3, "seed": 11, "n_shots": 2, "n_samples": 4, "k": 3
+}
+
+
+def test_every_pipeline_key_takes_effect_from_the_config_file(workspace, tmp_path, monkeypatch):
+    assert set(CONFIG_ONLY) == set(cli.PIPELINE_KEYS)
+    assert all(getattr(PipelineConfig, key) != value for key, value in CONFIG_ONLY.items())
+    problems = str(workspace["problems"])
+    backend = {"kind": "oracle-mock", "accuracy": 0.6, "sloppiness": 0.5}
+    config = _write_json(tmp_path / "cfg.json", {"backend": backend, **CONFIG_ONLY})
+    requests, parallelism = [], []
+    generate = OracleMockBackend.generate
+    monkeypatch.setattr(OracleMockBackend, "generate", lambda self, req: requests.append(req) or generate(self, req))
+    for module in (cli, supervision):
+        batch = module.generate_batch
+        monkeypatch.setattr(
+            module, "generate_batch", lambda b, reqs, n, batch=batch: parallelism.append(n) or batch(b, reqs, n)
+        )
+    traces, labels = tmp_path / "traces.jsonl", tmp_path / "labels.jsonl"
+    for argv in (
+        ["sample", "--problems", problems, "--backend", config, "--n", "2", "--out", str(traces)],
+        ["label", "--traces", str(traces), "--problems", problems, "--backend", config, "--out", str(labels)],
+    ):
+        requests.clear()
+        assert main(argv) == 0, argv[0]
+        assert requests and {(r.temperature, r.max_tokens) for r in requests} == {(0.25, 2048)}, argv[0]
+    assert parallelism == [3, 3]
+    metas = [r["seed_meta"] for r in read_jsonl(traces)]
+    assert {(m["sample_index"], m["seed"], m["n_shots"]) for m in metas} == {(0, 11, 2), (1, 12, 2)}
+    records = read_jsonl(labels)
+    assert {r["n_samples"] for r in records} == {4}
+    assert all(r["hard_label"] == (1 if r["n_success"] >= 3 else -1) for r in records)
+    assert any(0 < r["n_success"] < 3 for r in records)  # labelled -1 at the default k of 1
+
+
+@pytest.mark.parametrize("command", ["sample", "label"])
+@pytest.mark.parametrize(
+    "flag", ["--temperature", "--max-tokens", "--parallelism", "--seed", "--n-shots", "--n-samples", "--k"]
+)
+def test_a_pipeline_key_flag_is_a_usage_error(workspace, tmp_path, capsys, command, flag):
+    # The config file is the one source of the pipeline keys.
+    argv = [command, "--problems", str(workspace["problems"]), "--backend", str(workspace["config"])]
+    if command == "label":
+        argv += ["--traces", str(tmp_path / "t.jsonl")]
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(argv + [flag, "2", "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 def test_read_jsonl_reads_back_line_separators_inside_strings(tmp_path):
@@ -815,6 +833,10 @@ def _without(key):
     return lambda rec: {k: v for k, v in rec.items() if k != key}
 
 
+def _set(key, value):
+    return lambda rec: dict(rec, **{key: value})
+
+
 def _first_step_kind(kind):
     return lambda rec: dict(rec, steps=[dict(rec["steps"][0], kind=kind)] + rec["steps"][1:])
 
@@ -840,6 +862,8 @@ MALFORMED = {
         "n_shots a string": _n_shots("2"),
         "n_shots true": _n_shots(True),
         "line not an object": lambda rec: [rec],
+        **{f"{name} not a string": _set(name, 5) for name in ("raw_text", "problem_id", "generator")},
+        "step text not a string": lambda rec: dict(rec, steps=[dict(rec["steps"][0], text=5)] + rec["steps"][1:]),
     },
     "scores": {
         "missing key": _without("trajectory_id"),
@@ -865,6 +889,10 @@ MALFORMED = {
     "pairs": {
         "missing key": _without("chosen"),
         "chosen is rejected": lambda rec: dict(rec, rejected=rec["chosen"]),
+        "gap a string": _set("gap", "0.5"),
+        "gap -3": _set("gap", -3),
+        "gap true": _set("gap", True),
+        **{f"{name} not a string": _set(name, 5) for name in ("problem_id", "chosen", "rejected")},
     },
 }
 
@@ -914,6 +942,22 @@ def test_predicate_at_two_arities_is_one_invariant_line(artifacts, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"invariant violation: {bad}: record 0: ") and err.count("\n") == 1, err
     assert "predicate 'P' used with arity 1 and 2" in err
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(("id", 5), "problem id 5 is not a string"), (("meta", [1]), "meta must be an object")],
+    ids=["id", "meta"],
+)
+def test_problem_id_or_meta_of_the_wrong_type_is_one_invariant_line(artifacts, tmp_path, capsys, fault, message):
+    bad = tmp_path / "bad-problems.jsonl"
+    write_jsonl(bad, [_set(*fault)(read_jsonl(artifacts["problems"])[0])])
+    for stage in (stage for stage, argv in READERS.items() if "{problems}" in argv):
+        capsys.readouterr()
+        assert main(_argv(stage, dict(artifacts, problems=str(bad), out=str(tmp_path / "out.jsonl")))) == 2, stage
+        err = capsys.readouterr().err
+        assert err.startswith(f"invariant violation: {bad}: record 0: ") and err.count("\n") == 1, err
+        assert message in err, err
 
 
 def test_duplicate_problem_ids_are_one_invariant_line(artifacts, tmp_path, capsys):
@@ -1370,10 +1414,11 @@ def test_label_refuses_twins_sampled_with_other_n_shots(workspace, tmp_path, cap
     # The mock writes one text whatever the prompt's demonstrations, so both
     # samples of a problem share one id; label prompts each with its own n_shots.
     problems, config = str(workspace["problems"]), str(workspace["config"])
+    two_shots = _write_json(tmp_path / "two-shots.json", {"backend": {"kind": "oracle-mock"}, "n_shots": 2})
     lines = []
-    for shots in ([], ["--n-shots", "2"]):
-        out = tmp_path / f"traces{len(shots)}.jsonl"
-        assert main(["sample", "--problems", problems, "--backend", config, "--n", "1", *shots, "--out", str(out)]) == 0
+    for i, sampling in enumerate((config, two_shots)):
+        out = tmp_path / f"traces{i}.jsonl"
+        assert main(["sample", "--problems", problems, "--backend", sampling, "--n", "1", "--out", str(out)]) == 0
         lines += out.read_text(encoding="utf-8").splitlines(keepends=True)
     traces, out = tmp_path / "traces.jsonl", tmp_path / "labels.jsonl"
     traces.write_text("".join(lines), encoding="utf-8")

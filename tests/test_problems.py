@@ -64,6 +64,10 @@ def test_validate_problem_rejections():
         validate_problem(
             _problem(source="logicasker", premises=(Statement(nl="words only"),))
         )
+    with pytest.raises(InvariantViolation, match="problem id 5 is not a string"):
+        validate_problem(_problem(id=5))
+    with pytest.raises(InvariantViolation, match=r"p1: meta must be an object, got \[1\]"):
+        validate_problem(_problem(meta=[1]))
     validate_problem(_problem(split="train"))
 
 
